@@ -2,8 +2,9 @@
 
 Every subcommand re-verifies its module's cheap invariants at runtime and
 exits nonzero on any failure, so the CLI doubles as a self-test harness.
-Runs are fully determined by (subcommand, flags, seed, input files); the
-ROBUQ_SEED environment variable overrides --seed.
+Runs are fully determined by (subcommand, flags, input files). The two
+subcommands that draw random numbers, profile and gauss-report, also take
+--seed, and the ROBUQ_SEED environment variable overrides it.
 
 Exit codes: 0 success, 1 invariant re-check failed, 2 bad input or usage.
 """
@@ -198,11 +199,12 @@ def cmd_pack(args) -> int:
             values.reshape(rows, -1).astype(np.float32), args.out
         )
         return 0
-    m = tensorio.load_matrix(args.infile)
-    packed = deploy.pack_ternary(m.astype(np.int8).ravel())
-    roundtrip = deploy.unpack_ternary(packed)
+    # Pack the float values as loaded so pack_ternary rejects anything off
+    # {-1, 0, 1}; an int8 cast first would turn 0.5 into 0 and 256 into 0.
+    values = tensorio.load_matrix(args.infile).ravel()
+    packed = deploy.pack_ternary(values)
     _check(
-        bool(np.array_equal(roundtrip, m.astype(np.int8).ravel())),
+        bool(np.array_equal(deploy.unpack_ternary(packed), values)),
         "pack/unpack round trip failed",
     )
     deploy.save_packed(packed, args.out)
@@ -243,19 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--roundtrip-check", action="store_true")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_hadamard)
 
     p = sub.add_parser("quantize", help="build a quantized layer from weights")
     p.add_argument("--weights", required=True)
     p.add_argument("--rank", type=int, default=lowrank.DEFAULT_RANK)
     p.add_argument("--bits", type=int, default=4)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--uniform", action="store_true", default=True)
-    group.add_argument("--lloyd", action="store_true")
+    p.add_argument("--lloyd", action="store_true", help="Lloyd-Max instead of the uniform codebook")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--summary", default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("gauss-report", help="normality and independence statistics")
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=int, default=1000)
     p.add_argument("--bits", default="1,2,3,4")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("pack", help="pack ternary values five per byte")
@@ -290,13 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--unpack", action="store_true")
     p.add_argument("--rows", type=int, default=None, help="row count when unpacking to a matrix")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("flops", help="weighted FLOPs breakdown of a model config")
     p.add_argument("--config", default=None, help="FlopsConfig JSON; defaults to the DiT-XL/2 fixture")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_flops)
 
     return parser

@@ -2,9 +2,10 @@
 
 A layer is built from a dense weight W by transforming it (W H), capturing
 the top-r singular structure in full-precision factors A = U_r S_r and
-B = V_r^T, and ternarizing only the residual W H - A B. The forward then
-runs the cheap ternary branch on Gauss-quantized transformed activations
-while the low-rank branch consumes the unquantized transformed activations:
+B = V_r^T from an exact thin SVD (LAPACK via numpy), and ternarizing only the
+residual W H - A B. The forward then runs the cheap ternary branch on
+Gauss-quantized transformed activations while the low-rank branch consumes
+the unquantized transformed activations:
 
     W x ~ A (B (H x)) + alpha V . dequant(Q(H x))
 
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, FormatError, ValidationError
+from .errors import DimensionError, FormatError, ValidationError
 from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
 from .quant import (
     GaussCodebook,
@@ -77,87 +78,31 @@ class QuantLinearLayer:
             raise DimensionError("low-rank branch shapes inconsistent with layer dims")
 
 
-def _subspace_rotation(q_old: np.ndarray, q_new: np.ndarray) -> float:
-    # sqrt of the sum of squared sines of the principal angles.
-    overlap = q_old.T @ q_new
-    r = q_old.shape[1]
-    return float(np.sqrt(max(0.0, r - float(np.sum(overlap * overlap)))))
-
-
-def truncated_svd(
-    m: np.ndarray,
-    r: int,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-    seed: int = 0,
-    oversample: int = 8,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-r singular triple (U_r, S_r, V_r) by block power iteration.
-
-    Iterates an oversampled block (r + ``oversample`` columns) through
-    M M^T with QR re-orthonormalization, then extracts the leading r factors
-    with a Rayleigh-Ritz step. Stops when the block subspace rotates by less
-    than ``tol``, or when the captured top-r energy plateaus at per-iteration
-    gains below tol * ||M||_F^2: near-tied singular values at the cut let the
-    subspace wander inside an equally-optimal manifold without changing the
-    approximation, and the plateau test retires exactly that case.
+def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-r singular triple (U_r, S_r, V_r) from an exact thin SVD (LAPACK via numpy).
 
     U_r and V_r have orthonormal columns; S_r is nonincreasing, nonnegative.
+    Singular values at or below the rank tolerance s_0 * max(dims) * eps (the
+    one ``np.linalg.matrix_rank`` uses) are set to exactly zero. Each pair
+    (u_i, v_i) is sign-flipped so that the largest-magnitude entry of u_i is
+    positive, which makes the factors deterministic.
     """
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got shape {arr.shape}")
-    rows, cols = arr.shape
-    if r < 1 or r > min(rows, cols):
+    if r < 1 or r > min(arr.shape):
         raise DimensionError(f"rank {r} not in 1..min{arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("matrix contains NaN or Inf")
-    if not np.any(arr):
-        return np.eye(rows, r), np.zeros(r), np.eye(cols, r)
 
-    block = min(r + max(0, oversample), rows, cols)
-    total_energy = float(np.sum(arr * arr))
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(arr @ rng.standard_normal((cols, block)))
-    energy = -np.inf
-    converged = False
-    for _ in range(max_iter):
-        z, _ = np.linalg.qr(arr.T @ q)
-        q_new, _ = np.linalg.qr(arr @ z)
-        rot = _subspace_rotation(q, q_new)
-        q = q_new
-        b = q.T @ arr
-        evals = np.linalg.eigvalsh(b @ b.T)
-        new_energy = float(np.sum(evals[::-1][:r]))
-        gain = new_energy - energy
-        energy = new_energy
-        if rot < tol or gain < tol * total_energy:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"block power iteration did not converge in {max_iter} iterations",
-            last_iterate=q,
-        )
-
-    b = q.T @ arr
-    evals, p = np.linalg.eigh(b @ b.T)
-    order = np.argsort(evals)[::-1][:r]
-    s = np.sqrt(np.clip(evals[order], 0.0, None))
-    p = p[:, order]
-    u = q @ p
-    v = b.T @ p
-    floor = max(s[0], 1.0) * 1e-12
-    live = s > floor
-    v[:, live] = v[:, live] / s[live]
-    if not live.all():
-        # Rank-deficient tail: complete V with orthonormal columns.
-        basis, _ = np.linalg.qr(
-            np.concatenate([v[:, live], rng.standard_normal((cols, int((~live).sum())))], axis=1)
-        )
-        v[:, ~live] = basis[:, int(live.sum()):]
-        s[~live] = 0.0
-    return u, s, v
+    # numpy's LAPACK rather than scipy's SVD: the scipy wheel bundles a
+    # second OpenBLAS whose thread pool competes with numpy's, which made the
+    # many small SVDs of QAT profiling slower on a 2-core machine.
+    u, s, vt = np.linalg.svd(arr, full_matrices=False)
+    u, s, v = u[:, :r], s[:r], vt[:r].T
+    s[s <= s[0] * max(arr.shape) * np.finfo(np.float64).eps] = 0.0
+    signs = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(r)])
+    return u * signs, s, v * signs
 
 
 def init_layer(
@@ -165,7 +110,6 @@ def init_layer(
     r: int = DEFAULT_RANK,
     codebook: GaussCodebook | None = None,
     center: bool = True,
-    seed: int = 0,
 ) -> QuantLinearLayer:
     """Build a quantized layer from a dense weight matrix.
 
@@ -190,7 +134,7 @@ def init_layer(
     if r == 0:
         branch = LowRankBranch(A=np.zeros((out_dim, 0)), B=np.zeros((0, in_dim)))
     else:
-        u, s, v = truncated_svd(wh, r, seed=seed)
+        u, s, v = truncated_svd(wh, r)
         branch = LowRankBranch(A=u * s, B=v.T)
     wq = ternarize(wh - branch.matrix())
     return QuantLinearLayer(

@@ -95,6 +95,8 @@ class ToyLayer:
         branch is initialized from the transformed weight's top singular
         structure; its product at enable time anchors the residual, so the
         factors train freely without re-entering the weight quantizer.
+        ``seed`` has no effect: the SVD is deterministic. It is still
+        accepted because existing callers pass it.
         """
         if bits >= FP_BITS:
             return
@@ -107,7 +109,7 @@ class ToyLayer:
         if rank > 0:
             rank = min(rank, min(self.weight.shape))
             wh = fold_into_weights(self.weight, self.plan)
-            u, s, v = truncated_svd(wh, rank, seed=seed)
+            u, s, v = truncated_svd(wh, rank)
             self.A = u * s
             self.B = v.T
             self.anchor = self.A @ self.B
@@ -354,7 +356,7 @@ def profile_sensitivity(
                 gaps[li, bi] = 0.0
                 continue
             trial = model.copy()
-            trial.layers[li].enable_quant(b, rank=rank, uniform=uniform, seed=config.seed)
+            trial.layers[li].enable_quant(b, rank=rank, uniform=uniform)
             rng = np.random.default_rng([config.seed, li, b])
             _train(trial, data, {li}, config, rng)
             gaps[li, bi] = trial.loss(data.val_inputs) - base_loss
@@ -389,8 +391,7 @@ def steps_sweep(
         alloc = dp_allocate(AllocationProblem(table, target_avg_bits, bit_set=bits))
         trial = model.copy()
         for i, layer in enumerate(trial.layers):
-            layer.enable_quant(alloc.bits_per_layer[f"fc{i}"], rank=rank,
-                               uniform=uniform, seed=config.seed)
+            layer.enable_quant(alloc.bits_per_layer[f"fc{i}"], rank=rank, uniform=uniform)
         initial = trial.loss(data.val_inputs)
         rng = np.random.default_rng([config.seed, 0xF0, s])
         _train(trial, data, set(range(len(trial.layers))),

@@ -139,9 +139,10 @@ def load_sensitivity(path) -> SensitivityTable:
         raise FormatError(f"{path}: bad header {header[:3]}, expected layer,flops_weight,fixed_bits")
     bit_cols = []
     for j, name in enumerate(header[3:], start=3):
-        if not name.startswith("dL@"):
-            raise FormatError(f"{path}: column {name!r} is not of the form dL@<bits>")
-        bit_cols.append((int(name[3:]), j))
+        try:
+            bit_cols.append((int(name[3:] if name.startswith("dL@") else ""), j))
+        except ValueError as exc:
+            raise FormatError(f"{path}: column {name!r} is not of the form dL@<bits>") from exc
     if not bit_cols:
         raise FormatError(f"{path}: no dL@<bits> columns")
     bit_cols.sort()
@@ -152,8 +153,15 @@ def load_sensitivity(path) -> SensitivityTable:
         if not row:
             continue
         name = row[0]
-        fixed = None if len(row) < 3 or row[2].strip() == "" else int(row[2])
-        layers.append(LayerSpec(name=name, flops_weight=float(row[1]), fixed_bits=fixed))
+        try:
+            weight = float(row[1])
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"{path}: layer {name!r} has missing or unparsable flops_weight") from exc
+        try:
+            fixed = None if len(row) < 3 or row[2].strip() == "" else int(row[2])
+        except ValueError as exc:
+            raise FormatError(f"{path}: layer {name!r} has unparsable fixed_bits: {row[2]!r}") from exc
+        layers.append(LayerSpec(name=name, flops_weight=weight, fixed_bits=fixed))
         cells = []
         for b, j in bit_cols:
             if j >= len(row) or row[j].strip() == "":

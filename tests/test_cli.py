@@ -69,6 +69,19 @@ def test_quantize_rank_zero_and_ablation(tmp_path, rbq):
     assert (tmp_path / "l16" / "A.rbq").exists()
 
 
+def test_quantize_twice_is_byte_identical(tmp_path, rbq):
+    src = rbq("w.rbq", np.random.default_rng(12).standard_normal((48, 32)))
+    for tag in ("a", "b"):
+        assert cli.main(["quantize", "--weights", src, "--rank", "8",
+                         "--out-dir", str(tmp_path / tag),
+                         "--summary", str(tmp_path / f"{tag}.json")]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 def test_quantize_bad_path_exit_2(tmp_path):
     assert cli.main(["quantize", "--weights", str(tmp_path / "missing.rbq"),
                      "--out-dir", str(tmp_path / "out")]) == 2
@@ -133,6 +146,15 @@ def test_pack_roundtrip_cli(tmp_path, rbq):
 def test_pack_rejects_nonternary(tmp_path, rbq):
     src = rbq("bad.rbq", np.array([[0.0, 2.0]]))
     assert cli.main(["pack", "--in", src, "--out", str(tmp_path / "x.rbqp")]) == 2
+
+
+@pytest.mark.parametrize("values", [[[0.5, -0.7, 1.9]], [[256.0, -1.0]]],
+                         ids=["fractional", "wraps_int8"])
+def test_pack_rejects_values_an_int8_cast_would_mangle(tmp_path, rbq, values):
+    src = rbq("bad.rbq", np.array(values))
+    out = tmp_path / "bad.rbqp"
+    assert cli.main(["pack", "--in", src, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_flops_fixture_output(tmp_path, capsys):

@@ -51,6 +51,34 @@ def test_svd_zero_matrix_and_errors():
         truncated_svd(np.ones((3, 3)), 4)
 
 
+def test_svd_rank_deficient_nonzero():
+    rng = np.random.default_rng(11)
+    m = np.outer(rng.standard_normal(16), rng.standard_normal(12))
+    u, s, v = truncated_svd(m, 4)
+    np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(v.T @ v, np.eye(4), atol=1e-12)
+    assert s[0] > 0.0
+    assert np.all(s[1:] == 0.0)
+    np.testing.assert_allclose((u * s) @ v.T, m, rtol=0, atol=1e-12 * np.linalg.norm(m))
+
+
+def test_svd_deterministic_sign_rule():
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((40, 24))
+    first, second = truncated_svd(m, 6), truncated_svd(m, 6)
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+    u = first[0]
+    assert np.all(u[np.argmax(np.abs(u), axis=0), np.arange(6)] > 0)
+
+
+def test_svd_exact_on_flat_spectrum():
+    rng = np.random.default_rng(13)
+    m = rng.standard_normal((256, 192))
+    _, s, _ = truncated_svd(m, 16)
+    np.testing.assert_allclose(s, np.linalg.svd(m, compute_uv=False)[:16], rtol=1e-12)
+
+
 def test_init_layer_zero_weight():
     layer = init_layer(np.zeros((8, 8)), r=4, codebook=uniform_gauss_codebook(4))
     assert not layer.wq.values.any()

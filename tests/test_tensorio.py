@@ -118,6 +118,22 @@ def test_sensitivity_missing_cell(tmp_path):
         load_sensitivity(path)
 
 
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("layer,flops_weight,fixed_bits,dL@x\nfc0,1.0,,0.5\n", r"bad\.csv.*'dL@x'"),
+        ("layer,flops_weight,fixed_bits,dL@1\nfc0,heavy,,0.5\n", r"bad\.csv.*'fc0'.*flops_weight"),
+        ("layer,flops_weight,fixed_bits,dL@1\nfc0,1.0,2.5,0.5\n", r"bad\.csv.*'fc0'.*fixed_bits"),
+    ],
+    ids=["bits_header", "flops_weight", "fixed_bits"],
+)
+def test_sensitivity_unparsable_field_is_format_error(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=match):
+        load_sensitivity(path)
+
+
 def test_sensitivity_bits_validation():
     with pytest.raises(ValidationError):
         SensitivityTable([LayerSpec("a")], [2, 1], np.array([[0.1, 0.2]]))
