@@ -11,6 +11,9 @@ the unquantized transformed activations:
 
 Because H is orthogonal, the dense reconstruction error equals the residual
 approximation error in the transformed domain exactly.
+
+The QAT profiler's quantized toy layers are these same layers, built by
+``init_layer`` and run through ``forward_with_cache``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
 from .quant import (
     GaussCodebook,
     TernaryWeights,
+    gauss_dequantize_token,
     lloyd_max,
     quantize_tokens,
     ternarize,
@@ -143,22 +147,39 @@ def init_layer(
     )
 
 
-def forward(layer: QuantLinearLayer, x: np.ndarray) -> np.ndarray:
-    """Apply the layer to a T x in_dim activation batch.
+def forward_with_cache(
+    layer: QuantLinearLayer,
+    x: np.ndarray,
+    tokens: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, dict]:
+    """Apply the layer to a T x in_dim activation batch; returns (y, cache).
 
     Each token is transformed once; the low-rank branch consumes it
-    unquantized while the ternary branch consumes its per-token Gauss
-    dequantization.
+    unquantized, the ternary branch its per-token Gauss dequantization.
+    ``tokens = (codes, mu, sigma)`` replays an earlier call's quantizer
+    decisions. The cache keeps ``xh``, ``deq``, ``wq``, ``codes``, ``mu`` and
+    ``sigma`` for a straight-through backward.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != layer.in_dim:
         raise DimensionError(f"expected T x {layer.in_dim} input, got shape {arr.shape}")
     xh = transform_tokens(arr, layer.plan)
-    deq, _, _, _ = quantize_tokens(xh, layer.codebook, center=layer.center)
-    y = deq @ layer.wq.dequantize().T
+    if tokens is None:
+        deq, codes, mu, sigma = quantize_tokens(xh, layer.codebook, center=layer.center)
+    else:
+        codes, mu, sigma = tokens
+        deq = gauss_dequantize_token(codes, layer.codebook, mu[:, None], sigma[:, None],
+                                     center=layer.center)
+    wq = layer.wq.dequantize()
+    y = deq @ wq.T
     if layer.branch.rank:
         y += xh @ layer.branch.B.T @ layer.branch.A.T
-    return y
+    return y, {"xh": xh, "deq": deq, "wq": wq, "codes": codes, "mu": mu, "sigma": sigma}
+
+
+def forward(layer: QuantLinearLayer, x: np.ndarray) -> np.ndarray:
+    """Apply the layer to a T x in_dim activation batch (see ``forward_with_cache``)."""
+    return forward_with_cache(layer, x)[0]
 
 
 def reconstruct_weight(layer: QuantLinearLayer) -> np.ndarray:
@@ -181,7 +202,7 @@ def save_layer(layer: QuantLinearLayer, dirpath) -> None:
         save_matrix(layer.branch.A, d / "A.rbq")
         save_matrix(layer.branch.B, d / "B.rbq")
     meta = {
-        "alpha": float(layer.wq.alpha),
+        "alpha": np.asarray(layer.wq.alpha).tolist(),  # a number, or one per output row
         "rank": layer.branch.rank,
         "bits": layer.codebook.bits,
         "uniform": layer.codebook.is_uniform,
@@ -205,7 +226,11 @@ def load_layer(dirpath) -> QuantLinearLayer:
     except FileNotFoundError as exc:
         raise FormatError(f"{d}: missing layer.json sidecar") from exc
     values = load_matrix(d / "wq_values.rbq").astype(np.int8)
-    wq = TernaryWeights(values=values, alpha=float(meta["alpha"]))
+    in_dim, out_dim = int(meta["in_dim"]), int(meta["out_dim"])
+    alpha = np.asarray(meta["alpha"], dtype=np.float64)
+    if alpha.ndim and alpha.shape != (out_dim,):
+        raise FormatError(f"{d}: per-channel alpha has shape {alpha.shape}, expected ({out_dim},)")
+    wq = TernaryWeights(values=values, alpha=alpha if alpha.ndim else float(alpha))
     rank = int(meta["rank"])
     if rank:
         branch = LowRankBranch(
@@ -213,14 +238,11 @@ def load_layer(dirpath) -> QuantLinearLayer:
             B=load_matrix(d / "B.rbq").astype(np.float64),
         )
     else:
-        branch = LowRankBranch(
-            A=np.zeros((int(meta["out_dim"]), 0)), B=np.zeros((0, int(meta["in_dim"])))
-        )
+        branch = LowRankBranch(A=np.zeros((out_dim, 0)), B=np.zeros((0, in_dim)))
     maker = uniform_gauss_codebook if meta["uniform"] else lloyd_max
     cb = maker(int(meta["bits"]))
-    plan = HadamardPlan(dim=int(meta["in_dim"]), block_size=int(meta["block_size"]))
+    plan = HadamardPlan(dim=in_dim, block_size=int(meta["block_size"]))
     return QuantLinearLayer(
         wq=wq, branch=branch, codebook=cb, plan=plan,
-        in_dim=int(meta["in_dim"]), out_dim=int(meta["out_dim"]),
-        center=bool(meta["center"]),
+        in_dim=in_dim, out_dim=out_dim, center=bool(meta["center"]),
     )

@@ -7,13 +7,14 @@ layer at a time at each candidate bit width, briefly trains only that
 layer's parameters with straight-through gradients, and records the
 validation loss gap on a fixed pool.
 
-Quantized layers run the full pipeline forward: the weight is transformed,
-a low-rank branch (if enabled) captures the top singular structure at
-enable time, the residual against that frozen anchor is ternarized each
-step from the live float shadow, and activations pass through the per-token
-Gauss quantizer. Both quantizers backpropagate as identity; the low-rank
-factors and everything outside a quantizer receive exact chain-rule
-gradients, which is what the finite-difference checks pin down.
+A quantized toy layer is a ``lowrank.QuantLinearLayer`` built by
+``init_layer`` and run through ``lowrank.forward_with_cache``, so the layer
+that is profiled is the layer that is deployed. The profiler adds only what
+QAT needs: the float shadow weight, the frozen low-rank anchor whose
+residual is re-ternarized from that shadow every step, and the
+straight-through backward. Both quantizers backpropagate as identity; the
+low-rank factors and everything outside a quantizer receive exact
+chain-rule gradients, which is what the finite-difference checks pin down.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 from .allocator import AllocationProblem, dp_allocate
 from .errors import DimensionError, ValidationError
 from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
-from .lowrank import truncated_svd
-from .quant import GaussCodebook, lloyd_max, quantize_tokens, ternarize, uniform_gauss_codebook
+from .lowrank import QuantLinearLayer, forward_with_cache, init_layer
+from .quant import TernaryWeights, ternarize, uniform_gauss_codebook
 from .tensorio import LayerSpec, SensitivityTable
 
 FP_BITS = 32
@@ -51,18 +52,13 @@ class TrainConfig:
 
 
 class ToyLayer:
-    """One linear layer with an optional quantized forward path."""
+    """One trainable linear layer; quantized, it wraps a ``QuantLinearLayer``."""
 
     def __init__(self, weight: np.ndarray):
         self.weight = np.array(weight, dtype=np.float64)
         if self.weight.ndim != 2:
             raise DimensionError(f"weight must be 2-D, got shape {self.weight.shape}")
-        self.a_bits: int | None = None
-        self.plan: HadamardPlan | None = None
-        self.codebook: GaussCodebook | None = None
-        self.center = True
-        self.A: np.ndarray | None = None
-        self.B: np.ndarray | None = None
+        self.qlayer: QuantLinearLayer | None = None
         self.anchor: np.ndarray | None = None  # frozen A0 @ B0 residual reference
 
     @property
@@ -75,20 +71,17 @@ class ToyLayer:
 
     @property
     def quantized(self) -> bool:
-        return self.a_bits is not None
+        return self.qlayer is not None
+
+    @property
+    def plan(self) -> HadamardPlan | None:
+        return None if self.qlayer is None else self.qlayer.plan
 
     @property
     def rank(self) -> int:
-        return 0 if self.A is None else self.A.shape[1]
+        return 0 if self.qlayer is None else self.qlayer.branch.rank
 
-    def enable_quant(
-        self,
-        bits: int,
-        rank: int = 0,
-        uniform: bool = True,
-        center: bool = True,
-        seed: int = 0,
-    ) -> None:
+    def enable_quant(self, bits: int, rank: int = 0, seed: int = 0) -> None:
         """Switch this layer to the quantized path at ``bits`` activation bits.
 
         bits >= 32 keeps the layer on the exact dense path. The low-rank
@@ -102,55 +95,35 @@ class ToyLayer:
             return
         if not 1 <= bits <= 8:
             raise ValidationError(f"activation bits must be in 1..8 or 32, got {bits}")
-        self.a_bits = bits
-        self.center = center
-        self.plan = HadamardPlan.for_dim(self.in_dim)
-        self.codebook = uniform_gauss_codebook(bits) if uniform else lloyd_max(bits)
-        if rank > 0:
-            rank = min(rank, min(self.weight.shape))
-            wh = fold_into_weights(self.weight, self.plan)
-            u, s, v = truncated_svd(wh, rank)
-            self.A = u * s
-            self.B = v.T
-            self.anchor = self.A @ self.B
-        else:
-            self.A = self.B = self.anchor = None
+        self.qlayer = init_layer(self.weight, r=min(rank, min(self.weight.shape)),
+                                 codebook=uniform_gauss_codebook(bits))
+        self.anchor = self.qlayer.branch.matrix()
 
     def params(self) -> dict[str, np.ndarray]:
         out = {"weight": self.weight}
-        if self.A is not None:
-            out["A"] = self.A
-            out["B"] = self.B
+        if self.rank:
+            out["A"] = self.qlayer.branch.A
+            out["B"] = self.qlayer.branch.B
         return out
 
     def forward(self, x: np.ndarray, frozen: dict | None = None):
-        """Returns (y, cache). ``frozen`` pins the quantizer decisions of a
-        reference forward (ternary values, activation codes and statistics),
-        leaving only the smooth parts live; used by gradient oracles."""
+        """Returns (y, cache). The residual of the live weight against the
+        anchor is re-ternarized on every call. ``frozen`` pins the quantizer
+        decisions of a reference forward (ternary values, activation codes
+        and statistics), leaving only the smooth parts live; used by
+        gradient oracles."""
         if not self.quantized:
             return x @ self.weight.T, {"x": x}
-        xh = transform_tokens(x, self.plan)
+        q = self.qlayer
+        residual = fold_into_weights(self.weight, q.plan) - self.anchor
         if frozen is None:
-            deq, codes, mu, sigma = quantize_tokens(xh, self.codebook, center=self.center)
+            q.wq = ternarize(residual)
+            tokens = None
         else:
-            codes, mu, sigma = frozen["codes"], frozen["mu"], frozen["sigma"]
-            deq = sigma[:, None] * self.codebook.levels[codes]
-            if self.center:
-                deq = deq + mu[:, None]
-        wh = fold_into_weights(self.weight, self.plan)
-        residual = wh if self.anchor is None else wh - self.anchor
-        if frozen is None:
-            tern = ternarize(residual)
-            values, alpha = tern.values, float(tern.alpha)
-        else:
-            values = frozen["values"]
-            alpha = float(np.mean(np.abs(residual)))
-        wq = alpha * values.astype(np.float64)
-        y = deq @ wq.T
-        if self.A is not None:
-            y = y + xh @ self.B.T @ self.A.T
-        cache = {"x": x, "xh": xh, "deq": deq, "wq": wq,
-                 "codes": codes, "mu": mu, "sigma": sigma, "values": values}
+            q.wq = TernaryWeights(values=frozen["values"], alpha=float(np.mean(np.abs(residual))))
+            tokens = (frozen["codes"], frozen["mu"], frozen["sigma"])
+        y, cache = forward_with_cache(q, x, tokens)
+        cache.update(x=x, values=q.wq.values)
         return y, cache
 
     def backward(self, gy: np.ndarray, cache: dict):
@@ -159,15 +132,16 @@ class ToyLayer:
         transformed activation inherits the output-side chain."""
         if not self.quantized:
             return {"weight": gy.T @ cache["x"]}, gy @ self.weight
+        plan, branch = self.qlayer.plan, self.qlayer.branch
         g_residual = gy.T @ cache["deq"]
-        grads = {"weight": fold_into_weights(g_residual, self.plan)}
+        grads = {"weight": fold_into_weights(g_residual, plan)}
         g_xh = gy @ cache["wq"]
-        if self.A is not None:
-            proj = cache["xh"] @ self.B.T
+        if branch.rank:
+            proj = cache["xh"] @ branch.B.T
             grads["A"] = gy.T @ proj
-            grads["B"] = self.A.T @ gy.T @ cache["xh"]
-            g_xh = g_xh + gy @ self.A @ self.B
-        gx = transform_tokens(g_xh, self.plan)
+            grads["B"] = branch.A.T @ gy.T @ cache["xh"]
+            g_xh = g_xh + gy @ branch.A @ branch.B
+        gx = transform_tokens(g_xh, plan)
         return grads, gx
 
     def snapshot(self, cache: dict) -> dict:
@@ -338,7 +312,6 @@ def profile_sensitivity(
     bits: tuple[int, ...],
     config: TrainConfig,
     rank: int = 0,
-    uniform: bool = True,
 ) -> SensitivityTable:
     """Per-layer, per-bit loss gaps after short QAT (Algorithm: quantize one
     layer, freeze the rest, train briefly, evaluate on the fixed pool).
@@ -356,7 +329,7 @@ def profile_sensitivity(
                 gaps[li, bi] = 0.0
                 continue
             trial = model.copy()
-            trial.layers[li].enable_quant(b, rank=rank, uniform=uniform)
+            trial.layers[li].enable_quant(b, rank=rank)
             rng = np.random.default_rng([config.seed, li, b])
             _train(trial, data, {li}, config, rng)
             gaps[li, bi] = trial.loss(data.val_inputs) - base_loss
@@ -372,7 +345,6 @@ def steps_sweep(
     config: TrainConfig | None = None,
     full_steps: int = 2000,
     rank: int = 0,
-    uniform: bool = True,
 ) -> list[dict]:
     """Final convergence loss of the mixed-precision model built from
     sensitivity tables collected at each profiling-step count.
@@ -386,12 +358,11 @@ def steps_sweep(
     config = config or TrainConfig()
     rows = []
     for s in step_grid:
-        table = profile_sensitivity(model, data, bits, replace(config, steps=s),
-                                    rank=rank, uniform=uniform)
+        table = profile_sensitivity(model, data, bits, replace(config, steps=s), rank=rank)
         alloc = dp_allocate(AllocationProblem(table, target_avg_bits, bit_set=bits))
         trial = model.copy()
         for i, layer in enumerate(trial.layers):
-            layer.enable_quant(alloc.bits_per_layer[f"fc{i}"], rank=rank, uniform=uniform)
+            layer.enable_quant(alloc.bits_per_layer[f"fc{i}"], rank=rank)
         initial = trial.loss(data.val_inputs)
         rng = np.random.default_rng([config.seed, 0xF0, s])
         _train(trial, data, set(range(len(trial.layers))),

@@ -18,9 +18,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConvergenceError, FormatError, ValidationError
 
@@ -229,7 +229,7 @@ def lloyd_max(bits: int, tol: float = 1e-7, max_iter: int = 10_000) -> GaussCode
     n = 1 << bits
     nodes = _nodes_per_cell(n)
     # Equal-probability start: symmetric and close to the fixed point.
-    levels = ndtri((np.arange(n) + 0.5) / n)
+    levels = np.array([NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)])
     prev_delta = None
     for _ in range(max_iter):
         thresholds = 0.5 * (levels[:-1] + levels[1:])

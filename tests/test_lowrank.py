@@ -204,3 +204,43 @@ def test_layer_serialization_rank0(tmp_path):
     back = load_layer(tmp_path / "l0")
     assert back.branch.rank == 0
     np.testing.assert_array_equal(back.wq.values, layer.wq.values)
+
+
+def test_layer_serialization_per_channel_alpha(tmp_path):
+    from dataclasses import replace
+
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal((12, 16))
+    layer = init_layer(w, r=2)
+    wh = fold_into_weights(w, layer.plan)
+    layer = replace(layer, wq=ternarize(wh - layer.branch.matrix(), per_channel=True))
+    save_layer(layer, tmp_path / "pc")
+    back = load_layer(tmp_path / "pc")
+    assert back.wq.alpha.dtype == np.float64
+    np.testing.assert_array_equal(back.wq.alpha, layer.wq.alpha)
+    np.testing.assert_array_equal(back.wq.values, layer.wq.values)
+
+
+def test_layer_per_tensor_alpha_stays_scalar(tmp_path):
+    import json
+
+    layer = init_layer(np.random.default_rng(12).standard_normal((8, 8)), r=2)
+    save_layer(layer, tmp_path / "pt")
+    meta = json.loads((tmp_path / "pt" / "layer.json").read_text())
+    assert meta["alpha"] == layer.wq.alpha and isinstance(meta["alpha"], float)
+    assert load_layer(tmp_path / "pt").wq.alpha == layer.wq.alpha
+
+
+def test_load_layer_alpha_length_mismatch_is_format_error(tmp_path):
+    import json
+
+    from robuq.errors import FormatError
+
+    layer = init_layer(np.random.default_rng(13).standard_normal((8, 8)), r=2)
+    save_layer(layer, tmp_path / "bad")
+    path = tmp_path / "bad" / "layer.json"
+    meta = json.loads(path.read_text())
+    meta["alpha"] = [0.5] * 7
+    path.write_text(json.dumps(meta))
+    with pytest.raises(FormatError):
+        load_layer(tmp_path / "bad")

@@ -211,3 +211,43 @@ def test_sweep_more_profiling_steps_not_worse(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "steps,initial_loss,final_loss"
     assert len(lines) == 3 and lines[1].startswith("0,")
+
+
+# ---------------------------------------------------------------------------
+# One quantized layer: the profiler runs lowrank's forward
+# ---------------------------------------------------------------------------
+
+def _shared_forward_model():
+    model = make_toy_model((32, 24, 16), seed=24)
+    model.layers[0].enable_quant(3, rank=4)
+    model.layers[1].enable_quant(2, rank=0)
+    return model
+
+
+def test_quantized_toy_forward_is_lowrank_forward():
+    from robuq.lowrank import forward
+
+    model = _shared_forward_model()
+    h = np.random.default_rng(25).standard_normal((10, 32))
+    for layer in model.layers:
+        y, _ = layer.forward(h)
+        np.testing.assert_array_equal(y, forward(layer.qlayer, h))
+        h = y
+    assert [layer.rank for layer in model.layers] == [4, 0]
+
+
+def test_frozen_snapshot_replays_forward_bitwise():
+    model = _shared_forward_model()
+    x = np.random.default_rng(26).standard_normal((10, 32))
+    y, _ = model.forward(x)
+    y_frozen, _ = model.forward(x, model.snapshots(x))
+    np.testing.assert_array_equal(y_frozen, y)
+
+
+def test_rank_zero_layer_trains_only_the_shadow_weight():
+    model = _shared_forward_model()
+    x = np.random.default_rng(27).standard_normal((10, 32))
+    _, grads = model.loss_and_grads(x, {0, 1})
+    assert set(grads[0]) == {"weight", "A", "B"}
+    assert set(grads[1]) == {"weight"}
+    assert set(model.layers[1].params()) == {"weight"}
