@@ -4,9 +4,15 @@ The order-n matrix is built recursively from H_1 = (1) by
 
     H_2n = (1/sqrt(2)) [[H_n, H_n], [H_n, -H_n]]
 
-so every entry is +-1/sqrt(n), H is symmetric, and H^T H = I. The fast path
-is the usual butterfly with the 1/sqrt(2) normalization folded into each
-stage, which keeps intermediate magnitudes bounded for large dims.
+so every entry is +-1/sqrt(n), H is symmetric, and H^T H = I. Because
+H_2n = kron(H_2, H_n), Sylvester matrices factor as
+H_{n1 n2} = kron(H_{n1}, H_{n2}) for powers of two n1, n2.
+
+The fast path is dense matrix multiplication. A block of order b <= 128 is
+one product with the dense H_b. A larger block, read row-major as an
+n1 x n2 matrix X with n1 = 2^floor(log2(b) / 2) and n2 = b / n1, maps to
+H_{n1} X H_{n2}: two small products costing n1 + n2 multiply-adds per
+element. The factors are built once per order and cached read-only.
 
 Channel counts that are not powers of two use a block-diagonal transform
 whose block size is the largest power-of-two divisor of the dim. Each block
@@ -16,6 +22,7 @@ exactly; the transform simply mixes within blocks instead of globally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +31,8 @@ import numpy as np
 from .errors import DimensionError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Largest block transformed by one dense product; larger ones are factored.
+_DENSE_MAX = 128
 
 
 def _largest_pow2_divisor(n: int) -> int:
@@ -54,20 +63,28 @@ class HadamardPlan:
         return cls(dim=dim, block_size=_largest_pow2_divisor(dim))
 
 
-def _butterfly_inplace(buf: np.ndarray, block: int) -> None:
-    # buf: (rows, dim) contiguous float array, transformed blockwise in place.
-    rows, dim = buf.shape
-    work = buf.reshape(rows * (dim // block), block)
-    h = 1
-    while h < block:
-        z = work.reshape(-1, block // (2 * h), 2, h)
-        top = z[:, :, 0, :]
-        bot = z[:, :, 1, :]
-        s = (top + bot) * _INV_SQRT2
-        d = (top - bot) * _INV_SQRT2
-        z[:, :, 0, :] = s
-        z[:, :, 1, :] = d
-        h *= 2
+@functools.cache
+def _factor(order: int) -> np.ndarray:
+    """Read-only dense H_order, shared by every transform that uses it.
+
+    Orders are powers of two of at most 128 or sqrt(2 b), so the cache
+    stays a few small entries.
+    """
+    h = hadamard_matrix(order)
+    h.flags.writeable = False
+    return h
+
+
+def _apply(x: np.ndarray, block: int) -> np.ndarray:
+    # x: (rows, dim) float64. Returns a new array holding every length-`block`
+    # segment of every row multiplied by H_block (H is symmetric, so x H = H x).
+    rows, dim = x.shape
+    if block <= _DENSE_MAX:
+        return (x.reshape(-1, block) @ _factor(block)).reshape(rows, dim)
+    n1 = 1 << ((block.bit_length() - 1) // 2)
+    n2 = block // n1
+    z = (x.reshape(-1, n2) @ _factor(n2)).reshape(-1, n1, n2)
+    return (_factor(n1) @ z).reshape(rows, dim)
 
 
 def fwht_inplace(x: np.ndarray, plan: HadamardPlan | None = None) -> np.ndarray:
@@ -80,15 +97,17 @@ def fwht_inplace(x: np.ndarray, plan: HadamardPlan | None = None) -> np.ndarray:
         plan = HadamardPlan.for_dim(x.shape[0])
     if x.shape[0] != plan.dim:
         raise DimensionError(f"vector length {x.shape[0]} != plan dim {plan.dim}")
-    _butterfly_inplace(x.reshape(1, -1), plan.block_size)
+    x[:] = _apply(x.reshape(1, -1), plan.block_size)[0]
     return x
 
 
 def fwht(x: np.ndarray, plan: HadamardPlan | None = None) -> np.ndarray:
-    """Out-of-place normalized fast transform, O(C log C) per block.
+    """Out-of-place normalized fast transform of a vector.
 
     Equivalent to multiplying by the (block-diagonal) normalized Hadamard
-    matrix; since that matrix is symmetric orthogonal, fwht is an involution.
+    matrix, one dense product per block of order up to 128 and two factor
+    products per larger block; since that matrix is symmetric orthogonal,
+    fwht is an involution.
     """
     out = np.array(x, dtype=np.float64, copy=True)
     return fwht_inplace(out, plan)
@@ -97,8 +116,9 @@ def fwht(x: np.ndarray, plan: HadamardPlan | None = None) -> np.ndarray:
 def hadamard_matrix(dim: int) -> np.ndarray:
     """Dense normalized Sylvester matrix of a power-of-two order.
 
-    Built by explicit Kronecker recursion rather than the butterfly, so it
-    can serve as an independent oracle for the fast path.
+    Built by explicit Kronecker recursion. It is the oracle the fast path
+    is tested against; the fast path multiplies by cached read-only copies
+    of it, of order b for blocks up to 128 and of orders n1, n2 above.
     """
     if dim < 1 or (dim & (dim - 1)) != 0:
         raise DimensionError(f"dim must be a power of two, got {dim}")
@@ -122,15 +142,14 @@ def block_hadamard_matrix(plan: HadamardPlan) -> np.ndarray:
 
 def transform_tokens(x: np.ndarray, plan: HadamardPlan | None = None) -> np.ndarray:
     """Apply the transform to every row (token) of a T x C matrix: Y_t = H x_t."""
-    arr = np.array(x, dtype=np.float64, copy=True)
+    arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"expected a T x C matrix, got shape {arr.shape}")
     if plan is None:
         plan = HadamardPlan.for_dim(arr.shape[1])
     if arr.shape[1] != plan.dim:
         raise DimensionError(f"channel dim {arr.shape[1]} != plan dim {plan.dim}")
-    _butterfly_inplace(arr, plan.block_size)
-    return arr
+    return _apply(arr, plan.block_size)
 
 
 def fold_into_weights(w: np.ndarray, plan: HadamardPlan | None = None) -> np.ndarray:
@@ -139,7 +158,7 @@ def fold_into_weights(w: np.ndarray, plan: HadamardPlan | None = None) -> np.nda
     Returns W H, so that (W H)(H x) = W x exactly up to float rounding
     (H is symmetric and H H = I). Folding twice recovers W.
     """
-    arr = np.array(w, dtype=np.float64, copy=True)
+    arr = np.asarray(w, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-D weight matrix, got shape {arr.shape}")
     if plan is None:
@@ -148,5 +167,4 @@ def fold_into_weights(w: np.ndarray, plan: HadamardPlan | None = None) -> np.nda
         raise DimensionError(
             f"contraction dim {arr.shape[1]} != plan dim {plan.dim}"
         )
-    _butterfly_inplace(arr, plan.block_size)
-    return arr
+    return _apply(arr, plan.block_size)

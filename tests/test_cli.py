@@ -189,6 +189,27 @@ def test_hadamard_check_catches_a_norm_preserving_wrong_transform(tmp_path, rbq,
     assert cli.main(["hadamard", "--in", src, "--out", str(tmp_path / "y.rbq")]) == 1
 
 
+def test_hadamard_check_catches_a_wrong_transform_above_2048(tmp_path, rbq, monkeypatch):
+    from robuq import hadamard
+
+    def reversed_columns(x, plan=None):
+        return np.array(x, dtype=np.float64)[:, ::-1].copy()
+
+    monkeypatch.setattr(hadamard, "transform_tokens", reversed_columns)
+    src = rbq("x.rbq", np.random.default_rng(3).standard_normal((4, 4096)))
+    assert cli.main(["hadamard", "--in", src, "--out", str(tmp_path / "y.rbq")]) == 1
+
+
+def test_hadamard_report_has_oracle_residual_above_2048(tmp_path, rbq):
+    src = rbq("x.rbq", np.random.default_rng(4).standard_normal((4, 4096)))
+    report = tmp_path / "rep.json"
+    assert cli.main(["hadamard", "--in", src, "--out", str(tmp_path / "y.rbq"),
+                     "--report", str(report)]) == 0
+    rep = json.loads(report.read_text())
+    assert rep["block_size"] == 4096
+    assert rep["oracle_residual"] < 1e-6
+
+
 def test_hadamard_report_has_oracle_residual(tmp_path, rbq):
     src = rbq("x.rbq", np.random.default_rng(4).standard_normal((20, 96)))
     report = tmp_path / "rep.json"

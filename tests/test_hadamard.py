@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robuq import hadamard
 from robuq.errors import DimensionError
 from robuq.hadamard import (
     HadamardPlan,
@@ -131,3 +134,73 @@ def test_inplace_variant():
     np.testing.assert_array_equal(buf, expected)
     with pytest.raises(DimensionError):
         fwht_inplace(np.ones(8, dtype=np.float32))  # wrong dtype for in-place
+
+
+def _blockwise_oracle(x, block):
+    rows = x.shape[0]
+    return (x.reshape(rows, -1, block) @ hadamard_matrix(block)).reshape(rows, -1)
+
+
+@pytest.mark.parametrize("dim", [2**k for k in range(13)] + [96, 1152, 4608])
+def test_transform_tokens_matches_blockwise_dense_oracle(dim):
+    # Blocks up to 128 take the dense product, larger ones the factored one.
+    x = np.random.default_rng(dim).standard_normal((5, dim))
+    block = HadamardPlan.for_dim(dim).block_size
+    assert np.abs(transform_tokens(x) - _blockwise_oracle(x, block)).max() <= 1e-12
+
+
+def test_cached_factors_are_read_only():
+    x = np.random.default_rng(11).standard_normal((3, 512))  # factored as 16 x 32
+    before = transform_tokens(x)
+    for order in (16, 32):
+        factor = hadamard._factor(order)
+        with pytest.raises(ValueError):
+            factor[0, 0] = 0.0
+    np.testing.assert_array_equal(transform_tokens(x), before)
+
+
+def test_inplace_variant_on_a_factored_block():
+    x = np.random.default_rng(12).standard_normal(1024)
+    buf = x.copy()
+    assert fwht_inplace(buf) is buf
+    np.testing.assert_array_equal(buf, fwht(x))
+    with pytest.raises(DimensionError):
+        fwht_inplace(np.ones(1024, dtype=np.float32))
+    with pytest.raises(DimensionError):
+        fwht_inplace(np.ones(2048)[::2])  # strided view, not contiguous
+
+
+@st.composite
+def _tokens(draw):
+    # Widths 2^k * m with m odd: the block is 2^k, repeated m times per row.
+    k = draw(st.integers(0, 12))
+    m = draw(st.sampled_from([1, 3, 9]))
+    rows = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).standard_normal((rows, 2**k * m)), 2**k
+
+
+_property = settings(derandomize=True, database=None, max_examples=50, deadline=None)
+
+
+@_property
+@given(_tokens())
+def test_property_matches_dense_oracle(case):
+    x, block = case
+    assert np.abs(transform_tokens(x) - _blockwise_oracle(x, block)).max() <= 1e-12
+
+
+@_property
+@given(_tokens())
+def test_property_involution(case):
+    x, _ = case
+    assert np.abs(transform_tokens(transform_tokens(x)) - x).max() <= 1e-12
+
+
+@_property
+@given(_tokens())
+def test_property_folded_weight_cancels_transform(case):
+    x, _ = case
+    w = np.random.default_rng(x.shape[1]).standard_normal((3, x.shape[1]))
+    lhs = transform_tokens(x) @ fold_into_weights(w).T  # (W H)(H x) per token
+    np.testing.assert_allclose(lhs, x @ w.T, rtol=0, atol=1e-10)
