@@ -2,8 +2,9 @@
 
 A layer is built from a dense weight W by transforming it (W H), capturing
 the top-r singular structure in full-precision factors A = U_r S_r and
-B = V_r^T from an exact thin SVD (LAPACK via numpy), and ternarizing only the
-residual W H - A B. The forward then runs the cheap ternary branch on
+B = V_r^T (the top-r eigenvectors of the small Gram matrix, refined by one
+Rayleigh-Ritz SVD; LAPACK via numpy), and ternarizing only the residual
+W H - A B. The forward then runs the cheap ternary branch on
 Gauss-quantized transformed activations while the low-rank branch consumes
 the unquantized transformed activations:
 
@@ -83,7 +84,21 @@ class QuantLinearLayer:
 
 
 def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-r singular triple (U_r, S_r, V_r) from an exact thin SVD (LAPACK via numpy).
+    """Top-r singular triple (U_r, S_r, V_r) of m (LAPACK via numpy).
+
+    On the tall orientation a (n = min(dims) columns), scaled by an exact
+    power of two, the top-r eigenvectors of the n x n Gram matrix a^T a span
+    the dominant right singular subspace; one Rayleigh-Ritz step, the thin
+    SVD of the r-column matrix a @ basis, then gives the triples (Halko,
+    Martinsson & Tropp 2011, "subspace, then small SVD").
+
+    Accuracy: forming a^T a squares the condition number. Singular values
+    above sqrt(eps) * s_0 match an exact SVD to about eps * s_0; smaller ones
+    only to about sqrt(eps) * s_0. The vectors of a value s_i are off by an
+    angle of about eps * (s_0 / s_i)^2, so they too are resolved only above
+    sqrt(eps) * s_0. The reconstruction error ||m - U_r S_r V_r^T|| is within
+    about sqrt(eps) * s_0 of the Eckart-Young optimum. All of this holds at
+    any finite magnitude of m, since the scaling is undone exactly.
 
     U_r and V_r have orthonormal columns; S_r is nonincreasing, nonnegative.
     Singular values at or below the rank tolerance s_0 * max(dims) * eps (the
@@ -99,11 +114,23 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     if not np.all(np.isfinite(arr)):
         raise ValidationError("matrix contains NaN or Inf")
 
-    # numpy's LAPACK rather than scipy's SVD: the scipy wheel bundles a
-    # second OpenBLAS whose thread pool competes with numpy's, which made the
-    # many small SVDs of QAT profiling slower on a 2-core machine.
-    u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    u, s, v = u[:, :r], s[:r], vt[:r].T
+    # numpy's LAPACK rather than scipy's: the scipy wheel bundles a second
+    # OpenBLAS whose thread pool competes with numpy's, which made the many
+    # small solves of QAT profiling slower on a 2-core machine.
+    wide = arr.shape[0] < arr.shape[1]
+    a = arr.T if wide else arr
+    # Scaling by a power of two is exact and keeps the Gram matrix's entries
+    # (up to rows * max|a|^2) clear of overflow and underflow.
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    a = np.ldexp(a, -e)
+    basis = np.linalg.eigh(a.T @ a)[1][:, -r:]
+    # Rayleigh-Ritz: the squared condition number of the Gram matrix only
+    # blurs the subspace; the values and vectors come from a @ basis itself.
+    u, s, qt = np.linalg.svd(a @ basis, full_matrices=False)
+    v = basis @ qt.T
+    if wide:
+        u, v = v, u
+    s = np.ldexp(s, e)
     s[s <= s[0] * max(arr.shape) * np.finfo(np.float64).eps] = 0.0
     signs = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(r)])
     return u * signs, s, v * signs
@@ -225,7 +252,11 @@ def load_layer(dirpath) -> QuantLinearLayer:
             meta = json.load(fh)
     except FileNotFoundError as exc:
         raise FormatError(f"{d}: missing layer.json sidecar") from exc
-    values = load_matrix(d / "wq_values.rbq").astype(np.int8)
+    values = load_matrix(d / "wq_values.rbq")
+    # Check before the int8 cast, which would turn 0.5 or 256 into 0.
+    if not ((values == 0) | (np.abs(values) == 1)).all():
+        raise FormatError(f"{d / 'wq_values.rbq'}: ternary values must lie in {{-1, 0, +1}}")
+    values = values.astype(np.int8)
     in_dim, out_dim = int(meta["in_dim"]), int(meta["out_dim"])
     alpha = np.asarray(meta["alpha"], dtype=np.float64)
     if alpha.ndim and alpha.shape != (out_dim,):

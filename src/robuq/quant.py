@@ -45,8 +45,8 @@ class TernaryWeights:
     alpha: float | np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if not np.isin(self.values, (-1, 0, 1)).all():
+        v = self.values = np.asarray(self.values)
+        if not ((v == 0) | (np.abs(v) == 1)).all():
             raise ValidationError("ternary values must lie in {-1, 0, +1}")
 
     @property

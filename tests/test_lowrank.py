@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robuq.errors import DimensionError
+from robuq.errors import DimensionError, FormatError
 from robuq.hadamard import fold_into_weights
 from robuq.lowrank import (
     forward,
@@ -77,6 +79,64 @@ def test_svd_exact_on_flat_spectrum():
     m = rng.standard_normal((256, 192))
     _, s, _ = truncated_svd(m, 16)
     np.testing.assert_allclose(s, np.linalg.svd(m, compute_uv=False)[:16], rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+def test_svd_values_at_extreme_magnitudes(scale):
+    m = np.random.default_rng(14).standard_normal((40, 24))
+    s_full = np.linalg.svd(m, compute_uv=False)
+    _, s, _ = truncated_svd(m * scale, 4)
+    np.testing.assert_allclose(s, s_full[:4] * scale, rtol=0, atol=1e-13 * s_full[0] * scale)
+
+
+def _graded(shape, seed):
+    """A matrix with singular values 2^-i on random orthonormal factors."""
+    rng = np.random.default_rng(seed)
+    n = min(shape)
+    u = np.linalg.qr(rng.standard_normal((shape[0], n)))[0]
+    v = np.linalg.qr(rng.standard_normal((shape[1], n)))[0]
+    return (u * 2.0 ** -np.arange(n)) @ v.T
+
+
+@pytest.mark.parametrize("shape", [(60, 45), (45, 60)])
+def test_svd_graded_spectrum(shape):
+    m = _graded(shape, 15)
+    u, s, v = truncated_svd(m, 30)
+    s_full = np.linalg.svd(m, compute_uv=False)
+    s0 = s_full[0]
+    resolved = s_full[:30] > 1e-6 * s0
+    np.testing.assert_allclose(s[resolved], s_full[:30][resolved], rtol=0, atol=1e-12 * s0)
+    optimum = np.sqrt(np.sum(s_full[30:] ** 2))  # Eckart-Young
+    assert np.linalg.norm(m - (u * s) @ v.T) - optimum <= 1e-7 * s0
+
+
+def test_svd_of_transpose_is_transposed():
+    m = np.random.default_rng(16).standard_normal((50, 20))
+    u, s, v = truncated_svd(m, 5)
+    ut, st_, vt = truncated_svd(m.T, 5)
+    s0 = np.linalg.norm(m, 2)
+    np.testing.assert_allclose((ut * st_) @ vt.T, ((u * s) @ v.T).T, rtol=0, atol=1e-13 * s0)
+
+
+@st.composite
+def _rank_k_products(draw):
+    rows = draw(st.integers(1, 64))
+    cols = draw(st.integers(1, 64))
+    r = draw(st.integers(1, min(rows, cols)))
+    k = draw(st.integers(0, r))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols)), r, k
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_rank_k_products())
+def test_property_rank_k_product(case):
+    m, r, k = case
+    u, s, v = truncated_svd(m, r)
+    assert np.all(s[k:] == 0.0)
+    np.testing.assert_allclose(u.T @ u, np.eye(r), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v.T @ v, np.eye(r), rtol=0, atol=1e-12)
+    np.testing.assert_allclose((u * s) @ v.T, m, rtol=0, atol=1e-12 * np.linalg.norm(m))
 
 
 def test_init_layer_zero_weight():
@@ -244,3 +304,17 @@ def test_load_layer_alpha_length_mismatch_is_format_error(tmp_path):
     path.write_text(json.dumps(meta))
     with pytest.raises(FormatError):
         load_layer(tmp_path / "bad")
+
+
+@pytest.mark.parametrize("bad", [0.5, -0.7, 256.0])
+def test_load_layer_rejects_non_ternary_values(tmp_path, bad):
+    from robuq.tensorio import load_matrix, save_matrix
+
+    layer = init_layer(np.random.default_rng(17).standard_normal((8, 8)), r=2)
+    save_layer(layer, tmp_path / "nt")
+    path = tmp_path / "nt" / "wq_values.rbq"
+    values = load_matrix(path)
+    values[3, 5] = bad
+    save_matrix(values, path)
+    with pytest.raises(FormatError, match="wq_values.rbq"):
+        load_layer(tmp_path / "nt")

@@ -6,6 +6,7 @@ import pytest
 from robuq.errors import ValidationError
 from robuq.quant import (
     GaussCodebook,
+    TernaryWeights,
     gauss_dequantize_token,
     gauss_quantize_token,
     lloyd_max,
@@ -65,6 +66,28 @@ def test_ternarize_validation():
         ternarize(np.array([[np.nan, 1.0]]))
     with pytest.raises(ValidationError):
         ternarize(np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([[0.5, 1.0]]),
+        np.array([[np.nan, 0.0]]),
+        np.array([[2.0, -1.0]]),
+        np.array([[-128, 1]], dtype=np.int8),  # |-128| wraps to -128 in int8
+        np.array([[255, 0]], dtype=np.uint8),
+    ],
+    ids=["half", "nan", "two", "int8_min", "uint8_max"],
+)
+def test_ternary_weights_reject_non_ternary(values):
+    with pytest.raises(ValidationError):
+        TernaryWeights(values=values, alpha=1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int8, np.bool_])
+def test_ternary_weights_accept_ternary(dtype):
+    values = np.array([[-1, 0, 1]]) if dtype != np.bool_ else np.array([[0, 1, 1]])
+    TernaryWeights(values=values.astype(dtype), alpha=1.0)
 
 
 # ---------------------------------------------------------------------------
