@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .quant import is_ternary
 
 PACKED_MAGIC = b"RBQP"
 _PACK_HEADER = struct.Struct("<4sQ")
@@ -43,7 +44,7 @@ def pack_ternary(values) -> PackedTernary:
     arr = np.asarray(values).ravel()
     if arr.size == 0:
         return PackedTernary(data=b"", count=0)
-    if not np.isin(arr, (-1, 0, 1)).all():
+    if not is_ternary(arr):
         raise ValidationError("values must all lie in {-1, 0, +1}")
     digits = (arr + 1).astype(np.uint8)
     pad = (-digits.size) % 5

@@ -32,6 +32,7 @@ from .quant import (
     GaussCodebook,
     TernaryWeights,
     gauss_dequantize_token,
+    is_ternary,
     lloyd_max,
     quantize_tokens,
     ternarize,
@@ -254,7 +255,7 @@ def load_layer(dirpath) -> QuantLinearLayer:
         raise FormatError(f"{d}: missing layer.json sidecar") from exc
     values = load_matrix(d / "wq_values.rbq")
     # Check before the int8 cast, which would turn 0.5 or 256 into 0.
-    if not ((values == 0) | (np.abs(values) == 1)).all():
+    if not is_ternary(values):
         raise FormatError(f"{d / 'wq_values.rbq'}: ternary values must lie in {{-1, 0, +1}}")
     values = values.astype(np.int8)
     in_dim, out_dim = int(meta["in_dim"]), int(meta["out_dim"])

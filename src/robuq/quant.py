@@ -7,16 +7,18 @@ activation side offers a plain per-token min-max affine quantizer and the
 per-token Gauss quantizer: normalize a (Hadamard-transformed) token by its
 own statistics, then quantize against a codebook precomputed for N(0, 1).
 
-Codebooks are solved offline by numeric integration of the standard-normal
-density (Gauss-Legendre on [-8, 8]; the tail mass beyond 8 sigma is below
-float precision), either by Lloyd-Max fixed-point iteration or by a 1-D
-golden-section search over the step of a symmetric uniform grid.
+Codebooks are solved once per bit width from the closed-form moments of
+N(0, 1) over each cell, which need only ``math.erfc``: Lloyd-Max levels by
+Newton's method on the centroid condition, and the step of a symmetric
+uniform grid by bisection on its stationarity condition. Both are exact to
+about 1e-13, which plain fixed-point iteration does not reach at 8 bits.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -25,13 +27,22 @@ import numpy as np
 from .errors import ConvergenceError, FormatError, ValidationError
 
 TERNARY_EPS = 1e-8
-_SUPPORT = 8.0
-_MIN_QUAD_NODES = 2048
+
+
+def _check_bits(bits) -> None:
+    if not (isinstance(bits, numbers.Integral) and 1 <= bits <= 8):
+        raise ValidationError(f"bits must be in 1..8, got {bits}")
 
 
 # ---------------------------------------------------------------------------
 # Ternary weights
 # ---------------------------------------------------------------------------
+
+def is_ternary(values) -> bool:
+    """True when every entry is -1, 0 or +1 (NaN, 0.5, 256 and int8 -128 are not)."""
+    v = np.asarray(values)
+    return bool(((v == 0) | (np.abs(v) == 1)).all())
+
 
 @dataclass
 class TernaryWeights:
@@ -45,8 +56,8 @@ class TernaryWeights:
     alpha: float | np.ndarray
 
     def __post_init__(self):
-        v = self.values = np.asarray(self.values)
-        if not ((v == 0) | (np.abs(v) == 1)).all():
+        self.values = np.asarray(self.values)
+        if not is_ternary(self.values):
             raise ValidationError("ternary values must lie in {-1, 0, +1}")
 
     @property
@@ -114,8 +125,7 @@ def minmax_quantize(x: np.ndarray, bits: int) -> UniformAffineQuant:
     scale = (max - min) / (2^b - 1), zero_point = -floor(min / scale),
     codes = clamp(floor(x / scale) + zero_point, 0, 2^b - 1).
     """
-    if not 1 <= bits <= 8:
-        raise ValidationError(f"bits must be in 1..8, got {bits}")
+    _check_bits(bits)
     arr = np.asarray(x, dtype=np.float64).ravel()
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise ValidationError("token must be nonempty and finite")
@@ -156,161 +166,121 @@ class GaussCodebook:
     expected_mse: float
 
     def __post_init__(self):
+        _check_bits(self.bits)
         n = 1 << self.bits
         if self.levels.shape != (n,) or self.thresholds.shape != (n - 1,):
             raise ValidationError("codebook sizes do not match bit width")
+        if not (np.isfinite(self.levels).all() and np.isfinite(self.thresholds).all()):
+            raise ValidationError("levels and thresholds must be finite")
         if np.any(np.diff(self.levels) <= 0):
             raise ValidationError("levels must be strictly increasing")
         if np.any(self.thresholds <= self.levels[:-1]) or np.any(self.thresholds >= self.levels[1:]):
             raise ValidationError("thresholds must interleave levels")
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_NEWTON_STEPS = 20
 
 
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _cell_moments(thresholds: np.ndarray):
+    """Closed-form N(0, 1) moments over the cells cut by ``thresholds``.
 
-
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGGAUSS_CACHE[n]
-
-
-def _cell_moments(edges: np.ndarray, nodes_per_cell: int):
-    """Zeroth/first/second moments of the N(0,1) density over each cell.
-
-    Cells are the intervals between consecutive ``edges`` clipped to the
-    [-8, 8] support; each cell gets its own mapped Gauss-Legendre rule.
+    The cells are (-inf, t_0], [t_0, t_1], ..., [t_last, inf). Returns the
+    per-cell mass p = Phi(b) - Phi(a), first moment m1 = phi(a) - phi(b) and
+    second moment m2 = p + a phi(a) - b phi(b), plus phi(x) and x phi(x) at
+    every edge (both 0 at +-inf). p is a difference of tails on the cell's
+    own side of 0, so a small cell far from 0 keeps its digits.
     """
-    xi, wi = _leggauss(nodes_per_cell)
-    lo = np.clip(edges[:-1], -_SUPPORT, _SUPPORT)
-    hi = np.clip(edges[1:], -_SUPPORT, _SUPPORT)
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * xi[None, :]
-    w = half[:, None] * wi[None, :]
-    dens = _phi(x)
-    p = np.sum(w * dens, axis=1)
-    m1 = np.sum(w * x * dens, axis=1)
-    m2 = np.sum(w * x * x * dens, axis=1)
-    return p, m1, m2
+    t = np.asarray(thresholds, dtype=np.float64)
+    phi_t = np.exp(-0.5 * t * t) * _INV_SQRT_2PI
+    phi = np.concatenate(([0.0], phi_t, [0.0]))
+    xphi = np.concatenate(([0.0], t * phi_t, [0.0]))
+    # tail[j] = P(X > |x_j|) = P(X < -|x_j|) for the edges x = (-inf, t, inf)
+    tail = np.array([0.0] + [0.5 * math.erfc(abs(x) / math.sqrt(2.0)) for x in t] + [0.0])
+    a = np.concatenate(([-np.inf], t))
+    b = np.concatenate((t, [np.inf]))
+    p = np.where(a >= 0, tail[:-1] - tail[1:],
+                 np.where(b <= 0, tail[1:] - tail[:-1], 1.0 - tail[:-1] - tail[1:]))
+    m1 = phi[:-1] - phi[1:]
+    m2 = p + xphi[:-1] - xphi[1:]
+    return p, m1, m2, phi, xphi
 
 
-def _codebook_mse(levels: np.ndarray, thresholds: np.ndarray, nodes_per_cell: int) -> float:
-    edges = np.concatenate(([-_SUPPORT], thresholds, [_SUPPORT]))
-    p, m1, m2 = _cell_moments(edges, nodes_per_cell)
-    return float(np.sum(m2 - 2.0 * levels * m1 + levels * levels * p))
-
-
-def _nodes_per_cell(n_levels: int) -> int:
-    # Spectral accuracy needs few nodes per smooth cell; the floor keeps the
-    # union above _MIN_QUAD_NODES for every supported bit width.
-    return max(_MIN_QUAD_NODES // n_levels, 64)
+def _codebook(bits: int, levels: np.ndarray, uniform: bool) -> GaussCodebook:
+    """Midpoint thresholds and the closed-form expected MSE for ``levels``."""
+    thresholds = 0.5 * (levels[:-1] + levels[1:])
+    p, m1, m2, _, _ = _cell_moments(thresholds)
+    mse = float(np.sum(m2 - 2.0 * levels * m1 + levels * levels * p))
+    return GaussCodebook(bits=bits, levels=levels, thresholds=thresholds,
+                         is_uniform=uniform, expected_mse=mse)
 
 
 _CODEBOOK_CACHE: dict[tuple[int, bool], GaussCodebook] = {}
 
 
-def lloyd_max(bits: int, tol: float = 1e-7, max_iter: int = 10_000) -> GaussCodebook:
+def lloyd_max(bits: int) -> GaussCodebook:
     """Lloyd-Max codebook for N(0, 1): the MSE-optimal scalar quantizer.
 
-    Alternates the two optimality conditions until the largest level
-    movement drops below ``tol``: thresholds at level midpoints, levels at
-    the conditional mean of the density over their cell. Codebooks are
-    immutable, so solutions at the default settings are cached and shared.
+    Solves F(y) = y - G(y) = 0 by Newton's method, where G maps the levels
+    to the centroids m1/p of their midpoint cells (Max 1960; Lloyd 1982).
+    The Jacobian of G is tridiagonal: dG_i/db_i = phi(b_i)(b_i - G_i)/p_i and
+    dG_i/da_i = phi(a_i)(G_i - a_i)/p_i at the cell edges, each halved
+    through the midpoint thresholds. Starts from the equal-probability
+    levels and stops at max|F| < 1e-12; raises ``ConvergenceError`` if that
+    takes more than a fixed small number of steps. Codebooks are immutable,
+    so every solution is cached and shared.
     """
-    if not 1 <= bits <= 8:
-        raise ValidationError(f"bits must be in 1..8, got {bits}")
-    default = (tol, max_iter) == (1e-7, 10_000)
-    if default and (bits, False) in _CODEBOOK_CACHE:
+    _check_bits(bits)
+    if (bits, False) in _CODEBOOK_CACHE:
         return _CODEBOOK_CACHE[(bits, False)]
     n = 1 << bits
-    nodes = _nodes_per_cell(n)
-    # Equal-probability start: symmetric and close to the fixed point.
     levels = np.array([NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)])
-    prev_delta = None
-    for _ in range(max_iter):
-        thresholds = 0.5 * (levels[:-1] + levels[1:])
-        edges = np.concatenate(([-_SUPPORT], thresholds, [_SUPPORT]))
-        p, m1, _ = _cell_moments(edges, nodes)
-        new_levels = m1 / p
-        delta = new_levels - levels
-        move = float(np.max(np.abs(delta)))
-        levels = new_levels
-        if move < tol:
+    for _ in range(_NEWTON_STEPS):
+        levels = 0.5 * (levels - levels[::-1])  # pin antisymmetry to the float digit
+        p, m1, _, phi, xphi = _cell_moments(0.5 * (levels[:-1] + levels[1:]))
+        g = m1 / p
+        f = levels - g
+        if np.max(np.abs(f)) < 1e-12:
             break
-        # The map is contractive and near-linear close to its fixed point, so
-        # sum the implied geometric tail; fall back to the plain update when
-        # the jump would break level ordering.
-        if prev_delta is not None:
-            denom = float(prev_delta @ prev_delta)
-            rho = float(delta @ prev_delta) / denom if denom > 0 else 0.0
-            if 0.0 < rho < 0.999:
-                jumped = new_levels + delta * (rho / (1.0 - rho))
-                if np.all(np.diff(jumped) > 0):
-                    levels = jumped
-                    prev_delta = None
-                    continue
-        prev_delta = delta
+        d_hi = (xphi[1:] - g * phi[1:]) / p  # dG_i/db_i; 0 on the open outer edge
+        d_lo = (g * phi[:-1] - xphi[:-1]) / p  # dG_i/da_i
+        jac = np.eye(n) - 0.5 * (np.diag(d_lo + d_hi) + np.diag(d_lo[1:], -1)
+                                 + np.diag(d_hi[:-1], 1))
+        levels = levels - np.linalg.solve(jac, f)
     else:
         raise ConvergenceError(
-            f"Lloyd-Max for b={bits} did not converge in {max_iter} iterations",
+            f"Lloyd-Max for b={bits} did not converge in {_NEWTON_STEPS} Newton steps",
             last_iterate=levels,
         )
-    levels = 0.5 * (levels - levels[::-1])  # pin antisymmetry to the float digit
-    thresholds = 0.5 * (levels[:-1] + levels[1:])
-    mse = _codebook_mse(levels, thresholds, nodes)
-    cb = GaussCodebook(bits=bits, levels=levels, thresholds=thresholds,
-                       is_uniform=False, expected_mse=mse)
-    if default:
-        _CODEBOOK_CACHE[(bits, False)] = cb
+    cb = _CODEBOOK_CACHE[(bits, False)] = _codebook(bits, levels, uniform=False)
     return cb
-
-
-def _uniform_levels(n: int, step: float) -> np.ndarray:
-    return step * (np.arange(n) - (n - 1) / 2.0)
 
 
 def uniform_gauss_codebook(bits: int) -> GaussCodebook:
     """Symmetric arithmetic-grid codebook with the MSE-optimal step for N(0, 1).
 
-    The step is found by golden-section search over (0, 4]; the expected MSE
-    is unimodal in the step, so the search brackets the optimum.
+    With levels step * c_i (c_i = i - (2^b - 1)/2) and midpoint thresholds,
+    the MSE is stationary where step * sum(c_i^2 p_i) = sum(c_i m1_i). That
+    difference is negative at step 0 and positive at step 4, and bisection
+    narrows the bracket until no float lies strictly inside it.
     """
-    if not 1 <= bits <= 8:
-        raise ValidationError(f"bits must be in 1..8, got {bits}")
+    _check_bits(bits)
     if (bits, True) in _CODEBOOK_CACHE:
         return _CODEBOOK_CACHE[(bits, True)]
-    n = 1 << bits
-    nodes = _nodes_per_cell(n)
+    c = np.arange(1 << bits) - ((1 << bits) - 1) / 2.0
 
-    def mse_of(step: float) -> float:
-        levels = _uniform_levels(n, step)
-        thresholds = 0.5 * (levels[:-1] + levels[1:])
-        return _codebook_mse(levels, thresholds, nodes)
+    def stationarity(step: float) -> float:
+        p, m1, _, _, _ = _cell_moments(step * 0.5 * (c[:-1] + c[1:]))
+        return step * float((c * c) @ p) - float(c @ m1)
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 1e-4, 4.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = mse_of(c), mse_of(d)
-    while hi - lo > 1e-12:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = mse_of(c)
+    lo, hi = 0.0, 4.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if stationarity(mid) < 0:
+            lo = mid
         else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = mse_of(d)
-    step = 0.5 * (lo + hi)
-    levels = _uniform_levels(n, step)
-    thresholds = 0.5 * (levels[:-1] + levels[1:])
-    cb = GaussCodebook(bits=bits, levels=levels, thresholds=thresholds,
-                       is_uniform=True, expected_mse=mse_of(step))
-    _CODEBOOK_CACHE[(bits, True)] = cb
+            hi = mid
+    step = min((lo, hi), key=lambda s: abs(stationarity(s)))
+    cb = _CODEBOOK_CACHE[(bits, True)] = _codebook(bits, step * c, uniform=True)
     return cb
 
 
@@ -370,13 +340,20 @@ def quantize_tokens(
     """Vectorized per-row quantize + dequantize for a T x C matrix.
 
     Returns (dequantized, codes, mu, sigma) with mu/sigma per token.
-    Matches gauss_quantize_token row by row, including the degenerate path.
+    Matches gauss_quantize_token row by row, including the degenerate path;
+    like it, raises ``ValidationError`` on a row with a NaN or Inf.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"expected a T x C matrix, got shape {arr.shape}")
-    mu = arr.mean(axis=1) if center else np.zeros(arr.shape[0])
-    sigma = arr.std(axis=1)
+    # sigma is non-finite exactly when its row holds a NaN or Inf (or its
+    # spread overflows), so one O(T) test covers the whole batch.
+    with np.errstate(invalid="ignore", over="ignore"):
+        mu = arr.mean(axis=1) if center else np.zeros(arr.shape[0])
+        sigma = arr.std(axis=1)
+    if not np.isfinite(sigma).all():
+        bad = int(np.argmin(np.isfinite(sigma)))
+        raise ValidationError(f"token {bad} is not finite (NaN, Inf or overflowing spread)")
     degenerate = (np.ptp(arr, axis=1) == 0.0) | (sigma == 0.0)
     safe_sigma = np.where(degenerate, 1.0, sigma)
     z = (arr - mu[:, None]) / safe_sigma[:, None]
@@ -410,8 +387,8 @@ def load_codebook(path) -> GaussCodebook:
         rows = list(csv.reader(fh))
     if not meta.startswith("# "):
         raise FormatError(f"{path}: missing metadata comment line")
-    fields = dict(part.split("=", 1) for part in meta[2:].split())
     try:
+        fields = dict(part.split("=", 1) for part in meta[2:].split())
         bits = int(fields["bits"])
         uniform = bool(int(fields["uniform"]))
         mse = float(fields["mse"])
@@ -420,16 +397,22 @@ def load_codebook(path) -> GaussCodebook:
     if not rows or rows[0] != ["level", "threshold"]:
         raise FormatError(f"{path}: missing level,threshold header")
     levels, thresholds = [], []
-    for row in rows[1:]:
-        if not row:
-            continue
-        levels.append(float(row[0]))
-        if len(row) > 1 and row[1].strip() != "":
-            thresholds.append(float(row[1]))
-    return GaussCodebook(
-        bits=bits,
-        levels=np.array(levels),
-        thresholds=np.array(thresholds),
-        is_uniform=uniform,
-        expected_mse=mse,
-    )
+    try:
+        for row in rows[1:]:
+            if not row:
+                continue
+            levels.append(float(row[0]))
+            if len(row) > 1 and row[1].strip() != "":
+                thresholds.append(float(row[1]))
+    except ValueError as exc:
+        raise FormatError(f"{path}: non-numeric level or threshold ({exc})") from exc
+    try:
+        return GaussCodebook(
+            bits=bits,
+            levels=np.array(levels),
+            thresholds=np.array(thresholds),
+            is_uniform=uniform,
+            expected_mse=mse,
+        )
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -56,8 +56,9 @@ def test_pack_bijection_all_bytes():
 
 
 def test_pack_rejects_nonternary():
-    with pytest.raises(ValidationError):
-        pack_ternary([0, 2, 1])
+    for values in ([0, 2, 1], [0.5, 0, 1], [np.nan, 1, -1], [256, 0, 0]):
+        with pytest.raises(ValidationError):
+            pack_ternary(values)
 
 
 def test_unpack_rejects_bad_byte():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robuq.errors import DimensionError, FormatError
+from robuq.errors import DimensionError, FormatError, ValidationError
 from robuq.hadamard import fold_into_weights
 from robuq.lowrank import (
     forward,
@@ -191,6 +191,16 @@ def test_forward_dimension_error():
     layer = init_layer(np.eye(8), r=2, codebook=uniform_gauss_codebook(4))
     with pytest.raises(DimensionError):
         forward(layer, np.ones((3, 9)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_forward_rejects_non_finite_token(bad):
+    rng = np.random.default_rng(2)
+    layer = init_layer(rng.standard_normal((8, 16)), r=2, codebook=uniform_gauss_codebook(4))
+    x = rng.standard_normal((4, 16))
+    x[2, 7] = bad
+    with pytest.raises(ValidationError, match="token 2"):
+        forward(layer, x)
 
 
 def test_reconstruct_zero_layer():

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robuq.errors import ValidationError
+import robuq
+from robuq.errors import FormatError, ValidationError
 from robuq.quant import (
     GaussCodebook,
     TernaryWeights,
@@ -165,6 +170,60 @@ def test_lloyd_conditions(bits):
         assert abs(level - num / den) < 1e-6
 
 
+def _oracle_moments(thresholds):
+    """Cell mass and first moment from scipy's ndtr, tails taken on the cell's side of 0."""
+    from scipy.special import ndtr
+
+    a = np.concatenate(([-np.inf], thresholds))
+    b = np.concatenate((thresholds, [np.inf]))
+    p = np.where(a >= 0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
+    dens = lambda x: np.array([0.0 if math.isinf(t) else math.exp(-0.5 * t * t) for t in x])
+    m1 = (dens(a) - dens(b)) / math.sqrt(2 * math.pi)
+    return p, m1
+
+
+def test_lloyd_centroid_condition_every_width():
+    residual = {}
+    for bits in range(1, 9):
+        cb = lloyd_max(bits)
+        p, m1 = _oracle_moments(cb.thresholds)
+        residual[bits] = float(np.abs(cb.levels - m1 / p).max())
+    assert max(residual.values()) <= 1e-12, residual
+
+
+def test_uniform_step_stationary_every_width():
+    # dMSE/dstep = 0  <=>  step * sum(c^2 p) = sum(c m1) over the grid indices c.
+    residual = {}
+    for bits in range(1, 9):
+        cb = uniform_gauss_codebook(bits)
+        c = np.arange(1 << bits) - ((1 << bits) - 1) / 2
+        step = cb.levels[1] - cb.levels[0]
+        p, m1 = _oracle_moments(cb.thresholds)
+        residual[bits] = abs(step * (c * c) @ p - c @ m1) / (c @ m1)
+    assert max(residual.values()) <= 1e-12, residual
+
+
+def test_one_bit_codebooks_are_the_closed_form():
+    target = math.sqrt(2 / math.pi)
+    for cb in (lloyd_max(1), uniform_gauss_codebook(1)):
+        np.testing.assert_allclose(cb.levels, [-target, target], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cb.expected_mse, 1 - 2 / math.pi, rtol=1e-15)
+
+
+def test_codebooks_import_no_scipy():
+    code = (
+        "import sys, robuq\n"
+        "from robuq.quant import lloyd_max, uniform_gauss_codebook\n"
+        "for b in range(1, 9):\n"
+        "    lloyd_max(b); uniform_gauss_codebook(b)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(robuq.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def _mc_mse(cb: GaussCodebook, z: np.ndarray) -> float:
     idx = np.searchsorted(cb.thresholds, z)
     return float(np.mean((z - cb.levels[idx]) ** 2))
@@ -297,6 +356,56 @@ def test_middle_codes_dequantize_to_middle_level():
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("maker", [lloyd_max, uniform_gauss_codebook])
+def test_solvers_reject_non_integer_bits(maker):
+    with pytest.raises(ValidationError):
+        maker(2.5)
+
+
+@pytest.mark.parametrize("bits", [0, 9, -1])
+def test_codebook_rejects_bits_out_of_range(bits):
+    n = 1 << bits if bits >= 0 else 2
+    levels = np.arange(n) - (n - 1) / 2
+    with pytest.raises(ValidationError):
+        GaussCodebook(bits=bits, levels=levels, thresholds=0.5 * (levels[:-1] + levels[1:]),
+                      is_uniform=True, expected_mse=0.1)
+
+
+@pytest.mark.parametrize("where", ["level", "threshold"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_codebook_rejects_non_finite(where, bad):
+    levels = np.array([-1.5, -0.5, 0.5, 1.5])
+    thresholds = np.array([-1.0, 0.0, 1.0])
+    if where == "level":
+        levels[-1] = bad
+    else:
+        thresholds[-1] = bad
+    with pytest.raises(ValidationError):
+        GaussCodebook(bits=2, levels=levels, thresholds=thresholds,
+                      is_uniform=True, expected_mse=0.1)
+
+
+_GOOD_CSV = "# bits=1 uniform=1 mse=0.36\nlevel,threshold\n-0.8,0.0\n0.8,\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _GOOD_CSV.replace(" mse=0.36", " mse=0.36 stray"),
+        _GOOD_CSV.replace("0.8,\n", "high,\n"),
+        "# bits=-1 uniform=1 mse=0.36\nlevel,threshold\n-0.8,0.0\n0.8,\n",
+        "# bits=0 uniform=1 mse=0.36\nlevel,threshold\n0.0,\n",
+        _GOOD_CSV.replace("0.8,\n", "nan,\n"),
+    ],
+    ids=["token_without_equals", "non_numeric_level", "negative_bits", "zero_bits", "nan_level"],
+)
+def test_load_codebook_malformed_is_format_error(tmp_path, text):
+    path = tmp_path / "cb.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="cb.csv"):
+        load_codebook(path)
+
 
 @pytest.mark.parametrize("maker,bits", [(lloyd_max, 3), (uniform_gauss_codebook, 4)])
 def test_codebook_csv_roundtrip(tmp_path, maker, bits):
