@@ -75,6 +75,7 @@ from .quant import (
     quantize_tokens,
     save_codebook,
     ternarize,
+    token_codes,
     uniform_gauss_codebook,
 )
 from .tensorio import (

@@ -13,6 +13,18 @@ the unquantized transformed activations:
 Because H is orthogonal, the dense reconstruction error equals the residual
 approximation error in the transformed domain exactly.
 
+The ternary branch never dequantizes. A token t of H x with codes q_t,
+mean mu_t (0 when centering is off) and scale sigma_t dequantizes to
+sigma_t * levels[q_t] + mu_t, so with levels[c] = o + s * c the branch is
+
+    y_tern[t] = alpha . (sigma_t * s * (Q V^T)[t] + (mu_t + sigma_t * o) * rowsum(V))
+
+For a uniform grid (Q, s, o) = (codes as float32, step, levels[0]): the
+GEMM of codes 0..n-1 against {-1, 0, +1} is exact in float32 while
+(n - 1) * in_dim < 2^24. Otherwise (a Lloyd-Max codebook, or a grid too
+wide for that bound) (Q, s, o) = (levels[codes] as float64, 1, 0). A
+per-channel alpha scales the output columns.
+
 The QAT profiler's quantized toy layers are these same layers, built by
 ``init_layer`` and run through ``forward_with_cache``.
 """
@@ -31,11 +43,10 @@ from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
 from .quant import (
     GaussCodebook,
     TernaryWeights,
-    gauss_dequantize_token,
     is_ternary,
     lloyd_max,
-    quantize_tokens,
     ternarize,
+    token_codes,
     uniform_gauss_codebook,
 )
 
@@ -175,6 +186,10 @@ def init_layer(
     )
 
 
+# float32 holds every integer of magnitude at most 2^24 exactly
+_FLOAT32_EXACT = 1 << 24
+
+
 def forward_with_cache(
     layer: QuantLinearLayer,
     x: np.ndarray,
@@ -183,26 +198,38 @@ def forward_with_cache(
     """Apply the layer to a T x in_dim activation batch; returns (y, cache).
 
     Each token is transformed once; the low-rank branch consumes it
-    unquantized, the ternary branch its per-token Gauss dequantization.
-    ``tokens = (codes, mu, sigma)`` replays an earlier call's quantizer
-    decisions. The cache keeps ``xh``, ``deq``, ``wq``, ``codes``, ``mu`` and
-    ``sigma`` for a straight-through backward.
+    unquantized, the ternary branch its per-token Gauss codes (see the
+    module docstring for the product). ``tokens = (codes, mu, sigma)``
+    replays an earlier call's quantizer decisions; codes outside the
+    codebook raise ``ValidationError``. The cache keeps ``xh``, ``codes``,
+    ``mu`` and ``sigma``.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != layer.in_dim:
         raise DimensionError(f"expected T x {layer.in_dim} input, got shape {arr.shape}")
     xh = transform_tokens(arr, layer.plan)
+    cb, wq = layer.codebook, layer.wq
+    n = len(cb.levels)
     if tokens is None:
-        deq, codes, mu, sigma = quantize_tokens(xh, layer.codebook, center=layer.center)
+        codes, mu, sigma = token_codes(xh, cb, center=layer.center)
     else:
-        codes, mu, sigma = tokens
-        deq = gauss_dequantize_token(codes, layer.codebook, mu[:, None], sigma[:, None],
-                                     center=layer.center)
-    wq = layer.wq.dequantize()
-    y = deq @ wq.T
+        codes, mu, sigma = (np.asarray(a) for a in tokens)
+        if codes.size and (codes.min() < 0 or codes.max() >= n):
+            raise ValidationError(f"codes out of range for a {cb.bits}-bit codebook")
+    if cb.is_uniform and (n - 1) * layer.in_dim < _FLOAT32_EXACT:
+        # levels[c] = levels[0] + step * c, and codes @ V^T is an exact
+        # float32 GEMM: every partial sum is an integer below 2^24.
+        q, step, offset = codes.astype(np.float32), cb.step, cb.levels[0]
+        v, row_sums = wq.operand_f32
+    else:
+        q, step, offset = cb.levels[codes], 1.0, 0.0
+        v, row_sums = wq.operand_f64
+    y = (q @ v.T) * (sigma * step)[:, None]
+    y += np.multiply.outer((mu if layer.center else 0.0) + sigma * offset, row_sums)
+    y *= wq.alpha
     if layer.branch.rank:
         y += xh @ layer.branch.B.T @ layer.branch.A.T
-    return y, {"xh": xh, "deq": deq, "wq": wq, "codes": codes, "mu": mu, "sigma": sigma}
+    return y, {"xh": xh, "codes": codes, "mu": mu, "sigma": sigma}
 
 
 def forward(layer: QuantLinearLayer, x: np.ndarray) -> np.ndarray:

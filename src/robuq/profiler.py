@@ -123,7 +123,12 @@ class ToyLayer:
             q.wq = TernaryWeights(values=frozen["values"], alpha=float(np.mean(np.abs(residual))))
             tokens = (frozen["codes"], frozen["mu"], frozen["sigma"])
         y, cache = forward_with_cache(q, x, tokens)
-        cache.update(x=x, values=q.wq.values)
+        # The straight-through backward needs the dequantized activations
+        # and the dense ternary weight, which the forward never forms.
+        deq = cache["sigma"][:, None] * q.codebook.levels[cache["codes"]]
+        if q.center:
+            deq += cache["mu"][:, None]
+        cache.update(x=x, values=q.wq.values, deq=deq, wq=q.wq.dequantize())
         return y, cache
 
     def backward(self, gy: np.ndarray, cache: dict):

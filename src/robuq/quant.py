@@ -17,6 +17,7 @@ about 1e-13, which plain fixed-point iteration does not reach at 8 bits.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -50,6 +51,13 @@ class TernaryWeights:
 
     ``alpha`` is a scalar for per-tensor quantization or a per-output-row
     vector for the channel-wise variant.
+
+    The quantized forward multiplies activation codes by ``values`` as a
+    float GEMM operand, ``operand_f32`` or ``operand_f64``: the values in
+    that dtype plus their float64 row sums. Each is built on first use and
+    then kept, so ``values`` must not be modified in place afterwards;
+    assign a new instance instead. Ternarizing, saving, loading and packing
+    never build them.
     """
 
     values: np.ndarray
@@ -67,6 +75,19 @@ class TernaryWeights:
     @property
     def cols(self) -> int:
         return self.values.shape[1]
+
+    @functools.cached_property
+    def operand_f32(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values as float32, their row sums as float64); the sums are exact
+        while cols <= 2^24."""
+        v = self.values.astype(np.float32)
+        return v, v.sum(axis=1).astype(np.float64)
+
+    @functools.cached_property
+    def operand_f64(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values as float64, their row sums)."""
+        v = self.values.astype(np.float64)
+        return v, v.sum(axis=1)
 
     def dequantize(self) -> np.ndarray:
         if np.ndim(self.alpha) == 0:
@@ -156,7 +177,10 @@ class GaussCodebook:
 
     Levels are strictly increasing and antisymmetric about 0; thresholds sit
     between consecutive levels (at midpoints for both variants here).
-    ``expected_mse`` is the mean squared error against N(0, 1).
+    ``expected_mse`` is the mean squared error against N(0, 1). A uniform
+    codebook's levels are the symmetric grid step * (i - (2^b - 1)/2) and
+    its thresholds the grid's midpoints, each within 4 ulps of the largest
+    level; ``encode`` and the quantized forward rely on it.
     """
 
     bits: int
@@ -176,6 +200,39 @@ class GaussCodebook:
             raise ValidationError("levels must be strictly increasing")
         if np.any(self.thresholds <= self.levels[:-1]) or np.any(self.thresholds >= self.levels[1:]):
             raise ValidationError("thresholds must interleave levels")
+        if self.is_uniform:
+            grid = self.step * (np.arange(n) - (n - 1) / 2.0)
+            tol = 4 * np.spacing(np.max(np.abs(self.levels)))
+            if (np.max(np.abs(self.levels - grid)) > tol
+                    or np.max(np.abs(self.thresholds - 0.5 * (grid[:-1] + grid[1:]))) > tol):
+                raise ValidationError(
+                    "uniform levels must be a symmetric arithmetic grid with midpoint thresholds")
+
+    @functools.cached_property
+    def step(self) -> float:
+        """Spacing of the levels' grid (meaningful for a uniform codebook)."""
+        return float(self.levels[-1] - self.levels[0]) / (len(self.levels) - 1)
+
+    def encode(self, z: np.ndarray) -> np.ndarray:
+        """Codes of standardized values: ``searchsorted(thresholds, z)``, so a
+        value on a threshold takes the lower code.
+
+        On a uniform grid z is first placed between two levels:
+        j = floor(z / step + (n - 1)/2) clipped to [0, n - 2]. The code is j
+        or j + 1, decided by one comparison with threshold j. Rounding can
+        shift j by one only when z is within a few ulps of a level, and
+        every threshold is half a step from the levels, so the result is
+        still exact.
+        """
+        if not self.is_uniform:
+            return np.searchsorted(self.thresholds, z)
+        n = len(self.levels)
+        guess = z * (1.0 / self.step)
+        guess += (n - 1) / 2
+        np.clip(guess, 0, n - 2, out=guess)
+        codes = guess.astype(np.intp)  # truncation is floor on [0, n - 2]
+        codes += z > self.thresholds.take(codes)
+        return codes
 
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -288,6 +345,66 @@ def uniform_gauss_codebook(bits: int) -> GaussCodebook:
 # Per-token Gauss quantizer
 # ---------------------------------------------------------------------------
 
+# token_codes works through the rows in blocks of about this many entries,
+# so that a block's temporaries (256 KiB each) stay in cache: at 256 x 4608
+# that took 15 ms against 43 ms for whole-matrix passes on a 2-vCPU Xeon.
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _code_rows(arr, cb, center, scale, first):
+    """``token_codes`` on a block of rows whose first row is row ``first``."""
+    # The reductions of arr.mean(axis=1) and arr.std(axis=1), bit for bit,
+    # keeping the deviations for z. sigma is non-finite exactly when its row
+    # holds a NaN or Inf (or its spread overflows), so one O(T) test covers
+    # the whole block.
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = arr.sum(axis=1) / arr.shape[1]
+        dev = arr - mean[:, None]
+        sigma = np.sqrt(np.square(dev).sum(axis=1) / arr.shape[1])
+    if not np.isfinite(sigma).all():
+        bad = first + int(np.argmin(np.isfinite(sigma)))
+        raise ValidationError(f"token {bad} is not finite (NaN, Inf or overflowing spread)")
+    if scale is not None:
+        sigma[:] = scale
+    degenerate = (arr == arr[:, :1]).all(axis=1) | (sigma == 0.0)
+    sigma[degenerate] = 0.0
+    z = (dev if center else arr) / np.where(degenerate, 1.0, sigma)[:, None]
+    codes = cb.encode(z)
+    codes[degenerate] = len(cb.levels) // 2
+    return codes, (mean if center else 0.0), sigma
+
+
+def token_codes(
+    x: np.ndarray,
+    cb: GaussCodebook,
+    center: bool = True,
+    scale: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-token Gauss codes for a T x C matrix: returns (codes, mu, sigma).
+
+    Row t is standardized as z = (x_t - mu_t) / sigma_t and encoded by
+    ``cb.encode``. sigma_t is the row's population standard deviation
+    unless ``scale`` overrides it for every row; mu_t is the row mean when
+    ``center`` is set, else 0. A constant row is degenerate: its sigma_t is
+    0, so dequantization reproduces the constant (centered) or zero
+    exactly, and its codes sit at the middle level. Raises
+    ``ValidationError`` on a row with a NaN or Inf or whose spread
+    overflows.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise ValidationError(f"expected a T x C matrix with C >= 1, got shape {arr.shape}")
+    if scale is not None and not scale > 0:
+        raise ValidationError("explicit scale must be positive")
+    codes = np.empty(arr.shape, dtype=np.int64)
+    mu, sigma = np.empty(arr.shape[0]), np.empty(arr.shape[0])
+    rows = max(1, _BLOCK_ENTRIES // arr.shape[1])
+    for first in range(0, arr.shape[0], rows):
+        part = slice(first, first + rows)
+        codes[part], mu[part], sigma[part] = _code_rows(arr[part], cb, center, scale, first)
+    return codes, mu, sigma
+
+
 def gauss_quantize_token(
     x: np.ndarray,
     cb: GaussCodebook,
@@ -296,25 +413,10 @@ def gauss_quantize_token(
 ) -> tuple[np.ndarray, float, float]:
     """Quantize one (Hadamard-transformed) token against a normal codebook.
 
-    Returns (codes, mu_t, sigma_t). sigma_t is the token's population
-    standard deviation unless ``scale`` overrides it; mu_t is the token mean
-    when ``center`` is set, else 0. A constant token is degenerate: the
-    stored sigma_t is 0 so dequantization reproduces the constant (centered)
-    or zero exactly, and the emitted codes sit at the middle level.
+    Returns (codes, mu_t, sigma_t): ``token_codes`` on the token as one row.
     """
-    arr = np.asarray(x, dtype=np.float64).ravel()
-    if arr.size == 0 or not np.all(np.isfinite(arr)):
-        raise ValidationError("token must be nonempty and finite")
-    mu = float(arr.mean()) if center else 0.0
-    sigma = float(arr.std()) if scale is None else float(scale)
-    if scale is not None and sigma <= 0:
-        raise ValidationError("explicit scale must be positive")
-    if np.ptp(arr) == 0.0 or sigma == 0.0:
-        codes = np.full(arr.size, len(cb.levels) // 2, dtype=np.int64)
-        return codes, mu, 0.0
-    z = (arr - mu) / sigma
-    codes = np.searchsorted(cb.thresholds, z).astype(np.int64)
-    return codes, mu, sigma
+    codes, mu, sigma = token_codes(np.ravel(x)[None, :], cb, center, scale)
+    return codes[0], float(mu[0]), float(sigma[0])
 
 
 def gauss_dequantize_token(
@@ -339,27 +441,13 @@ def quantize_tokens(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized per-row quantize + dequantize for a T x C matrix.
 
-    Returns (dequantized, codes, mu, sigma) with mu/sigma per token.
-    Matches gauss_quantize_token row by row, including the degenerate path;
-    like it, raises ``ValidationError`` on a row with a NaN or Inf.
+    Returns (dequantized, codes, mu, sigma) with mu/sigma per token: the
+    codes and statistics of ``token_codes`` (see there for the degenerate
+    row and the errors), and dequantized = sigma * levels[codes] (+ mu when
+    centered). The quantized forward needs only the codes and calls
+    ``token_codes`` directly.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"expected a T x C matrix, got shape {arr.shape}")
-    # sigma is non-finite exactly when its row holds a NaN or Inf (or its
-    # spread overflows), so one O(T) test covers the whole batch.
-    with np.errstate(invalid="ignore", over="ignore"):
-        mu = arr.mean(axis=1) if center else np.zeros(arr.shape[0])
-        sigma = arr.std(axis=1)
-    if not np.isfinite(sigma).all():
-        bad = int(np.argmin(np.isfinite(sigma)))
-        raise ValidationError(f"token {bad} is not finite (NaN, Inf or overflowing spread)")
-    degenerate = (np.ptp(arr, axis=1) == 0.0) | (sigma == 0.0)
-    safe_sigma = np.where(degenerate, 1.0, sigma)
-    z = (arr - mu[:, None]) / safe_sigma[:, None]
-    codes = np.searchsorted(cb.thresholds, z.ravel()).reshape(arr.shape).astype(np.int64)
-    codes[degenerate] = len(cb.levels) // 2
-    sigma = np.where(degenerate, 0.0, sigma)
+    codes, mu, sigma = token_codes(x, cb, center)
     deq = sigma[:, None] * cb.levels[codes]
     if center:
         deq = deq + mu[:, None]

@@ -1,19 +1,29 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robuq.deploy import pack_ternary
 from robuq.errors import DimensionError, FormatError, ValidationError
-from robuq.hadamard import fold_into_weights
+from robuq.hadamard import fold_into_weights, transform_tokens
 from robuq.lowrank import (
     forward,
+    forward_with_cache,
     init_layer,
     load_layer,
     reconstruct_weight,
     save_layer,
     truncated_svd,
 )
-from robuq.quant import ternarize, uniform_gauss_codebook
+from robuq.quant import (
+    gauss_dequantize_token,
+    lloyd_max,
+    quantize_tokens,
+    ternarize,
+    uniform_gauss_codebook,
+)
 
 
 def test_svd_diagonal_case():
@@ -328,3 +338,152 @@ def test_load_layer_rejects_non_ternary_values(tmp_path, bad):
     save_matrix(values, path)
     with pytest.raises(FormatError, match="wq_values.rbq"):
         load_layer(tmp_path / "nt")
+
+
+# ---------------------------------------------------------------------------
+# The forward on activation codes against the dequantized product
+# ---------------------------------------------------------------------------
+
+_OPERANDS = {"operand_f32", "operand_f64"}
+
+
+def _oracle(layer, x, tokens=None):
+    """deq @ (alpha V)^T + xh B^T A^T with deq formed explicitly, and the
+    same sum over absolute values, the scale of its rounding error."""
+    xh = transform_tokens(x, layer.plan)
+    if tokens is None:
+        deq = quantize_tokens(xh, layer.codebook, center=layer.center)[0]
+    else:
+        codes, mu, sigma = tokens
+        deq = gauss_dequantize_token(codes, layer.codebook, mu[:, None], sigma[:, None],
+                                     center=layer.center)
+    wq, a, b = layer.wq.dequantize(), layer.branch.A, layer.branch.B
+    ref = deq @ wq.T + xh @ b.T @ a.T
+    scale = np.abs(deq) @ np.abs(wq).T + np.abs(xh) @ np.abs(b).T @ np.abs(a).T
+    return ref, np.linalg.norm(scale)
+
+
+def _assert_matches_oracle(layer, x, tokens=None):
+    y, cache = forward_with_cache(layer, x, tokens)
+    ref, scale = _oracle(layer, x, tokens)
+    assert np.linalg.norm(y - ref) <= 1e-12 * scale
+    return y, cache
+
+
+def _per_channel(layer, w):
+    residual = fold_into_weights(w, layer.plan) - layer.branch.matrix()
+    return replace(layer, wq=ternarize(residual, per_channel=True))
+
+
+def _tokens(rng, t, c):
+    x = rng.standard_normal((t, c)) * np.exp(rng.standard_normal((t, 1)))
+    x += 3.0 * rng.standard_normal((t, 1))
+    x[:, rng.choice(c, 2, replace=False)] *= 30.0
+    # Two tokens that are constant after the transform, so degenerate: with
+    # one 64-block, H (20 e_0) is 2.5 (1, ..., 1) up to one rounding.
+    x[1] = 0.0
+    x[1, 0] = 20.0
+    x[2] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("per_channel", [False, True], ids=["scalar", "per_channel"])
+@pytest.mark.parametrize("center", [True, False], ids=["centered", "uncentered"])
+@pytest.mark.parametrize("cb", [uniform_gauss_codebook(b) for b in range(1, 9)]
+                         + [lloyd_max(2), lloyd_max(4)],
+                         ids=[f"u{b}" for b in range(1, 9)] + ["lm2", "lm4"])
+def test_forward_matches_dequantized_oracle(cb, center, per_channel):
+    rng = np.random.default_rng(cb.bits)
+    w = rng.standard_normal((40, 64))
+    layer = init_layer(w, r=4, codebook=cb, center=center)
+    if per_channel:
+        layer = _per_channel(layer, w)
+    x = _tokens(rng, 12, 64)
+    y, cache = _assert_matches_oracle(layer, x)
+    assert set(cache) == {"xh", "codes", "mu", "sigma"}
+    assert layer.plan.block_size == 64
+    assert cache["sigma"][1] == cache["sigma"][2] == 0.0
+    assert np.ptp(cache["xh"][1]) == 0.0
+    assert cache["mu"][1] == (cache["xh"][1].mean() if center else 0.0)
+    assert not y[2].any()
+    built = set(vars(layer.wq)) & _OPERANDS
+    assert built == ({"operand_f32"} if cb.is_uniform else {"operand_f64"})
+
+
+@pytest.mark.parametrize("cb", [uniform_gauss_codebook(3), lloyd_max(3)], ids=["u3", "lm3"])
+def test_forward_rank0_width96_and_replay(cb):
+    rng = np.random.default_rng(31)
+    w = rng.standard_normal((80, 96))
+    layer = init_layer(w, r=0, codebook=cb)
+    x = _tokens(rng, 9, 96)
+    y, cache = _assert_matches_oracle(layer, x)
+    tokens = (cache["codes"], cache["mu"], cache["sigma"])
+    y_replay, _ = _assert_matches_oracle(layer, x + 0.01, tokens)
+    np.testing.assert_allclose(y_replay, y, rtol=0, atol=1e-12 * np.abs(y).max())
+    for bad in (-1, len(cb.levels)):
+        codes = cache["codes"].copy()
+        codes[4, 7] = bad
+        with pytest.raises(ValidationError, match="out of range"):
+            forward_with_cache(layer, x, (codes, cache["mu"], cache["sigma"]))
+
+
+@st.composite
+def _layers_and_tokens(draw):
+    out_dim = draw(st.integers(1, 24))
+    in_dim = draw(st.sampled_from([1, 3, 8, 12, 16, 40]))
+    rank = draw(st.integers(0, min(out_dim, in_dim)))
+    cb = draw(st.sampled_from([uniform_gauss_codebook(b) for b in (1, 2, 4, 8)]
+                              + [lloyd_max(3)]))
+    center = draw(st.booleans())
+    per_channel = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    w = scale * rng.standard_normal((out_dim, in_dim))
+    layer = init_layer(w, r=rank, codebook=cb, center=center)
+    if per_channel:
+        layer = _per_channel(layer, w)
+    t = draw(st.integers(1, 6))
+    x = scale * rng.standard_normal((t, in_dim)) + rng.standard_normal((t, 1))
+    if draw(st.booleans()):
+        x[rng.integers(t)] = scale
+    return layer, x
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_layers_and_tokens())
+def test_property_forward_matches_dequantized_oracle(case):
+    layer, x = case
+    _assert_matches_oracle(layer, x)
+
+
+@pytest.mark.parametrize("in_dim,operand", [(65_793, "operand_f32"), (65_794, "operand_f64")])
+def test_float32_operand_up_to_the_exactness_bound(in_dim, operand):
+    # (2^8 - 1) * 65_793 = 2^24 - 1 is the last width whose code GEMM is
+    # exact in float32.
+    rng = np.random.default_rng(32)
+    layer = init_layer(rng.standard_normal((3, in_dim)), r=1, codebook=uniform_gauss_codebook(8))
+    _assert_matches_oracle(layer, rng.standard_normal((2, in_dim)))
+    assert set(vars(layer.wq)) & _OPERANDS == {operand}
+
+
+def test_replacing_the_ternary_weights_changes_the_next_forward():
+    rng = np.random.default_rng(33)
+    w = rng.standard_normal((16, 32))
+    layer = init_layer(w, r=2, codebook=uniform_gauss_codebook(4))
+    x = rng.standard_normal((5, 32))
+    y_first = forward(layer, x)
+    residual = fold_into_weights(w, layer.plan) - layer.branch.matrix()
+    layer.wq = ternarize(-residual)
+    y_second, _ = _assert_matches_oracle(layer, x)
+    assert not np.allclose(y_second, y_first)
+
+
+def test_conversion_never_builds_the_gemm_operand(tmp_path):
+    rng = np.random.default_rng(34)
+    layer = init_layer(rng.standard_normal((24, 32)), r=4, codebook=uniform_gauss_codebook(4))
+    save_layer(layer, tmp_path / "l")
+    back = load_layer(tmp_path / "l")
+    pack_ternary(layer.wq.values)
+    reconstruct_weight(layer)
+    assert not set(vars(layer.wq)) & _OPERANDS
+    assert not set(vars(back.wq)) & _OPERANDS

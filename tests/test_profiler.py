@@ -236,6 +236,16 @@ def test_quantized_toy_forward_is_lowrank_forward():
     assert [layer.rank for layer in model.layers] == [4, 0]
 
 
+def test_quantized_toy_cache_holds_what_the_backward_reads():
+    from robuq.quant import quantize_tokens
+
+    layer = _shared_forward_model().layers[0]
+    _, cache = layer.forward(np.random.default_rng(28).standard_normal((10, 32)))
+    assert set(cache) == {"x", "xh", "deq", "wq", "codes", "mu", "sigma", "values"}
+    np.testing.assert_array_equal(cache["deq"], quantize_tokens(cache["xh"], layer.qlayer.codebook)[0])
+    np.testing.assert_array_equal(cache["wq"], layer.qlayer.wq.dequantize())
+
+
 def test_frozen_snapshot_replays_forward_bitwise():
     model = _shared_forward_model()
     x = np.random.default_rng(26).standard_normal((10, 32))

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from robuq.quant import (
     quantize_tokens,
     save_codebook,
     ternarize,
+    token_codes,
     uniform_gauss_codebook,
 )
 
@@ -346,6 +348,76 @@ def test_vectorized_matches_per_token():
         np.testing.assert_array_equal(gauss_dequantize_token(ct, cb, mt, st), deq[t])
 
 
+def test_gauss_quantize_token_rejects_overflowing_spread():
+    cb = uniform_gauss_codebook(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="token 0"):
+            gauss_quantize_token(np.array([1e200, -1e200, 0.0]), cb)
+        with pytest.raises(ValidationError, match="token 1"):
+            quantize_tokens(np.array([[1.0, 2.0, 3.0], [1e200, -1e200, 0.0]]), cb)
+        x = np.ones((50, 1500))
+        x[47, 3] = np.nan  # in a later block of rows
+        with pytest.raises(ValidationError, match="token 47"):
+            token_codes(x, cb)
+
+
+def _reference_codes(x, cb, center):
+    """The row-by-row definition: std, mean and a threshold search."""
+    codes = np.empty(x.shape, dtype=np.int64)
+    mu, sigma = np.zeros(len(x)), np.zeros(len(x))
+    for t, row in enumerate(x):
+        m = row.mean() if center else 0.0
+        s = row.std()
+        if np.ptp(row) == 0.0 or s == 0.0:
+            codes[t], mu[t] = len(cb.levels) // 2, m
+            continue
+        codes[t] = np.searchsorted(cb.thresholds, (row - m) / s)
+        mu[t], sigma[t] = m, s
+    return codes, mu, sigma
+
+
+@pytest.mark.parametrize("shape", [(24, 40), (50, 1500)])  # one block, several blocks
+@pytest.mark.parametrize("center", [True, False])
+@pytest.mark.parametrize("cb", [uniform_gauss_codebook(b) for b in (1, 2, 4, 8)]
+                         + [lloyd_max(3)], ids=["u1", "u2", "u4", "u8", "lm3"])
+def test_token_codes_match_rowwise_reference(cb, center, shape):
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal(shape) * np.exp(3 * rng.standard_normal((shape[0], 1)))
+    x += 50 * rng.standard_normal((shape[0], 1))
+    # Constant rows are degenerate; over 1500 columns the mean of 0.3 is
+    # inexact, so only the constant-row test catches that one.
+    x[3] = 0.3
+    x[7] = 0.0
+    got = token_codes(x, cb, center=center)
+    for a, b in zip(got, _reference_codes(x, cb, center)):
+        np.testing.assert_array_equal(a, b)
+    assert got[0].dtype == np.int64
+    assert got[2][3] == got[2][7] == 0.0
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_uniform_encode_is_searchsorted_on_thresholds(bits):
+    cb = uniform_gauss_codebook(bits)
+    t, lev = cb.thresholds, cb.levels
+    z = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), lev,
+                        np.nextafter(lev, -np.inf), np.nextafter(lev, np.inf),
+                        [-1e300, -40.0, 0.0, 40.0, 1e300]])
+    np.testing.assert_array_equal(cb.encode(z), np.searchsorted(t, z))
+    grid = np.linspace(1.2 * cb.levels[0], 1.2 * cb.levels[-1], 20001)
+    np.testing.assert_array_equal(cb.encode(grid), np.searchsorted(t, grid))
+
+
+def test_uniform_encode_with_thresholds_ulps_off_the_midpoints():
+    ref = uniform_gauss_codebook(3)
+    t = ref.thresholds + np.array([-3, 2, -1, 0, 1, -2, 3]) * np.spacing(ref.levels[-1])
+    cb = GaussCodebook(bits=3, levels=ref.levels, thresholds=t, is_uniform=True,
+                       expected_mse=ref.expected_mse)
+    z = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), ref.levels,
+                        np.random.default_rng(23).uniform(-3.0, 3.0, 5000)])
+    np.testing.assert_array_equal(cb.encode(z), np.searchsorted(t, z))
+
+
 def test_middle_codes_dequantize_to_middle_level():
     cb = lloyd_max(3)
     codes = np.full(5, 4)
@@ -386,7 +458,37 @@ def test_codebook_rejects_non_finite(where, bad):
                       is_uniform=True, expected_mse=0.1)
 
 
+@pytest.mark.parametrize("levels", [[-2.0, -0.3, 0.3, 2.0], [-1.0, 0.0, 1.0, 2.0],
+                                    [-1.5, -0.5, 0.5, 1.5 + 1e-9], lloyd_max(2).levels],
+                         ids=["not_arithmetic", "not_symmetric", "off_by_1e-9", "lloyd_max"])
+def test_uniform_codebook_rejects_a_non_grid(levels):
+    levels = np.array(levels)
+    with pytest.raises(ValidationError, match="grid"):
+        GaussCodebook(bits=2, levels=levels, thresholds=0.5 * (levels[:-1] + levels[1:]),
+                      is_uniform=True, expected_mse=0.1)
+
+
+def test_uniform_codebook_rejects_thresholds_off_the_midpoints():
+    cb = uniform_gauss_codebook(2)
+    thresholds = cb.thresholds.copy()
+    thresholds[0] = np.nextafter(cb.levels[1], -np.inf)  # between the levels, not midway
+    with pytest.raises(ValidationError, match="midpoint"):
+        GaussCodebook(bits=2, levels=cb.levels, thresholds=thresholds,
+                      is_uniform=True, expected_mse=cb.expected_mse)
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_uniform_codebooks_are_grids(tmp_path, bits):
+    cb = uniform_gauss_codebook(bits)
+    c = np.arange(1 << bits) - ((1 << bits) - 1) / 2
+    assert np.max(np.abs(cb.levels - cb.step * c)) <= 4 * np.spacing(cb.levels[-1])
+    save_codebook(cb, tmp_path / "cb.csv")
+    assert load_codebook(tmp_path / "cb.csv").step == cb.step
+
+
 _GOOD_CSV = "# bits=1 uniform=1 mse=0.36\nlevel,threshold\n-0.8,0.0\n0.8,\n"
+_NON_GRID_CSV = ("# bits=2 uniform=1 mse=0.2\nlevel,threshold\n"
+                 "-2,-1.15\n-0.3,0\n0.3,1.15\n2,\n")
 
 
 @pytest.mark.parametrize(
@@ -397,8 +499,10 @@ _GOOD_CSV = "# bits=1 uniform=1 mse=0.36\nlevel,threshold\n-0.8,0.0\n0.8,\n"
         "# bits=-1 uniform=1 mse=0.36\nlevel,threshold\n-0.8,0.0\n0.8,\n",
         "# bits=0 uniform=1 mse=0.36\nlevel,threshold\n0.0,\n",
         _GOOD_CSV.replace("0.8,\n", "nan,\n"),
+        _NON_GRID_CSV,
     ],
-    ids=["token_without_equals", "non_numeric_level", "negative_bits", "zero_bits", "nan_level"],
+    ids=["token_without_equals", "non_numeric_level", "negative_bits", "zero_bits", "nan_level",
+         "uniform_not_a_grid"],
 )
 def test_load_codebook_malformed_is_format_error(tmp_path, text):
     path = tmp_path / "cb.csv"
