@@ -24,6 +24,8 @@ PACKED_MAGIC = b"RBQP"
 _PACK_HEADER = struct.Struct("<4sQ")
 _POW3 = np.array([1, 3, 9, 27, 81], dtype=np.uint8)
 MAX_PACKED_BYTE = 242  # 2*(1+3+9+27+81)
+# Row b holds the five values packed into byte b, first value first.
+_UNPACKED = (np.arange(MAX_PACKED_BYTE + 1)[:, None] // _POW3 % 3 - 1).astype(np.int8)
 TERNARY_BITS = "ternary"
 
 
@@ -59,9 +61,7 @@ def unpack_ternary(p: PackedTernary) -> np.ndarray:
     raw = np.frombuffer(p.data, dtype=np.uint8)
     if raw.size and raw.max() > MAX_PACKED_BYTE:
         raise FormatError(f"byte value {raw.max()} exceeds {MAX_PACKED_BYTE}")
-    digits = (raw[:, None] // _POW3[None, :].astype(np.uint16)) % 3
-    values = digits.astype(np.int8).ravel() - 1
-    return values[: p.count]
+    return _UNPACKED[raw].ravel()[: p.count]
 
 
 def save_packed(p: PackedTernary, path) -> None:

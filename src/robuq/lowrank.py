@@ -25,6 +25,17 @@ GEMM of codes 0..n-1 against {-1, 0, +1} is exact in float32 while
 wide for that bound) (Q, s, o) = (levels[codes] as float64, 1, 0). A
 per-channel alpha scales the output columns.
 
+The mean/offset term is an outer product, so it joins the low-rank branch
+as one more rank, and the whole layer is
+
+    y = [xh B^T | mu + sigma * o] @ [A | alpha . rowsum(V)]^T
+        + (sigma * s) . (Q V^T) . alpha
+
+The first term is one float64 GEMM that writes y. The code product Q V^T
+is then scaled and added into y a row block of about 2^15 entries at a
+time, through one reused float64 scratch block that stays in cache, so no
+T x out_dim float64 temporary is ever formed.
+
 The QAT profiler's quantized toy layers are these same layers, built by
 ``init_layer`` and run through ``forward_with_cache``.
 """
@@ -41,6 +52,7 @@ import numpy as np
 from .errors import DimensionError, FormatError, ValidationError
 from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
 from .quant import (
+    _BLOCK_ENTRIES,
     GaussCodebook,
     TernaryWeights,
     is_ternary,
@@ -198,8 +210,11 @@ def forward_with_cache(
     """Apply the layer to a T x in_dim activation batch; returns (y, cache).
 
     Each token is transformed once; the low-rank branch consumes it
-    unquantized, the ternary branch its per-token Gauss codes (see the
-    module docstring for the product). ``tokens = (codes, mu, sigma)``
+    unquantized, the ternary branch its per-token Gauss codes. One
+    rank-(r + 1) GEMM of the low-rank factors, widened by the per-token
+    mean/offset column, writes y; the code product, scaled per token and
+    by alpha, is then added in row blocks through one scratch block (see
+    the module docstring for the formula). ``tokens = (codes, mu, sigma)``
     replays an earlier call's quantizer decisions; codes outside the
     codebook raise ``ValidationError``. The cache keeps ``xh``, ``codes``,
     ``mu`` and ``sigma``.
@@ -219,16 +234,24 @@ def forward_with_cache(
     if cb.is_uniform and (n - 1) * layer.in_dim < _FLOAT32_EXACT:
         # levels[c] = levels[0] + step * c, and codes @ V^T is an exact
         # float32 GEMM: every partial sum is an integer below 2^24.
-        q, step, offset = codes.astype(np.float32), cb.step, cb.levels[0]
         v, row_sums = wq.operand_f32
+        g, step, offset = codes.astype(np.float32) @ v.T, cb.step, cb.levels[0]
     else:
-        q, step, offset = cb.levels[codes], 1.0, 0.0
         v, row_sums = wq.operand_f64
-    y = (q @ v.T) * (sigma * step)[:, None]
-    y += np.multiply.outer((mu if layer.center else 0.0) + sigma * offset, row_sums)
-    y *= wq.alpha
-    if layer.branch.rank:
-        y += xh @ layer.branch.B.T @ layer.branch.A.T
+        g, step, offset = cb.levels[codes] @ v.T, 1.0, 0.0
+    shift = (mu if layer.center else 0.0) + sigma * offset
+    y = (np.column_stack((xh @ layer.branch.B.T, shift))
+         @ np.column_stack((layer.branch.A, wq.alpha * row_sums)).T)
+    scale = sigma * step
+    rows = max(1, _BLOCK_ENTRIES // layer.out_dim)
+    scratch = np.empty((min(rows, len(y)), layer.out_dim))
+    for first in range(0, len(y), rows):
+        part = slice(first, first + rows)
+        block = scratch[: len(scale[part])]
+        block[...] = g[part]  # casting first beats a mixed-dtype multiply
+        block *= scale[part, None]
+        block *= wq.alpha
+        y[part] += block
     return y, {"xh": xh, "codes": codes, "mu": mu, "sigma": sigma}
 
 
@@ -272,36 +295,57 @@ def save_layer(layer: QuantLinearLayer, dirpath) -> None:
 
 
 def load_layer(dirpath) -> QuantLinearLayer:
+    """Read a layer directory written by ``save_layer``.
+
+    A missing file, a sidecar that is not UTF-8 JSON with every field of
+    its type, or matrices whose shapes disagree with the sidecar raise
+    ``FormatError`` naming the file.
+    """
     from .tensorio import load_matrix
 
     d = Path(dirpath)
+    sidecar = d / "layer.json"
+
+    def matrix(name):
+        try:
+            return load_matrix(d / name)
+        except FileNotFoundError as exc:
+            raise FormatError(f"{d / name}: missing") from exc
+
     try:
-        with open(d / "layer.json") as fh:
-            meta = json.load(fh)
+        meta = json.loads(sidecar.read_bytes().decode("utf-8"))
+        in_dim, out_dim, rank = int(meta["in_dim"]), int(meta["out_dim"]), int(meta["rank"])
+        bits, block_size = int(meta["bits"]), int(meta["block_size"])
+        uniform, center = bool(meta["uniform"]), bool(meta["center"])
+        alpha = np.asarray(meta["alpha"], dtype=np.float64)
     except FileNotFoundError as exc:
         raise FormatError(f"{d}: missing layer.json sidecar") from exc
-    values = load_matrix(d / "wq_values.rbq")
+    # JSON and UTF-8 decoding errors are ValueErrors too
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{sidecar}: not a layer sidecar ({type(exc).__name__}: {exc})") from exc
+    if alpha.ndim and alpha.shape != (out_dim,):
+        raise FormatError(f"{sidecar}: per-channel alpha has shape {alpha.shape}, expected ({out_dim},)")
+    if not np.isfinite(alpha).all():
+        raise FormatError(f"{sidecar}: alpha is not finite")
+    values = matrix("wq_values.rbq")
     # Check before the int8 cast, which would turn 0.5 or 256 into 0.
     if not is_ternary(values):
         raise FormatError(f"{d / 'wq_values.rbq'}: ternary values must lie in {{-1, 0, +1}}")
-    values = values.astype(np.int8)
-    in_dim, out_dim = int(meta["in_dim"]), int(meta["out_dim"])
-    alpha = np.asarray(meta["alpha"], dtype=np.float64)
-    if alpha.ndim and alpha.shape != (out_dim,):
-        raise FormatError(f"{d}: per-channel alpha has shape {alpha.shape}, expected ({out_dim},)")
-    wq = TernaryWeights(values=values, alpha=alpha if alpha.ndim else float(alpha))
-    rank = int(meta["rank"])
+    if values.shape != (out_dim, in_dim):
+        raise FormatError(f"{d / 'wq_values.rbq'}: shape {values.shape} does not match "
+                          f"out_dim {out_dim} and in_dim {in_dim} in layer.json")
+    wq = TernaryWeights(values=values.astype(np.int8), alpha=alpha if alpha.ndim else float(alpha))
     if rank:
-        branch = LowRankBranch(
-            A=load_matrix(d / "A.rbq").astype(np.float64),
-            B=load_matrix(d / "B.rbq").astype(np.float64),
-        )
+        branch = LowRankBranch(A=matrix("A.rbq").astype(np.float64),
+                               B=matrix("B.rbq").astype(np.float64))
+        if (branch.A.shape, branch.B.shape) != ((out_dim, rank), (rank, in_dim)):
+            raise FormatError(f"{d}: factor shapes {branch.A.shape} and {branch.B.shape} do not "
+                              f"match rank {rank} in layer.json")
     else:
         branch = LowRankBranch(A=np.zeros((out_dim, 0)), B=np.zeros((0, in_dim)))
-    maker = uniform_gauss_codebook if meta["uniform"] else lloyd_max
-    cb = maker(int(meta["bits"]))
-    plan = HadamardPlan(dim=in_dim, block_size=int(meta["block_size"]))
+    maker = uniform_gauss_codebook if uniform else lloyd_max
     return QuantLinearLayer(
-        wq=wq, branch=branch, codebook=cb, plan=plan,
-        in_dim=in_dim, out_dim=out_dim, center=bool(meta["center"]),
+        wq=wq, branch=branch, codebook=maker(bits),
+        plan=HadamardPlan(dim=in_dim, block_size=block_size),
+        in_dim=in_dim, out_dim=out_dim, center=center,
     )

@@ -224,15 +224,21 @@ class GaussCodebook:
         every threshold is half a step from the levels, so the result is
         still exact.
         """
+        z = np.asarray(z)
+        return self._encode_into(z, np.empty(z.shape, dtype=np.intp))
+
+    def _encode_into(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``encode(z)`` written into the integer array ``out``; returns ``out``."""
         if not self.is_uniform:
-            return np.searchsorted(self.thresholds, z)
+            out[...] = np.searchsorted(self.thresholds, z)
+            return out
         n = len(self.levels)
         guess = z * (1.0 / self.step)
         guess += (n - 1) / 2
         np.clip(guess, 0, n - 2, out=guess)
-        codes = guess.astype(np.intp)  # truncation is floor on [0, n - 2]
-        codes += z > self.thresholds.take(codes)
-        return codes
+        np.copyto(out, guess, casting="unsafe")  # truncation is floor on [0, n - 2]
+        out += z > self.thresholds[out]
+        return out
 
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -351,8 +357,10 @@ def uniform_gauss_codebook(bits: int) -> GaussCodebook:
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _code_rows(arr, cb, center, scale, first):
-    """``token_codes`` on a block of rows whose first row is row ``first``."""
+def _code_rows(arr, cb, center, scale, first, codes, mu, sigma):
+    """``token_codes`` on a block of rows whose first row is row ``first``,
+    written into the block's slices ``codes``, ``mu`` and ``sigma`` of the
+    outputs."""
     # The reductions of arr.mean(axis=1) and arr.std(axis=1), bit for bit,
     # keeping the deviations for z. sigma is non-finite exactly when its row
     # holds a NaN or Inf (or its spread overflows), so one O(T) test covers
@@ -360,7 +368,7 @@ def _code_rows(arr, cb, center, scale, first):
     with np.errstate(invalid="ignore", over="ignore"):
         mean = arr.sum(axis=1) / arr.shape[1]
         dev = arr - mean[:, None]
-        sigma = np.sqrt(np.square(dev).sum(axis=1) / arr.shape[1])
+        sigma[:] = np.sqrt(np.square(dev).sum(axis=1) / arr.shape[1])
     if not np.isfinite(sigma).all():
         bad = first + int(np.argmin(np.isfinite(sigma)))
         raise ValidationError(f"token {bad} is not finite (NaN, Inf or overflowing spread)")
@@ -368,10 +376,11 @@ def _code_rows(arr, cb, center, scale, first):
         sigma[:] = scale
     degenerate = (arr == arr[:, :1]).all(axis=1) | (sigma == 0.0)
     sigma[degenerate] = 0.0
-    z = (dev if center else arr) / np.where(degenerate, 1.0, sigma)[:, None]
-    codes = cb.encode(z)
+    # z overwrites the deviations, which are not needed after it.
+    z = np.divide(dev if center else arr, np.where(degenerate, 1.0, sigma)[:, None], out=dev)
+    cb._encode_into(z, codes)
     codes[degenerate] = len(cb.levels) // 2
-    return codes, (mean if center else 0.0), sigma
+    mu[:] = mean if center else 0.0
 
 
 def token_codes(
@@ -401,7 +410,7 @@ def token_codes(
     rows = max(1, _BLOCK_ENTRIES // arr.shape[1])
     for first in range(0, arr.shape[0], rows):
         part = slice(first, first + rows)
-        codes[part], mu[part], sigma[part] = _code_rows(arr[part], cb, center, scale, first)
+        _code_rows(arr[part], cb, center, scale, first, codes[part], mu[part], sigma[part])
     return codes, mu, sigma
 
 
@@ -460,7 +469,7 @@ def quantize_tokens(
 
 def save_codebook(cb: GaussCodebook, path) -> None:
     """CSV with a metadata comment line, then level,threshold pairs."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# bits={cb.bits} uniform={int(cb.is_uniform)} mse={cb.expected_mse!r}\n")
         writer = csv.writer(fh)
         writer.writerow(["level", "threshold"])
@@ -470,9 +479,12 @@ def save_codebook(cb: GaussCodebook, path) -> None:
 
 
 def load_codebook(path) -> GaussCodebook:
-    with open(path, newline="") as fh:
-        meta = fh.readline().strip()
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            meta = fh.readline().strip()
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
     if not meta.startswith("# "):
         raise FormatError(f"{path}: missing metadata comment line")
     try:

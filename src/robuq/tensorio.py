@@ -113,7 +113,7 @@ class SensitivityTable:
 
 def save_sensitivity(table: SensitivityTable, path) -> None:
     """Write a sensitivity table as CSV, one row per layer in table order."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "flops_weight", "fixed_bits"] + [f"dL@{b}" for b in table.bits])
         for i, layer in enumerate(table.layers):
@@ -130,8 +130,11 @@ def load_sensitivity(path) -> SensitivityTable:
     Raises FormatError naming the offending layer and bit when a cell is
     missing or unparsable.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
     if not rows:
         raise FormatError(f"{path}: empty file")
     header = rows[0]

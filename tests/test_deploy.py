@@ -3,6 +3,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robuq.deploy import (
     FlopsConfig,
@@ -78,6 +80,27 @@ def test_packed_file_roundtrip(tmp_path):
     back = load_packed(path)
     assert back.count == 333
     np.testing.assert_array_equal(unpack_ternary(back), v)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([-1, 0, 1]), max_size=60))
+def test_property_packed_file_roundtrip(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("packed") / "w.rbqp"
+    save_packed(pack_ternary(np.array(values, dtype=np.int8)), path)
+    back = unpack_ternary(load_packed(path))
+    assert back.dtype == np.int8
+    np.testing.assert_array_equal(back, np.array(values, dtype=np.int8))
+
+
+def test_every_truncation_of_a_packed_file_is_format_error(tmp_path):
+    v = np.random.default_rng(2).integers(-1, 2, size=23).astype(np.int8)
+    path = tmp_path / "w.rbqp"
+    save_packed(pack_ternary(v), path)
+    raw = path.read_bytes()
+    for size in range(len(raw)):
+        path.write_bytes(raw[:size])
+        with pytest.raises(FormatError):
+            unpack_ternary(load_packed(path))
 
 
 def test_packed_file_bad_magic(tmp_path):

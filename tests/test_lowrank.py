@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from robuq.deploy import pack_ternary
 from robuq.errors import DimensionError, FormatError, ValidationError
-from robuq.hadamard import fold_into_weights, transform_tokens
+from robuq.hadamard import HadamardPlan, fold_into_weights, transform_tokens
 from robuq.lowrank import (
+    LowRankBranch,
+    QuantLinearLayer,
     forward,
     forward_with_cache,
     init_layer,
@@ -18,6 +20,7 @@ from robuq.lowrank import (
     truncated_svd,
 )
 from robuq.quant import (
+    _BLOCK_ENTRIES,
     gauss_dequantize_token,
     lloyd_max,
     quantize_tokens,
@@ -340,6 +343,70 @@ def test_load_layer_rejects_non_ternary_values(tmp_path, bad):
         load_layer(tmp_path / "nt")
 
 
+def _saved_layer(tmp_path, rank=2):
+    layer = init_layer(np.random.default_rng(18).standard_normal((8, 8)), r=rank)
+    save_layer(layer, tmp_path / "l")
+    return tmp_path / "l"
+
+
+@pytest.mark.parametrize("text", [
+    '{"alpha": 0.5, "rank": 2',
+    '[1, 2, 3]',
+    '{"alpha": 0.5}',
+], ids=["truncated", "not_an_object", "missing_keys"])
+def test_load_layer_bad_sidecar_is_format_error(tmp_path, text):
+    d = _saved_layer(tmp_path)
+    (d / "layer.json").write_text(text)
+    with pytest.raises(FormatError, match="layer.json"):
+        load_layer(d)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("rank", None), ("alpha", "x"), ("alpha", [[0.5]]), ("alpha", float("nan")),
+    ("in_dim", "eight"), ("bits", [4]), ("out_dim", 7),
+], ids=["rank_missing", "alpha_text", "alpha_nested", "alpha_nan", "in_dim_text", "bits_list",
+        "out_dim_wrong"])
+def test_load_layer_bad_field_is_format_error(tmp_path, key, value):
+    import json
+
+    d = _saved_layer(tmp_path)
+    meta = json.loads((d / "layer.json").read_text())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    (d / "layer.json").write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match="layer.json"):
+        load_layer(d)
+
+
+def test_load_layer_non_utf8_sidecar_is_format_error(tmp_path):
+    d = _saved_layer(tmp_path)
+    (d / "layer.json").write_bytes(b'{"alpha": "caf\xe9"}')
+    with pytest.raises(FormatError, match="layer.json"):
+        load_layer(d)
+
+
+@pytest.mark.parametrize("name", ["A.rbq", "B.rbq", "wq_values.rbq"])
+def test_load_layer_missing_matrix_is_format_error(tmp_path, name):
+    d = _saved_layer(tmp_path)
+    (d / name).unlink()
+    with pytest.raises(FormatError, match=name):
+        load_layer(d)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_load_layer_rank_must_match_the_factors(tmp_path, rank):
+    import json
+
+    d = _saved_layer(tmp_path, rank=2)
+    meta = json.loads((d / "layer.json").read_text())
+    meta["rank"] = rank
+    (d / "layer.json").write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match="rank"):
+        load_layer(d)
+
+
 # ---------------------------------------------------------------------------
 # The forward on activation codes against the dequantized product
 # ---------------------------------------------------------------------------
@@ -425,6 +492,67 @@ def test_forward_rank0_width96_and_replay(cb):
         codes[4, 7] = bad
         with pytest.raises(ValidationError, match="out of range"):
             forward_with_cache(layer, x, (codes, cache["mu"], cache["sigma"]))
+
+
+def _random_layer(rng, in_dim, out_dim, rank, cb, center=True):
+    """A layer with random per-channel ternary weights and factors, built
+    without an SVD."""
+    return QuantLinearLayer(
+        wq=ternarize(rng.standard_normal((out_dim, in_dim)), per_channel=True),
+        branch=LowRankBranch(A=rng.standard_normal((out_dim, rank)),
+                             B=rng.standard_normal((rank, in_dim))),
+        codebook=cb, plan=HadamardPlan.for_dim(in_dim),
+        in_dim=in_dim, out_dim=out_dim, center=center,
+    )
+
+
+@pytest.mark.parametrize("center", [True, False], ids=["centered", "uncentered"])
+@pytest.mark.parametrize("cb", [uniform_gauss_codebook(4), lloyd_max(3)], ids=["u4", "lm3"])
+def test_forward_over_several_row_blocks_matches_the_oracle(cb, center):
+    t, in_dim, out_dim = 48, 1024, 2048
+    # token_codes runs 32-row blocks here and the epilogue 16-row blocks
+    assert _BLOCK_ENTRIES // in_dim == 32 and _BLOCK_ENTRIES // out_dim == 16
+    rng = np.random.default_rng(35)
+    layer = _random_layer(rng, in_dim, out_dim, 3, cb, center)
+    x = _tokens(rng, t, in_dim)
+    x[40] = 0.0  # constant after the transform, in the last block of both
+    x[40, 0] = 20.0
+    y, cache = _assert_matches_oracle(layer, x)
+    xh, codes, sigma = cache["xh"], cache["codes"], cache["sigma"]
+    assert np.ptp(xh[40]) == 0.0 and sigma[40] == 0.0
+    live = sigma > 0
+    assert live.sum() == t - 3
+    mean, std = xh.mean(axis=1), xh.std(axis=1)
+    np.testing.assert_array_equal(sigma[live], std[live])
+    np.testing.assert_array_equal(cache["mu"], mean if center else 0.0)
+    z = (xh - mean[:, None] if center else xh)[live] / std[live, None]
+    np.testing.assert_array_equal(codes[live], np.searchsorted(cb.thresholds, z))
+    assert (codes[~live] == len(cb.levels) // 2).all()
+    assert not y[2].any()
+
+
+def test_forward_transient_memory_stays_within_the_design_arrays():
+    import tracemalloc
+
+    t, in_dim, out_dim, rank = 64, 128, 4096, 1
+    rng = np.random.default_rng(36)
+    layer = _random_layer(rng, in_dim, out_dim, rank, uniform_gauss_codebook(4))
+    x = rng.standard_normal((t, in_dim))
+    forward(layer, x)  # builds the cached float32 operand
+    tracemalloc.start()
+    try:
+        y, cache = forward_with_cache(layer, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    transient = peak - y.nbytes - sum(a.nbytes for a in cache.values())
+    # The float32 code product and codes, one float64 scratch block of
+    # rows, the two (r + 1)-column factors of the rank-(r + 1) GEMM, and
+    # numpy's buffer for casting the float32 rows into the scratch block.
+    bound = (4 * t * out_dim + 4 * t * in_dim + 8 * (_BLOCK_ENTRIES // out_dim) * out_dim
+             + 8 * (t + out_dim) * (rank + 1) + 8 * np.getbufsize())
+    assert bound < 8 * t * out_dim  # leaves no room for a T x out_dim float64 array
+    assert transient <= bound
 
 
 @st.composite

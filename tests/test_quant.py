@@ -511,6 +511,13 @@ def test_load_codebook_malformed_is_format_error(tmp_path, text):
         load_codebook(path)
 
 
+def test_load_codebook_non_utf8_is_format_error(tmp_path):
+    path = tmp_path / "cb.csv"
+    path.write_bytes(_GOOD_CSV.replace("0.8,\n", "0.8\xe9,\n").encode("latin-1"))
+    with pytest.raises(FormatError, match="cb.csv"):
+        load_codebook(path)
+
+
 @pytest.mark.parametrize("maker,bits", [(lloyd_max, 3), (uniform_gauss_codebook, 4)])
 def test_codebook_csv_roundtrip(tmp_path, maker, bits):
     cb = maker(bits)

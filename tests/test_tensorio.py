@@ -134,6 +134,13 @@ def test_sensitivity_unparsable_field_is_format_error(tmp_path, text, match):
         load_sensitivity(path)
 
 
+def test_sensitivity_non_utf8_is_format_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes("layer,flops_weight,fixed_bits,dL@1\ncaf\xe9,1.0,,0.5\n".encode("latin-1"))
+    with pytest.raises(FormatError, match="bad.csv"):
+        load_sensitivity(path)
+
+
 def test_sensitivity_bits_validation():
     with pytest.raises(ValidationError):
         SensitivityTable([LayerSpec("a")], [2, 1], np.array([[0.1, 0.2]]))
