@@ -1,14 +1,19 @@
 """Activation bit-width allocation under a FLOPs-weighted average-bit budget.
 
-The discretized dynamic program scales each layer's FLOPs share to integer
-cost units (resolution beta), then minimizes the summed loss gaps over
-states [layer x accumulated cost], recovering the assignment by backtracking.
-Layers with ``fixed_bits`` set are excluded from the optimization and from
-its budget; they re-enter only in the whole-network average.
+``dp_allocate`` is exact on the continuous budget sum(w_l * b_l) <= target *
+W_dp, up to the relative 1e-12 that the brute-force oracle also allows. It
+is the dominance DP for the multiple-choice knapsack (Kellerer, Pferschy &
+Pisinger, *Knapsack Problems*, 2004, ch. 11); the paper's DP rounds each
+cost to units of W_dp / beta and so solves a looser budget. Layers with
+``fixed_bits`` set are excluded from the optimization and from its budget;
+they re-enter only in the whole-network average.
 
-A brute-force enumerator over the continuous budget serves as the oracle.
-Ties are broken toward the lower bit-width, then the lower layer index, so
-outputs are deterministic.
+Ties: each layer's candidates are ordered by (cost, loss, index), index =
+parent position * len(bit_set) + width position, and one survives only if
+its loss is strictly below every earlier one's. So of two assignments with
+equal loss the cheaper is returned; at equal cost too, the one whose prefix
+sat earlier (cheaper) on the previous frontier, then the lower last width.
+The oracle breaks ties toward lower widths, then lower layer indices.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ BRUTE_FORCE_MAX_LAYERS = 12
 
 @dataclass
 class AllocationProblem:
+    """``beta`` has no effect: the allocator is exact and has no resolution.
+    It is still accepted because existing callers pass or read it."""
+
     table: SensitivityTable
     target_avg_bits: float
     beta: int = 1000
@@ -35,8 +43,8 @@ class AllocationProblem:
 
     def __post_init__(self):
         self.bit_set = tuple(sorted(self.bit_set))
-        if self.beta < 10:
-            raise ValidationError(f"beta must be >= 10, got {self.beta}")
+        if not math.isfinite(self.target_avg_bits):
+            raise ValidationError(f"target_avg_bits must be finite, got {self.target_avg_bits}")
         if not self.bit_set:
             raise ValidationError("bit_set must be nonempty")
         missing = [b for b in self.bit_set if b not in self.table.bits]
@@ -56,7 +64,6 @@ class Allocation:
     achieved_avg_bits: float
     predicted_loss: float
     target_avg_bits: float = 0.0
-    beta: int = 0
 
 
 def _split_layers(table: SensitivityTable):
@@ -85,68 +92,63 @@ def _finish(problem: AllocationProblem, chosen: dict[int, int]) -> Allocation:
         achieved_avg_bits=achieved,
         predicted_loss=loss,
         target_avg_bits=problem.target_avg_bits,
-        beta=problem.beta,
+    )
+
+
+def _infeasible(problem: AllocationProblem) -> InfeasibleError:
+    least = problem.bit_set[0]
+    return InfeasibleError(
+        f"budget {problem.target_avg_bits} infeasible; minimum achievable average is {least} bits",
+        min_achievable=float(least),
     )
 
 
 def dp_allocate(problem: AllocationProblem) -> Allocation:
-    """Minimize the summed loss gaps under the discretized budget.
+    """Minimize the summed loss gaps under the exact budget.
 
-    Layer costs are dw_l = floor(beta * w_l / W_dp) units and the budget is
-    B = floor(beta * target) units; DP[l][w] is the minimal cumulative loss
-    after the first l layers at accumulated cost w, with DP[0][0] = 0. The
-    answer is read at argmin over w <= B and recovered by backtracking.
+    The frontier holds the surviving (cost, loss) pairs of partial
+    assignments, by rising cost and strictly falling loss. A candidate is
+    also dropped when the minimum width on the remaining layers would not
+    fit. The last pair of the final frontier is the optimum.
     """
     table = problem.table
     dp_idx, _ = _split_layers(table)
     if not dp_idx:
         return _finish(problem, {})
-    beta = problem.beta
     bit_set = problem.bit_set
-    w_dp = sum(table.layers[i].flops_weight for i in dp_idx)
+    widths = np.array(bit_set, dtype=np.float64)
+    weights = np.array([table.layers[i].flops_weight for i in dp_idx])
+    w_dp = sum(weights.tolist())  # in the oracle's order, so both see one budget
     if w_dp <= 0:
         raise ValidationError("total FLOPs weight of optimized layers must be positive")
-    dw = [int(math.floor(beta * table.layers[i].flops_weight / w_dp)) for i in dp_idx]
-    budget = int(math.floor(beta * problem.target_avg_bits))
-    min_cost = sum(d * bit_set[0] for d in dw)
-    if problem.target_avg_bits < bit_set[0] or min_cost > budget:
-        raise InfeasibleError(
-            f"budget {problem.target_avg_bits} infeasible; minimum achievable "
-            f"average is {bit_set[0]} bits",
-            min_achievable=float(bit_set[0]),
-        )
+    gaps = table.delta_loss[np.ix_(dp_idx, [table.bits.index(b) for b in bit_set])]
+    budget = problem.target_avg_bits * w_dp * (1.0 + 1e-12)
+    rest = np.append(np.cumsum(weights[::-1])[::-1][1:], 0.0) * widths[0]
 
-    n = len(dp_idx)
-    cost = np.full((n + 1, budget + 1), np.inf)
-    cost[0, 0] = 0.0
-    choice = np.full((n + 1, budget + 1), -1, dtype=np.int64)  # bit index taken
-    prev_w = np.full((n + 1, budget + 1), -1, dtype=np.int64)
-    for step, layer_idx in enumerate(dp_idx, start=1):
-        d = dw[step - 1]
-        for k, b in enumerate(bit_set):  # ascending: strict < keeps the lower width
-            add = d * b
-            if add > budget:
-                continue
-            cand = cost[step - 1, : budget + 1 - add] + _gap(table, layer_idx, b)
-            region = cost[step, add:]
-            better = cand < region
-            region[better] = cand[better]
-            choice[step, add:][better] = k
-            prev_w[step, add:][better] = np.nonzero(better)[0]
-    final = cost[n]
-    if not np.isfinite(final).any():
-        raise InfeasibleError(
-            "no assignment fits the discretized budget",
-            min_achievable=float(bit_set[0]),
-        )
-    w_star = int(np.argmin(final))  # first minimum: lowest accumulated cost wins ties
+    cost, loss = np.zeros(1), np.zeros(1)
+    parents = []  # per layer: the kept candidates' indices, parent * len(bit_set) + width
+    for step in range(len(dp_idx)):
+        cand_cost = (cost[:, None] + weights[step] * widths).ravel()
+        cand_loss = (loss[:, None] + gaps[step]).ravel()
+        fits = np.flatnonzero(cand_cost + rest[step] <= budget)
+        if not fits.size:
+            raise _infeasible(problem)
+        # The stable sort keeps equal costs in index order; of the pairs that beat all
+        # before them, the last of an equal-cost run is the (cost, loss, index) survivor.
+        order = fits[np.argsort(cand_cost[fits], kind="stable")]
+        sorted_loss = cand_loss[order]
+        best_before = np.minimum.accumulate(np.concatenate(([np.inf], sorted_loss[:-1])))
+        kept = order[sorted_loss < best_before]
+        kept_cost = cand_cost[kept]
+        kept = kept[np.append(kept_cost[1:] != kept_cost[:-1], True)]
+        cost, loss = cand_cost[kept], cand_loss[kept]
+        parents.append(kept)
 
     chosen: dict[int, int] = {}
-    w = w_star
-    for step in range(n, 0, -1):
-        k = int(choice[step, w])
-        chosen[dp_idx[step - 1]] = bit_set[k]
-        w = int(prev_w[step, w])
+    pos = len(cost) - 1
+    for step in range(len(dp_idx) - 1, -1, -1):
+        pos, k = divmod(int(parents[step][pos]), len(bit_set))
+        chosen[dp_idx[step]] = bit_set[k]
     return _finish(problem, chosen)
 
 
@@ -154,8 +156,8 @@ def brute_force_allocate(problem: AllocationProblem) -> Allocation:
     """Exact optimum of the continuous-budget problem by full enumeration.
 
     The test oracle for ``dp_allocate``: all |bit_set|^L assignments are
-    scored against the undiscretized constraint
-    sum(w_l * b_l) / W_dp <= target. Bounded to 12 optimized layers.
+    scored against the same constraint sum(w_l * b_l) <= target * W_dp,
+    up to a relative 1e-12. Bounded to 12 optimized layers.
     """
     table = problem.table
     dp_idx, _ = _split_layers(table)
@@ -180,11 +182,7 @@ def brute_force_allocate(problem: AllocationProblem) -> Allocation:
         if loss < best_loss:
             best_loss, best = loss, assign
     if best is None:
-        raise InfeasibleError(
-            f"budget {problem.target_avg_bits} infeasible; minimum achievable "
-            f"average is {problem.bit_set[0]} bits",
-            min_achievable=float(problem.bit_set[0]),
-        )
+        raise _infeasible(problem)
     return _finish(problem, dict(zip(dp_idx, best)))
 
 

@@ -183,14 +183,11 @@ def cmd_profile(args) -> int:
 def cmd_allocate(args) -> int:
     table = tensorio.load_sensitivity(args.sensitivity)
     bit_set = tuple(int(b) for b in args.bits.split(","))
-    problem = allocator.AllocationProblem(
-        table=table, target_avg_bits=args.target, beta=args.beta, bit_set=bit_set
-    )
+    problem = allocator.AllocationProblem(table, args.target, bit_set=bit_set)
     alloc = allocator.dp_allocate(problem)
-    slack = max(bit_set) / args.beta
     _check(
-        alloc.achieved_avg_bits <= args.target + slack,
-        f"achieved {alloc.achieved_avg_bits} exceeds target {args.target} + {slack}",
+        alloc.achieved_avg_bits <= args.target * (1.0 + 1e-12),
+        f"achieved {alloc.achieved_avg_bits} exceeds target {args.target}",
     )
     _write_json(
         {
@@ -198,7 +195,6 @@ def cmd_allocate(args) -> int:
             "achieved_avg_bits": alloc.achieved_avg_bits,
             "predicted_loss": alloc.predicted_loss,
             "target_avg_bits": args.target,
-            "beta": args.beta,
             "whole_network_avg_bits": allocator.achieved_average(alloc, table),
         },
         args.out,
@@ -295,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("allocate", help="DP bit allocation from a sensitivity CSV")
     p.add_argument("--sensitivity", required=True)
     p.add_argument("--target", type=float, required=True)
-    p.add_argument("--beta", type=int, default=1000)
     p.add_argument("--bits", default="1,2,3,4")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_allocate)

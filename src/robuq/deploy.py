@@ -112,16 +112,21 @@ class FlopsConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "FlopsConfig":
-        payload = json.loads(text)
-        entries = [
-            FlopsEntry(
-                name=e["name"],
-                fp_gflops=float(e["fp_gflops"]),
-                w_bits=e.get("w_bits", 32),
-                a_bits=int(e.get("a_bits", 32)),
-            )
-            for e in payload["entries"]
-        ]
+        """Parse ``{"entries": [{"name", "fp_gflops", "w_bits", "a_bits"}, ...]}``;
+        raises FormatError on text of any other shape."""
+        try:
+            payload = json.loads(text)
+            entries = [
+                FlopsEntry(
+                    name=e["name"],
+                    fp_gflops=float(e["fp_gflops"]),
+                    w_bits=e.get("w_bits", 32),
+                    a_bits=int(e.get("a_bits", 32)),
+                )
+                for e in payload["entries"]
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"malformed FLOPs config: {exc!r}") from exc
         return cls(entries=entries)
 
     def to_json(self) -> str:

@@ -225,6 +225,8 @@ class GaussCodebook:
         still exact.
         """
         z = np.asarray(z)
+        if z.ndim == 0:  # arithmetic on a 0-d array yields scalars, which out= rejects
+            return self._encode_into(z.reshape(1), np.empty(1, dtype=np.intp)).reshape(())
         return self._encode_into(z, np.empty(z.shape, dtype=np.intp))
 
     def _encode_into(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:

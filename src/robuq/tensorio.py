@@ -9,6 +9,7 @@ human-auditable, so they travel as CSV.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -74,8 +75,8 @@ class LayerSpec:
     fixed_bits: int | None = None
 
     def __post_init__(self):
-        if self.flops_weight < 0:
-            raise ValidationError(f"layer {self.name}: flops_weight must be >= 0")
+        if not 0 <= self.flops_weight < math.inf:
+            raise ValidationError(f"layer {self.name}: flops_weight must be finite and >= 0")
         if self.fixed_bits is not None and not (1 <= self.fixed_bits <= 8 or self.fixed_bits == 32):
             raise ValidationError(f"layer {self.name}: fixed_bits must be in 1..8 or 32")
 
@@ -105,6 +106,11 @@ class SensitivityTable:
             )
         if not np.all(np.isfinite(self.delta_loss)):
             raise ValidationError("delta_loss contains NaN or Inf")
+        seen = set()
+        for layer in self.layers:
+            if layer.name in seen:
+                raise ValidationError(f"duplicate layer name {layer.name!r}")
+            seen.add(layer.name)
 
     def gap(self, layer_name: str, bits: int) -> float:
         i = next(i for i, l in enumerate(self.layers) if l.name == layer_name)
@@ -164,7 +170,10 @@ def load_sensitivity(path) -> SensitivityTable:
             fixed = None if len(row) < 3 or row[2].strip() == "" else int(row[2])
         except ValueError as exc:
             raise FormatError(f"{path}: layer {name!r} has unparsable fixed_bits: {row[2]!r}") from exc
-        layers.append(LayerSpec(name=name, flops_weight=weight, fixed_bits=fixed))
+        try:
+            layers.append(LayerSpec(name=name, flops_weight=weight, fixed_bits=fixed))
+        except ValidationError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
         cells = []
         for b, j in bit_cols:
             if j >= len(row) or row[j].strip() == "":
@@ -174,4 +183,7 @@ def load_sensitivity(path) -> SensitivityTable:
             except ValueError as exc:
                 raise FormatError(f"{path}: layer {name!r} has unparsable dL@{b}: {row[j]!r}") from exc
         gaps.append(cells)
-    return SensitivityTable(layers=layers, bits=bits, delta_loss=np.array(gaps, dtype=np.float64))
+    try:
+        return SensitivityTable(layers=layers, bits=bits, delta_loss=np.array(gaps, dtype=np.float64))
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robuq.allocator import (
     AllocationProblem,
@@ -57,8 +61,8 @@ def test_dp_matches_brute_force_on_permille_instances():
 
 
 def test_dp_never_beats_continuous_budget_unfairly():
-    # Floor discretization relaxes the budget, so the DP objective can only
-    # be <= the continuous brute-force optimum; the gap closes as beta grows.
+    # beta no longer changes the solve: the DP is exact on the continuous
+    # budget, so every gap is 0 and the three totals are equal.
     rng = np.random.default_rng(5)
     gap_by_beta = {}
     for beta in (10, 1000, 100000):
@@ -170,3 +174,36 @@ def test_bits_missing_from_table_rejected():
     t = _table([[1, 0.5]], bits=(1, 2))
     with pytest.raises(ValidationError):
         AllocationProblem(t, 2.0, bit_set=(1, 2, 3))
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf])
+def test_non_finite_target_rejected(target):
+    t = _table([[1, 0.5, 0.2, 0.1]])
+    with pytest.raises(ValidationError, match="target"):
+        AllocationProblem(t, target)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_dp_matches_brute_force_property(data):
+    bit_set = data.draw(st.sampled_from([(1, 2, 3, 4), (2, 4), (1, 3), (2, 3, 4), (4,)]))
+    n = data.draw(st.integers(1, 6))
+    weights = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    fixed = data.draw(st.lists(st.sampled_from([None, None, None, 2, 8]), min_size=n, max_size=n))
+    # a coarse grid of gap values makes ties between assignments common
+    cell = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5]))
+    gaps = [data.draw(st.lists(cell, min_size=len(bit_set), max_size=len(bit_set)))
+            for _ in range(n)]
+    target = data.draw(st.floats(min(bit_set), max(bit_set)))
+    problem = AllocationProblem(_table(gaps, weights, fixed, bits=bit_set), target,
+                                bit_set=bit_set)
+    dp, bf = dp_allocate(problem), brute_force_allocate(problem)
+    assert abs(dp.predicted_loss - bf.predicted_loss) <= 1e-12
+    assert dp.achieved_avg_bits <= target * (1.0 + 1e-12)
+
+
+def test_dit_sized_table_keeps_the_budget(dit_like_table):
+    for seed in range(3):
+        alloc = dp_allocate(AllocationProblem(dit_like_table(seed), 2.0))
+        assert alloc.achieved_avg_bits <= 2.0 * (1.0 + 1e-12)
+        assert len(alloc.bits_per_layer) == 112

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from robuq import cli
-from robuq.tensorio import load_matrix, save_matrix
+from robuq.tensorio import load_matrix, save_matrix, save_sensitivity
 
 
 @pytest.fixture()
@@ -131,6 +131,44 @@ def test_allocate_single_layer_max_bits(tmp_path):
     assert alloc["achieved_avg_bits"] == 4.0
 
 
+def test_allocate_dit_sized_table_keeps_the_budget(tmp_path, dit_like_table):
+    csv, out = tmp_path / "s.csv", tmp_path / "alloc.json"
+    save_sensitivity(dit_like_table(0), csv)
+    assert cli.main(["allocate", "--sensitivity", str(csv), "--target", "2.0",
+                     "--out", str(out)]) == 0
+    alloc = json.loads(out.read_text())
+    assert len(alloc["bits_per_layer"]) == 112
+    assert alloc["achieved_avg_bits"] <= 2.0 * (1.0 + 1e-12)
+    assert "beta" not in alloc
+
+
+def test_allocate_rejects_beta_flag(tmp_path, capsys):
+    csv = tmp_path / "s.csv"
+    csv.write_text("layer,flops_weight,fixed_bits,dL@1\nfc0,1.0,,0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["allocate", "--sensitivity", str(csv), "--target", "1", "--beta", "1000"])
+    assert exc.value.code == 2
+    assert "--beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows,target,names",
+    [("a,1.0,,0.9,0.5\na,1.0,,0.8,0.4\n", "2", ("s.csv", "'a'")),
+     ("fc0,nan,,0.9,0.5\n", "2", ("s.csv", "fc0", "flops_weight")),
+     ("fc0,inf,,0.9,0.5\n", "2", ("s.csv", "fc0", "flops_weight")),
+     ("fc0,1.0,,0.9,0.5\n", "nan", ("target",))],
+    ids=["duplicate_layer", "nan_weight", "inf_weight", "nan_target"],
+)
+def test_allocate_bad_input_is_a_usage_error(tmp_path, capsys, rows, target, names):
+    csv = tmp_path / "s.csv"
+    csv.write_text("layer,flops_weight,fixed_bits,dL@1,dL@2\n" + rows)
+    assert cli.main(["allocate", "--sensitivity", str(csv), "--target", target,
+                     "--bits", "1,2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("robuq: error:")
+    assert all(name in err for name in names), err
+
+
 def test_pack_roundtrip_cli(tmp_path, rbq):
     rng = np.random.default_rng(4)
     values = rng.integers(-1, 2, size=(10, 15)).astype(np.float32)
@@ -216,3 +254,16 @@ def test_hadamard_report_has_oracle_residual(tmp_path, rbq):
     assert cli.main(["hadamard", "--in", src, "--out", str(tmp_path / "y.rbq"),
                      "--report", str(report)]) == 0
     assert json.loads(report.read_text())["oracle_residual"] < 1e-6
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"entries": [{"fp_gflops": 1}]}', "[1]",
+     '{"entries": [{"name": "x", "fp_gflops": 1, "a_bits": [4]}]}'],
+    ids=["missing_name", "not_an_object", "list_a_bits"],
+)
+def test_flops_malformed_config_is_a_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["flops", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("robuq: error:")

@@ -204,3 +204,14 @@ def test_config_json_roundtrip():
     assert model_flops(back) == model_flops(cfg)
     payload = json.loads(cfg.to_json())
     assert {e["name"] for e in payload["entries"]} == {e.name for e in cfg.entries}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"entries": [{"fp_gflops": 1}]}', "[1]",
+     '{"entries": [{"name": "x", "fp_gflops": 1, "a_bits": [4]}]}'],
+    ids=["missing_name", "not_an_object", "list_a_bits"],
+)
+def test_malformed_config_is_format_error(text):
+    with pytest.raises(FormatError):
+        FlopsConfig.from_json(text)

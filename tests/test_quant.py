@@ -530,3 +530,12 @@ def test_codebook_csv_roundtrip(tmp_path, maker, bits):
     np.testing.assert_array_equal(back.levels, cb.levels)
     np.testing.assert_array_equal(back.thresholds, cb.thresholds)
     assert back.expected_mse == cb.expected_mse
+
+
+@pytest.mark.parametrize("maker", [uniform_gauss_codebook, lloyd_max])
+@pytest.mark.parametrize("z", [0.3, -5.0, 0.0, np.float64(1.7), np.array(-0.2)])
+def test_encode_scalar_is_searchsorted(maker, z):
+    cb = maker(4)
+    code = cb.encode(z)
+    assert np.shape(code) == ()
+    assert int(code) == int(np.searchsorted(cb.thresholds, z))

@@ -124,8 +124,11 @@ def test_sensitivity_missing_cell(tmp_path):
         ("layer,flops_weight,fixed_bits,dL@x\nfc0,1.0,,0.5\n", r"bad\.csv.*'dL@x'"),
         ("layer,flops_weight,fixed_bits,dL@1\nfc0,heavy,,0.5\n", r"bad\.csv.*'fc0'.*flops_weight"),
         ("layer,flops_weight,fixed_bits,dL@1\nfc0,1.0,2.5,0.5\n", r"bad\.csv.*'fc0'.*fixed_bits"),
+        ("layer,flops_weight,fixed_bits,dL@1\nfc0,nan,,0.5\n", r"bad\.csv.*fc0.*flops_weight"),
+        ("layer,flops_weight,fixed_bits,dL@1\nfc0,inf,,0.5\n", r"bad\.csv.*fc0.*flops_weight"),
+        ("layer,flops_weight,fixed_bits,dL@1\nfc0,-inf,,0.5\n", r"bad\.csv.*fc0.*flops_weight"),
     ],
-    ids=["bits_header", "flops_weight", "fixed_bits"],
+    ids=["bits_header", "flops_weight", "fixed_bits", "nan_weight", "inf_weight", "neg_inf_weight"],
 )
 def test_sensitivity_unparsable_field_is_format_error(tmp_path, text, match):
     path = tmp_path / "bad.csv"
@@ -146,3 +149,21 @@ def test_sensitivity_bits_validation():
         SensitivityTable([LayerSpec("a")], [2, 1], np.array([[0.1, 0.2]]))
     with pytest.raises(ValidationError):
         SensitivityTable([LayerSpec("a")], [], np.zeros((1, 0)))
+
+
+def test_sensitivity_table_rejects_duplicate_layer_names():
+    with pytest.raises(ValidationError, match="'a'"):
+        SensitivityTable([LayerSpec("a"), LayerSpec("a")], [1, 2], np.zeros((2, 2)))
+
+
+def test_sensitivity_duplicate_layer_is_format_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("layer,flops_weight,fixed_bits,dL@1\na,1.0,,0.5\na,1.0,,0.4\n")
+    with pytest.raises(FormatError, match=r"bad\.csv.*'a'"):
+        load_sensitivity(path)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_layer_spec_rejects_non_finite_weight(weight):
+    with pytest.raises(ValidationError, match="fc0.*flops_weight"):
+        LayerSpec("fc0", flops_weight=weight)
