@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import allocator, deploy, gaussanalysis, hadamard, lowrank, profiler, quant, tensorio
-from .errors import RobuqError
+from .errors import RobuqError, ValidationError
 
 DEFAULT_SEED = 42
 
@@ -41,6 +41,17 @@ def _write_json(payload: dict, path: str | None) -> None:
         Path(path).write_text(text + "\n")
     else:
         print(text)
+
+
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    """Parse a comma-separated integer list given to ``flag``."""
+    items = []
+    for item in text.split(","):
+        try:
+            items.append(int(item))
+        except ValueError:
+            raise ValidationError(f"{flag}: {item!r} is not an integer") from None
+    return tuple(items)
 
 
 def _seed(args) -> int:
@@ -159,8 +170,8 @@ def cmd_gauss_report(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    widths = tuple(int(w) for w in args.widths.split(","))
-    bits = tuple(int(b) for b in args.bits.split(","))
+    widths = _int_list(args.widths, "--widths")
+    bits = _int_list(args.bits, "--bits")
     seed = _seed(args)
     model = profiler.make_toy_model(widths, seed=seed)
     data = profiler.make_toy_data(widths[0], seed=seed)
@@ -182,7 +193,7 @@ def cmd_profile(args) -> int:
 
 def cmd_allocate(args) -> int:
     table = tensorio.load_sensitivity(args.sensitivity)
-    bit_set = tuple(int(b) for b in args.bits.split(","))
+    bit_set = _int_list(args.bits, "--bits")
     problem = allocator.AllocationProblem(table, args.target, bit_set=bit_set)
     alloc = allocator.dp_allocate(problem)
     _check(

@@ -15,11 +15,25 @@ residual is re-ternarized from that shadow every step, and the
 straight-through backward. Both quantizers backpropagate as identity; the
 low-rank factors and everything outside a quantizer receive exact
 chain-rule gradients, which is what the finite-difference checks pin down.
+
+Each step does only the work it uses. ``ToyModel.loss`` runs the deployed
+forward alone and forms none of the straight-through arrays, and
+``loss_and_grads`` stops its backward at the lowest trainable layer.
+``_train`` copies the trainable arrays into one contiguous float64 buffer
+and rebinds each layer's ``weight``, ``A`` and ``B`` to views of it, each in
+its own memory order, so the optimizer updates every parameter with one
+pass of in-place numpy operations per step (the flat-buffer form of a
+multi-tensor optimizer). The layers keep those views after training. Every
+element sees the same floating-point operations in the same order as in a
+per-array update, and every GEMM sees the same operand layouts, so the
+trained parameters and losses are bitwise those of the per-array loop.
 """
 
 from __future__ import annotations
 
 import copy as _copy
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +61,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValidationError("steps must be >= 0")
+        integral = isinstance(self.batch, numbers.Integral) and not isinstance(self.batch, bool)
+        if not integral or self.batch < 1:
+            raise ValidationError(f"batch must be an integer >= 1, got {self.batch!r}")
+        if not (isinstance(self.learning_rate, numbers.Real)
+                and math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
 
@@ -106,9 +127,17 @@ class ToyLayer:
             out["B"] = self.qlayer.branch.B
         return out
 
-    def forward(self, x: np.ndarray, frozen: dict | None = None):
-        """Returns (y, cache). The residual of the live weight against the
-        anchor is re-ternarized on every call. ``frozen`` pins the quantizer
+    def bind(self, params: dict[str, np.ndarray]) -> None:
+        """Point the trainable arrays named as in ``params()`` at new arrays
+        holding the same values (``_train`` passes views of its buffer)."""
+        self.weight = params["weight"]
+        if self.rank:
+            self.qlayer.branch.A, self.qlayer.branch.B = params["A"], params["B"]
+
+    def deployed_forward(self, x: np.ndarray, frozen: dict | None = None):
+        """Returns (y, cache) of the deployed layer alone: the dense product,
+        or ``forward_with_cache`` after the residual of the live weight
+        against the anchor is re-ternarized. ``frozen`` pins the quantizer
         decisions of a reference forward (ternary values, activation codes
         and statistics), leaving only the smooth parts live; used by
         gradient oracles."""
@@ -122,7 +151,15 @@ class ToyLayer:
         else:
             q.wq = TernaryWeights(values=frozen["values"], alpha=float(np.mean(np.abs(residual))))
             tokens = (frozen["codes"], frozen["mu"], frozen["sigma"])
-        y, cache = forward_with_cache(q, x, tokens)
+        return forward_with_cache(q, x, tokens)
+
+    def forward(self, x: np.ndarray, frozen: dict | None = None):
+        """Returns (y, cache): ``deployed_forward`` plus, on a quantized
+        layer, what the straight-through backward reads."""
+        y, cache = self.deployed_forward(x, frozen)
+        if not self.quantized:
+            return y, cache
+        q = self.qlayer
         # The straight-through backward needs the dequantized activations
         # and the dense ternary weight, which the forward never forms.
         deq = cache["sigma"][:, None] * q.codebook.levels[cache["codes"]]
@@ -193,18 +230,26 @@ class ToyModel:
         return h, caches
 
     def loss(self, x: np.ndarray, frozen: list[dict | None] | None = None) -> float:
-        y, _ = self.forward(x, frozen)
+        """Mean squared error against the teacher, bitwise equal to that of
+        ``forward``'s output. Each layer runs only its deployed forward, so
+        no straight-through array is formed; nothing backpropagates here."""
+        h = x
+        for i, layer in enumerate(self.layers):
+            h, _ = layer.deployed_forward(h, None if frozen is None else frozen[i])
         t = self.target(x)
-        return float(np.mean((y - t) ** 2))
+        return float(np.mean((h - t) ** 2))
 
     def loss_and_grads(self, x: np.ndarray, trainable: set[int]):
+        """Loss and the gradients of the ``trainable`` layers; the backward
+        stops at the lowest of them, since nothing below it is updated."""
         y, caches = self.forward(x)
         t = self.target(x)
         diff = y - t
         loss = float(np.mean(diff**2))
         gy = (2.0 / diff.size) * diff
         grads: dict[int, dict[str, np.ndarray]] = {}
-        for i in range(len(self.layers) - 1, -1, -1):
+        lowest = min(trainable, default=len(self.layers))
+        for i in range(len(self.layers) - 1, lowest - 1, -1):
             layer_grads, gy = self.layers[i].backward(gy, caches[i])
             if i in trainable:
                 grads[i] = layer_grads
@@ -252,53 +297,93 @@ def make_toy_data(in_dim: int, seed: int = 0, pool: int = 1000) -> ToyData:
 
 
 class _Adam:
-    def __init__(self, lr: float):
+    """Adam over one flat float64 parameter buffer.
+
+    ``step`` updates ``params`` in place and uses ``grad`` as scratch. Each
+    element goes through the textbook per-array formulas in their order,
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= (lr*(m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps),
+    so the result is bitwise that of updating each array on its own.
+    """
+
+    def __init__(self, lr: float, size: int):
         self.lr = lr
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.scratch = np.empty(size)
         self.t = 0
         self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
 
-    def step(self, params: dict, grads: dict) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        for key, g in grads.items():
-            if key not in self.m:
-                self.m[key] = np.zeros_like(g)
-                self.v[key] = np.zeros_like(g)
-            self.m[key] = self.b1 * self.m[key] + (1 - self.b1) * g
-            self.v[key] = self.b2 * self.v[key] + (1 - self.b2) * g * g
-            mhat = self.m[key] / (1 - self.b1**self.t)
-            vhat = self.v[key] / (1 - self.b2**self.t)
-            params[key] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        m, v, s = self.m, self.v, self.scratch
+        np.multiply(grad, 1 - self.b2, out=s)
+        s *= grad
+        v *= self.b2
+        v += s
+        grad *= 1 - self.b1
+        m *= self.b1
+        m += grad
+        np.divide(v, 1 - self.b2**self.t, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        np.divide(m, 1 - self.b1**self.t, out=grad)
+        grad *= self.lr
+        grad /= s
+        params -= grad
 
 
 class _Sgd:
+    """Plain SGD over one flat buffer: p -= lr*g, with ``grad`` as scratch."""
+
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, params: dict, grads: dict) -> None:
-        for key, g in grads.items():
-            params[key] -= self.lr * g
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        grad *= self.lr
+        params -= grad
 
 
-def _make_optimizer(config: TrainConfig):
-    return _Adam(config.learning_rate) if config.optimizer == "adam" else _Sgd(config.learning_rate)
+def _make_optimizer(config: TrainConfig, size: int):
+    if config.optimizer == "adam":
+        return _Adam(config.learning_rate, size)
+    return _Sgd(config.learning_rate)
 
 
 def _train(model: ToyModel, data: ToyData, trainable: set[int],
            config: TrainConfig, rng: np.random.Generator) -> None:
+    """``config.steps`` optimizer steps on the ``trainable`` layers.
+
+    The trainable arrays are copied into one contiguous float64 buffer and
+    each layer is rebound to views of it (``ToyLayer.bind``); the layers
+    keep those views afterwards. A view keeps its array's memory order (B
+    from ``init_layer`` is Fortran-ordered), since BLAS may round a product
+    differently when an operand's layout changes. Every step writes the
+    gradients into a second flat buffer, each in its parameter's order,
+    with one ``np.concatenate`` and updates the whole buffer in place,
+    bitwise as a per-array update would.
+    """
     if config.steps == 0 or not trainable:
         return
-    opt = _make_optimizer(config)
-    flat_params = {}
-    for i in trainable:
+    slots = []  # (layer index, name, array, memory order)
+    for i in sorted(trainable):
         for name, arr in model.layers[i].params().items():
-            flat_params[(i, name)] = arr
+            slots.append((i, name, arr, "F" if arr.flags.f_contiguous else "C"))
+    flat = np.concatenate([arr.ravel(order) for _, _, arr, order in slots])
+    views: dict[int, dict[str, np.ndarray]] = {}
+    offset = 0
+    for i, name, arr, order in slots:
+        views.setdefault(i, {})[name] = flat[offset:offset + arr.size].reshape(arr.shape, order=order)
+        offset += arr.size
+    for i, layer_views in views.items():
+        model.layers[i].bind(layer_views)
+    grad = np.empty_like(flat)
+    opt = _make_optimizer(config, flat.size)
     for _ in range(config.steps):
         x = data.train_batch(rng, config.batch)
         _, grads = model.loss_and_grads(x, trainable)
-        flat_grads = {(i, n): g for i, layer_grads in grads.items() for n, g in layer_grads.items()}
-        opt.step(flat_params, flat_grads)
+        np.concatenate([grads[i][name].ravel(order) for i, name, _, order in slots], out=grad)
+        opt.step(flat, grad)
 
 
 def _layer_specs(model: ToyModel) -> list[LayerSpec]:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -267,3 +268,41 @@ def test_flops_malformed_config_is_a_usage_error(tmp_path, capsys, text):
     cfg.write_text(text)
     assert cli.main(["flops", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("robuq: error:")
+
+
+@pytest.mark.parametrize(
+    "flags,field",
+    [(["--batch", "0"], "batch"),
+     (["--batch", "-3"], "batch"),
+     (["--lr", "nan"], "learning_rate"),
+     (["--lr", "inf"], "learning_rate"),
+     (["--lr", "-1"], "learning_rate")],
+    ids=["batch_zero", "batch_negative", "lr_nan", "lr_inf", "lr_negative"],
+)
+def test_profile_bad_training_setting_is_a_usage_error(tmp_path, capsys, flags, field):
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["profile", "--widths", "16,16", "--bits", "2", "--steps", "2",
+                       "--out", str(out)] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("robuq: error:") and field in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag,value,item",
+    [("profile", "--widths", "16,a", "'a'"),
+     ("profile", "--bits", "1,,2", "''"),
+     ("allocate", "--bits", "1,x", "'x'")],
+    ids=["profile_widths", "profile_bits", "allocate_bits"],
+)
+def test_integer_list_flags_name_the_flag_and_the_item(tmp_path, capsys, command, flag, value, item):
+    csv = tmp_path / "s.csv"
+    csv.write_text("layer,flops_weight,fixed_bits,dL@1\nfc0,1.0,,0.5\n")
+    args = {"profile": ["profile", "--out", str(tmp_path / "out.csv")],
+            "allocate": ["allocate", "--sensitivity", str(csv), "--target", "1"]}[command]
+    assert cli.main(args + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("robuq: error:") and flag in err and item in err, err

@@ -261,3 +261,188 @@ def test_rank_zero_layer_trains_only_the_shadow_weight():
     assert set(grads[0]) == {"weight", "A", "B"}
     assert set(grads[1]) == {"weight"}
     assert set(model.layers[1].params()) == {"weight"}
+
+
+# ---------------------------------------------------------------------------
+# Training settings
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [({"batch": 0}, "batch"), ({"batch": -3}, "batch"), ({"batch": 2.0}, "batch"),
+     ({"batch": True}, "batch"), ({"learning_rate": float("nan")}, "learning_rate"),
+     ({"learning_rate": float("inf")}, "learning_rate"), ({"learning_rate": 0.0}, "learning_rate"),
+     ({"learning_rate": -1.0}, "learning_rate")],
+)
+def test_train_config_rejects_bad_batch_and_learning_rate(kwargs, field):
+    from robuq.errors import ValidationError
+
+    with pytest.raises(ValidationError, match=field):
+        TrainConfig(**kwargs)
+
+
+def test_train_config_accepts_integer_types():
+    assert TrainConfig(batch=np.int64(4), learning_rate=1).batch == 4
+
+
+# ---------------------------------------------------------------------------
+# The flat-buffer QAT loop against the per-array reference
+# ---------------------------------------------------------------------------
+
+def _full_backward(model, x, trainable):
+    """Loss and gradients from a backward through every layer."""
+    y, caches = model.forward(x)
+    diff = y - model.target(x)
+    gy = (2.0 / diff.size) * diff
+    grads = {}
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer_grads, gy = model.layers[i].backward(gy, caches[i])
+        if i in trainable:
+            grads[i] = layer_grads
+    return float(np.mean(diff**2)), grads
+
+
+class _ReferenceAdam:
+    """Adam updating one parameter array at a time."""
+
+    def __init__(self, lr):
+        self.lr, self.m, self.v, self.t = lr, {}, {}, 0
+        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
+
+    def step(self, params, grads):
+        self.t += 1
+        for key, g in grads.items():
+            if key not in self.m:
+                self.m[key] = np.zeros_like(g)
+                self.v[key] = np.zeros_like(g)
+            self.m[key] = self.b1 * self.m[key] + (1 - self.b1) * g
+            self.v[key] = self.b2 * self.v[key] + (1 - self.b2) * g * g
+            mhat = self.m[key] / (1 - self.b1**self.t)
+            vhat = self.v[key] / (1 - self.b2**self.t)
+            params[key] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+class _ReferenceSgd:
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, params, grads):
+        for key, g in grads.items():
+            params[key] -= self.lr * g
+
+
+def _reference_train(model, data, trainable, config, rng):
+    opt = (_ReferenceAdam if config.optimizer == "adam" else _ReferenceSgd)(config.learning_rate)
+    params = {(i, n): a for i in trainable for n, a in model.layers[i].params().items()}
+    for _ in range(config.steps):
+        _, grads = _full_backward(model, data.train_batch(rng, config.batch), trainable)
+        opt.step(params, {(i, n): g for i, gs in grads.items() for n, g in gs.items()})
+
+
+@pytest.mark.parametrize("optimizer,lr", [("adam", 1e-3), ("sgd", 1e-2)])
+@pytest.mark.parametrize("rank", [0, 4])
+@pytest.mark.parametrize("trainable", [{0}, {2}, {0, 1, 2}], ids=["first", "last", "all"])
+def test_flat_buffer_training_matches_per_array_reference_bitwise(optimizer, lr, rank, trainable):
+    from robuq.profiler import _train
+
+    model = make_toy_model((32, 24, 32, 16), seed=40)
+    for i in trainable:
+        model.layers[i].enable_quant(2 + i, rank=rank)
+    data = make_toy_data(32, seed=40)
+    config = TrainConfig(steps=6, batch=8, seed=40, optimizer=optimizer, learning_rate=lr)
+    flat, ref = model.copy(), model.copy()
+    _train(flat, data, trainable, config, np.random.default_rng(41))
+    _reference_train(ref, data, trainable, config, np.random.default_rng(41))
+    for i in range(len(model.layers)):
+        got, want = flat.layers[i].params(), ref.layers[i].params()
+        assert list(got) == list(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], strict=True)
+    assert flat.loss(data.val_inputs) == ref.loss(data.val_inputs)
+
+
+def test_training_leaves_layers_on_views_of_one_buffer():
+    from robuq.profiler import _train
+
+    model = make_toy_model((32, 32, 32, 32), seed=42)
+    for layer in model.layers:
+        layer.enable_quant(2, rank=4)
+    frozen_layer = {n: a.copy() for n, a in model.layers[1].params().items()}
+    _train(model, make_toy_data(32, seed=42), {0, 2}, TrainConfig(steps=1, batch=4),
+           np.random.default_rng(0))
+    arrays = [a for i in (0, 2) for a in model.layers[i].params().values()]
+    base = arrays[0].base
+    assert base is not None and all(a.base is base for a in arrays)
+    assert [a.shape for a in arrays] == [(32, 32), (32, 4), (4, 32)] * 2
+    assert all(model.layers[i].qlayer.branch.B.flags.f_contiguous for i in (0, 2))
+    for name, arr in model.layers[1].params().items():
+        assert arr.base is not base
+        np.testing.assert_array_equal(arr, frozen_layer[name])
+
+
+# ---------------------------------------------------------------------------
+# Validation loss and truncated backward
+# ---------------------------------------------------------------------------
+
+def _loss_model():
+    model = make_toy_model((32, 24, 32, 16), seed=43)
+    model.layers[0].enable_quant(3, rank=4)
+    model.layers[2].enable_quant(2, rank=0)
+    return model
+
+
+@pytest.mark.parametrize("use_frozen", [False, True], ids=["live", "frozen"])
+def test_loss_is_mean_squared_forward_error_bitwise(use_frozen):
+    model = _loss_model()
+    x = np.random.default_rng(44).standard_normal((20, 32))
+    frozen = model.snapshots(x) if use_frozen else None
+    y, _ = model.forward(x, frozen)
+    assert model.loss(x, frozen) == float(np.mean((y - model.target(x)) ** 2))
+
+
+@pytest.mark.parametrize("use_frozen", [False, True], ids=["live", "frozen"])
+def test_loss_never_dequantizes(monkeypatch, use_frozen):
+    from robuq.quant import TernaryWeights
+
+    model = _loss_model()
+    x = np.random.default_rng(45).standard_normal((20, 32))
+    frozen = model.snapshots(x) if use_frozen else None
+    expected = model.loss(x, frozen)
+
+    def refuse(self):
+        raise AssertionError("the loss formed a dense ternary weight")
+
+    monkeypatch.setattr(TernaryWeights, "dequantize", refuse)
+    assert model.loss(x, frozen) == expected
+
+
+@pytest.mark.parametrize("trainable", [{2}, {1, 2}])
+def test_truncated_backward_matches_full_backward(trainable):
+    model = _loss_model()
+    model.layers[1].enable_quant(4, rank=2)
+    x = np.random.default_rng(46).standard_normal((12, 32))
+    loss, grads = model.loss_and_grads(x, trainable)
+    ref_loss, ref_grads = _full_backward(model, x, trainable)
+    assert loss == ref_loss and set(grads) == set(ref_grads) == trainable
+    for i in trainable:
+        assert list(grads[i]) == list(ref_grads[i])
+        for name in ref_grads[i]:
+            np.testing.assert_array_equal(grads[i][name], ref_grads[i][name], strict=True)
+
+
+# Recorded before the flat-buffer optimizer with scipy-openblas 0.3.31 on
+# x86-64; a BLAS that rounds its GEMMs differently moves these last bits.
+_SWEEP_LOSSES = {
+    "adam": ("0x1.3c6a8c4dd486dp-1", "0x1.9c975fc1f1cb1p-2"),
+    "sgd": ("0x1.3c6a8c4dd486dp-1", "0x1.31eeeb77120cbp-1"),
+}
+
+
+@pytest.mark.parametrize("optimizer,lr", [("adam", 1e-3), ("sgd", 1e-2)])
+def test_sweep_losses_pinned_bitwise(optimizer, lr):
+    model = make_toy_model((128, 96, 64, 64), seed=31)
+    data = make_toy_data(128, seed=31)
+    config = TrainConfig(steps=0, seed=31, optimizer=optimizer, learning_rate=lr)
+    (row,) = steps_sweep(model, data, (5,), config=config, full_steps=30, rank=8)
+    initial, final = (float.fromhex(h) for h in _SWEEP_LOSSES[optimizer])
+    assert (row["initial_loss"], row["final_loss"]) == (initial, final)
