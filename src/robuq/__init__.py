@@ -39,7 +39,7 @@ from .gaussanalysis import (
     offdiag_cov_bound,
     variance_identity,
 )
-from .hadamard import HadamardPlan, fold_into_weights, fwht, fwht_inplace, hadamard_matrix, transform_tokens
+from .hadamard import HadamardPlan, fold_into_weights, hadamard_matrix, transform_tokens
 from .lowrank import (
     LowRankBranch,
     QuantLinearLayer,
@@ -58,20 +58,14 @@ from .profiler import (
     make_toy_data,
     make_toy_model,
     profile_sensitivity,
-    ste_linear_forward_backward,
     steps_sweep,
-    write_sweep_csv,
 )
 from .quant import (
     GaussCodebook,
     TernaryWeights,
-    UniformAffineQuant,
-    gauss_dequantize_token,
-    gauss_quantize_token,
+    dequantize_codes,
     lloyd_max,
     load_codebook,
-    minmax_dequantize,
-    minmax_quantize,
     quantize_tokens,
     save_codebook,
     ternarize,

@@ -217,11 +217,12 @@ def cmd_pack(args) -> int:
     if args.unpack:
         packed = deploy.load_packed(args.infile)
         values = deploy.unpack_ternary(packed)
-        rows = args.rows or 1
-        if packed.count % rows:
-            raise RobuqError(f"count {packed.count} not divisible by --rows {rows}")
+        if args.rows < 1:
+            raise ValidationError(f"--rows must be >= 1, got {args.rows}")
+        if packed.count % args.rows:
+            raise RobuqError(f"count {packed.count} not divisible by --rows {args.rows}")
         tensorio.save_matrix(
-            values.reshape(rows, -1).astype(np.float32), args.out
+            values.reshape(args.rows, -1).astype(np.float32), args.out
         )
         return 0
     # Pack the float values as loaded so pack_ternary rejects anything off
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--unpack", action="store_true")
-    p.add_argument("--rows", type=int, default=None, help="row count when unpacking to a matrix")
+    p.add_argument("--rows", type=int, default=1, help="row count when unpacking to a matrix")
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("flops", help="weighted FLOPs breakdown of a model config")

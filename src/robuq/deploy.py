@@ -178,7 +178,3 @@ def model_flops(config: FlopsConfig) -> dict:
         per_class[entry.name] = weighted_flops(entry.fp_gflops, entry.w_bits, entry.a_bits)
     return {"classes": per_class, "total_gflops": float(sum(per_class.values()))}
 
-
-def packed_compression_ratio() -> float:
-    """Packed payload vs float32: 5 weights/byte against 4 bytes/weight."""
-    return 4.0 / 0.2

@@ -87,32 +87,6 @@ def _apply(x: np.ndarray, block: int) -> np.ndarray:
     return (_factor(n1) @ z).reshape(rows, dim)
 
 
-def fwht_inplace(x: np.ndarray, plan: HadamardPlan | None = None) -> np.ndarray:
-    """In-place normalized fast transform of a contiguous float64 vector."""
-    if x.ndim != 1:
-        raise DimensionError(f"expected a vector, got shape {x.shape}")
-    if not x.flags.c_contiguous or x.dtype != np.float64:
-        raise DimensionError("in-place transform requires a contiguous float64 vector")
-    if plan is None:
-        plan = HadamardPlan.for_dim(x.shape[0])
-    if x.shape[0] != plan.dim:
-        raise DimensionError(f"vector length {x.shape[0]} != plan dim {plan.dim}")
-    x[:] = _apply(x.reshape(1, -1), plan.block_size)[0]
-    return x
-
-
-def fwht(x: np.ndarray, plan: HadamardPlan | None = None) -> np.ndarray:
-    """Out-of-place normalized fast transform of a vector.
-
-    Equivalent to multiplying by the (block-diagonal) normalized Hadamard
-    matrix, one dense product per block of order up to 128 and two factor
-    products per larger block; since that matrix is symmetric orthogonal,
-    fwht is an involution.
-    """
-    out = np.array(x, dtype=np.float64, copy=True)
-    return fwht_inplace(out, plan)
-
-
 def hadamard_matrix(dim: int) -> np.ndarray:
     """Dense normalized Sylvester matrix of a power-of-two order.
 
@@ -127,17 +101,6 @@ def hadamard_matrix(dim: int) -> np.ndarray:
     while h.shape[0] < dim:
         h = np.kron(k2, h)
     return h
-
-
-def block_hadamard_matrix(plan: HadamardPlan) -> np.ndarray:
-    """Dense block-diagonal matrix realized by ``fwht`` under ``plan``."""
-    hb = hadamard_matrix(plan.block_size)
-    n_blocks = plan.dim // plan.block_size
-    out = np.zeros((plan.dim, plan.dim))
-    for i in range(n_blocks):
-        s = i * plan.block_size
-        out[s : s + plan.block_size, s : s + plan.block_size] = hb
-    return out
 
 
 def transform_tokens(x: np.ndarray, plan: HadamardPlan | None = None) -> np.ndarray:

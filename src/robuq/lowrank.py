@@ -55,6 +55,7 @@ from .quant import (
     _BLOCK_ENTRIES,
     GaussCodebook,
     TernaryWeights,
+    _check_codes,
     is_ternary,
     lloyd_max,
     ternarize,
@@ -229,8 +230,7 @@ def forward_with_cache(
         codes, mu, sigma = token_codes(xh, cb, center=layer.center)
     else:
         codes, mu, sigma = (np.asarray(a) for a in tokens)
-        if codes.size and (codes.min() < 0 or codes.max() >= n):
-            raise ValidationError(f"codes out of range for a {cb.bits}-bit codebook")
+        _check_codes(codes, cb)
     if cb.is_uniform and (n - 1) * layer.in_dim < _FLOAT32_EXACT:
         # levels[c] = levels[0] + step * c, and codes @ V^T is an exact
         # float32 GEMM: every partial sum is an integer below 2^24.

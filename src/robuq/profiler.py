@@ -42,7 +42,7 @@ from .allocator import AllocationProblem, dp_allocate
 from .errors import DimensionError, ValidationError
 from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
 from .lowrank import QuantLinearLayer, forward_with_cache, init_layer
-from .quant import TernaryWeights, ternarize, uniform_gauss_codebook
+from .quant import TernaryWeights, dequantize_codes, ternarize, uniform_gauss_codebook
 from .tensorio import LayerSpec, SensitivityTable
 
 FP_BITS = 32
@@ -162,9 +162,7 @@ class ToyLayer:
         q = self.qlayer
         # The straight-through backward needs the dequantized activations
         # and the dense ternary weight, which the forward never forms.
-        deq = cache["sigma"][:, None] * q.codebook.levels[cache["codes"]]
-        if q.center:
-            deq += cache["mu"][:, None]
+        deq = dequantize_codes(cache["codes"], q.codebook, cache["mu"], cache["sigma"], q.center)
         cache.update(x=x, values=q.wq.values, deq=deq, wq=q.wq.dequantize())
         return y, cache
 
@@ -188,21 +186,6 @@ class ToyLayer:
 
     def snapshot(self, cache: dict) -> dict:
         return {k: cache[k] for k in ("codes", "mu", "sigma", "values")}
-
-
-def ste_linear_forward_backward(layer: ToyLayer, x: np.ndarray, upstream: np.ndarray):
-    """One layer's quantized forward and its straight-through backward.
-
-    Returns (output, weight_grads, input_grad) where weight_grads is a dict
-    with "weight" and, for layers with a branch, "A" and "B".
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y, cache = layer.forward(x)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != y.shape:
-        raise DimensionError(f"upstream shape {upstream.shape} != output shape {y.shape}")
-    grads, gx = layer.backward(upstream, cache)
-    return y, grads, gx
 
 
 @dataclass
@@ -462,10 +445,3 @@ def steps_sweep(
                      "bits": dict(alloc.bits_per_layer)})
     return rows
 
-
-def write_sweep_csv(rows: list[dict], path) -> None:
-    """Persist steps_sweep output as ``steps,initial_loss,final_loss``."""
-    with open(path, "w", newline="") as fh:
-        fh.write("steps,initial_loss,final_loss\n")
-        for row in rows:
-            fh.write(f"{row['steps']},{row['initial_loss']!r},{row['final_loss']!r}\n")

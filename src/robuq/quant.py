@@ -1,11 +1,11 @@
-"""Scalar quantizers: ternary weights, per-token min-max codes, and
+"""Scalar quantizers: ternary weights and per-token codes against
 standard-normal codebooks (uniform grid and Lloyd-Max).
 
 The weight quantizer maps a tensor W to alpha * RoundClip(W / (gamma + eps), -1, 1)
 with gamma = alpha = mean(|W|); eps = 1e-8 guards the all-zero tensor. The
-activation side offers a plain per-token min-max affine quantizer and the
-per-token Gauss quantizer: normalize a (Hadamard-transformed) token by its
-own statistics, then quantize against a codebook precomputed for N(0, 1).
+activation quantizer is per-token: ``token_codes`` normalizes each
+(Hadamard-transformed) token by its own statistics and codes it against a
+codebook precomputed for N(0, 1); ``dequantize_codes`` maps the codes back.
 
 Codebooks are solved once per bit width from the closed-form moments of
 N(0, 1) over each cell, which need only ``math.erfc``: Lloyd-Max levels by
@@ -122,52 +122,6 @@ def ternarize(w: np.ndarray, per_channel: bool = False) -> TernaryWeights:
 
 
 # ---------------------------------------------------------------------------
-# Per-token min-max affine quantizer
-# ---------------------------------------------------------------------------
-
-@dataclass
-class UniformAffineQuant:
-    """b-bit affine codes for one token: x ~ (codes - zero_point) * scale + offset.
-
-    ``offset`` is zero except for the degenerate constant token, where the
-    grid collapses (scale would be 0) and the constant is carried verbatim.
-    """
-
-    bits: int
-    scale: float
-    zero_point: int
-    codes: np.ndarray
-    offset: float = 0.0
-
-
-def minmax_quantize(x: np.ndarray, bits: int) -> UniformAffineQuant:
-    """Per-token min-max quantization to ``bits``-wide unsigned codes.
-
-    scale = (max - min) / (2^b - 1), zero_point = -floor(min / scale),
-    codes = clamp(floor(x / scale) + zero_point, 0, 2^b - 1).
-    """
-    _check_bits(bits)
-    arr = np.asarray(x, dtype=np.float64).ravel()
-    if arr.size == 0 or not np.all(np.isfinite(arr)):
-        raise ValidationError("token must be nonempty and finite")
-    lo, hi = float(arr.min()), float(arr.max())
-    n_codes = (1 << bits) - 1
-    if hi == lo:
-        return UniformAffineQuant(
-            bits=bits, scale=1.0, zero_point=0,
-            codes=np.zeros(arr.size, dtype=np.int64), offset=lo,
-        )
-    scale = (hi - lo) / n_codes
-    zero_point = -int(math.floor(lo / scale))
-    codes = np.clip(np.floor(arr / scale) + zero_point, 0, n_codes).astype(np.int64)
-    return UniformAffineQuant(bits=bits, scale=scale, zero_point=zero_point, codes=codes)
-
-
-def minmax_dequantize(q: UniformAffineQuant) -> np.ndarray:
-    return (q.codes.astype(np.float64) - q.zero_point) * q.scale + q.offset
-
-
-# ---------------------------------------------------------------------------
 # Standard-normal codebooks
 # ---------------------------------------------------------------------------
 
@@ -200,6 +154,8 @@ class GaussCodebook:
             raise ValidationError("levels must be strictly increasing")
         if np.any(self.thresholds <= self.levels[:-1]) or np.any(self.thresholds >= self.levels[1:]):
             raise ValidationError("thresholds must interleave levels")
+        if not 0.0 <= self.expected_mse < math.inf:
+            raise ValidationError(f"expected_mse must be finite and >= 0, got {self.expected_mse}")
         if self.is_uniform:
             grid = self.step * (np.arange(n) - (n - 1) / 2.0)
             tol = 4 * np.spacing(np.max(np.abs(self.levels)))
@@ -359,7 +315,7 @@ def uniform_gauss_codebook(bits: int) -> GaussCodebook:
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _code_rows(arr, cb, center, scale, first, codes, mu, sigma):
+def _code_rows(arr, cb, center, first, codes, mu, sigma):
     """``token_codes`` on a block of rows whose first row is row ``first``,
     written into the block's slices ``codes``, ``mu`` and ``sigma`` of the
     outputs."""
@@ -374,8 +330,6 @@ def _code_rows(arr, cb, center, scale, first, codes, mu, sigma):
     if not np.isfinite(sigma).all():
         bad = first + int(np.argmin(np.isfinite(sigma)))
         raise ValidationError(f"token {bad} is not finite (NaN, Inf or overflowing spread)")
-    if scale is not None:
-        sigma[:] = scale
     degenerate = (arr == arr[:, :1]).all(axis=1) | (sigma == 0.0)
     sigma[degenerate] = 0.0
     # z overwrites the deviations, which are not needed after it.
@@ -389,80 +343,63 @@ def token_codes(
     x: np.ndarray,
     cb: GaussCodebook,
     center: bool = True,
-    scale: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-token Gauss codes for a T x C matrix: returns (codes, mu, sigma).
 
     Row t is standardized as z = (x_t - mu_t) / sigma_t and encoded by
-    ``cb.encode``. sigma_t is the row's population standard deviation
-    unless ``scale`` overrides it for every row; mu_t is the row mean when
-    ``center`` is set, else 0. A constant row is degenerate: its sigma_t is
-    0, so dequantization reproduces the constant (centered) or zero
-    exactly, and its codes sit at the middle level. Raises
-    ``ValidationError`` on a row with a NaN or Inf or whose spread
+    ``cb.encode``. sigma_t is the row's population standard deviation;
+    mu_t is the row mean when ``center`` is set, else 0. A constant row is
+    degenerate: its sigma_t is 0, so dequantization reproduces the constant
+    (centered) or zero exactly, and its codes sit at the middle level.
+    Raises ``ValidationError`` on a row with a NaN or Inf or whose spread
     overflows.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValidationError(f"expected a T x C matrix with C >= 1, got shape {arr.shape}")
-    if scale is not None and not scale > 0:
-        raise ValidationError("explicit scale must be positive")
     codes = np.empty(arr.shape, dtype=np.int64)
     mu, sigma = np.empty(arr.shape[0]), np.empty(arr.shape[0])
     rows = max(1, _BLOCK_ENTRIES // arr.shape[1])
     for first in range(0, arr.shape[0], rows):
         part = slice(first, first + rows)
-        _code_rows(arr[part], cb, center, scale, first, codes[part], mu[part], sigma[part])
+        _code_rows(arr[part], cb, center, first, codes[part], mu[part], sigma[part])
     return codes, mu, sigma
 
 
-def gauss_quantize_token(
-    x: np.ndarray,
-    cb: GaussCodebook,
-    center: bool = True,
-    scale: float | None = None,
-) -> tuple[np.ndarray, float, float]:
-    """Quantize one (Hadamard-transformed) token against a normal codebook.
-
-    Returns (codes, mu_t, sigma_t): ``token_codes`` on the token as one row.
-    """
-    codes, mu, sigma = token_codes(np.ravel(x)[None, :], cb, center, scale)
-    return codes[0], float(mu[0]), float(sigma[0])
+def _check_codes(codes: np.ndarray, cb: GaussCodebook) -> None:
+    """Raise ``ValidationError`` unless every code indexes a level of ``cb``."""
+    if codes.size and (codes.min() < 0 or codes.max() >= len(cb.levels)):
+        raise ValidationError(f"codes out of range for a {cb.bits}-bit codebook")
 
 
-def gauss_dequantize_token(
+def dequantize_codes(
     codes: np.ndarray,
     cb: GaussCodebook,
-    mu_t: float = 0.0,
-    sigma_t: float = 1.0,
+    mu: np.ndarray,
+    sigma: np.ndarray,
     center: bool = True,
 ) -> np.ndarray:
-    """Invert gauss_quantize_token: sigma_t * levels[codes] (+ mu_t if centered)."""
-    idx = np.asarray(codes)
-    if idx.size and (idx.min() < 0 or idx.max() >= len(cb.levels)):
-        raise ValidationError(f"codes out of range for a {cb.bits}-bit codebook")
-    out = sigma_t * cb.levels[idx]
+    """Invert ``token_codes`` on T x C codes with per-token ``mu`` and
+    ``sigma``: row t is sigma_t * levels[codes_t] (+ mu_t when centered).
+    Codes outside the codebook raise ``ValidationError``."""
+    codes = np.asarray(codes)
+    _check_codes(codes, cb)
+    out = np.asarray(sigma)[:, None] * cb.levels[codes]
     if center:
-        out = out + mu_t
+        out += np.asarray(mu)[:, None]
     return out
 
 
 def quantize_tokens(
     x: np.ndarray, cb: GaussCodebook, center: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized per-row quantize + dequantize for a T x C matrix.
-
-    Returns (dequantized, codes, mu, sigma) with mu/sigma per token: the
-    codes and statistics of ``token_codes`` (see there for the degenerate
-    row and the errors), and dequantized = sigma * levels[codes] (+ mu when
-    centered). The quantized forward needs only the codes and calls
-    ``token_codes`` directly.
+    """Per-token quantize + dequantize for a T x C matrix: returns
+    (dequantized, codes, mu, sigma), ``token_codes`` followed by
+    ``dequantize_codes``. The quantized forward needs only the codes and
+    calls ``token_codes`` directly.
     """
     codes, mu, sigma = token_codes(x, cb, center)
-    deq = sigma[:, None] * cb.levels[codes]
-    if center:
-        deq = deq + mu[:, None]
-    return deq, codes, mu, sigma
+    return dequantize_codes(codes, cb, mu, sigma, center), codes, mu, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +424,8 @@ def load_codebook(path) -> GaussCodebook:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:
+        raise FormatError(f"{path}: malformed CSV ({exc})") from exc
     if not meta.startswith("# "):
         raise FormatError(f"{path}: missing metadata comment line")
     try:

@@ -141,6 +141,8 @@ def load_sensitivity(path) -> SensitivityTable:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:
+        raise FormatError(f"{path}: malformed CSV ({exc})") from exc
     if not rows:
         raise FormatError(f"{path}: empty file")
     header = rows[0]

@@ -17,12 +17,11 @@ from robuq.deploy import (
     PackedTernary,
     model_flops,
     pack_ternary,
-    packed_compression_ratio,
     unpack_ternary,
     weighted_flops,
 )
 from robuq.gaussanalysis import mse_preservation, normality, variance_identity
-from robuq.hadamard import fwht, hadamard_matrix
+from robuq.hadamard import hadamard_matrix, transform_tokens
 from robuq.profiler import TrainConfig, make_toy_data, make_toy_model, profile_sensitivity
 from robuq.quant import lloyd_max, quantize_tokens, uniform_gauss_codebook
 from robuq.tensorio import LayerSpec, SensitivityTable
@@ -42,8 +41,9 @@ def test_01_hadamard_correctness():
         h = hadamard_matrix(dim)
         assert np.abs(h.T @ h - np.eye(dim)).max() < 1e-5
         x = rng.standard_normal(dim)
-        assert np.abs(fwht(x) - h @ x).max() < 1e-5
-        assert np.abs(fwht(fwht(x)) - x).max() < 1e-5
+        y = transform_tokens(x[None, :])
+        assert np.abs(y[0] - h @ x).max() < 1e-5
+        assert np.abs(transform_tokens(y)[0] - x).max() < 1e-5
     _report(1, "orthogonality, dense agreement, involution for C in 2..1024", t0, 5.0)
 
 
@@ -141,7 +141,6 @@ def test_07_packing_bijection():
     for byte in range(243):
         values = unpack_ternary(PackedTernary(data=bytes([byte]), count=5))
         assert pack_ternary(values).data == bytes([byte])
-    assert packed_compression_ratio() == 20.0
     payload = pack_ternary(np.zeros(10_000, dtype=np.int8))
     assert 10_000 / len(payload.data) == 5.0
     # End-to-end model ratios land lower (13-15x) once fp pieces ride along;

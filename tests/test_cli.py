@@ -157,8 +157,9 @@ def test_allocate_rejects_beta_flag(tmp_path, capsys):
     [("a,1.0,,0.9,0.5\na,1.0,,0.8,0.4\n", "2", ("s.csv", "'a'")),
      ("fc0,nan,,0.9,0.5\n", "2", ("s.csv", "fc0", "flops_weight")),
      ("fc0,inf,,0.9,0.5\n", "2", ("s.csv", "fc0", "flops_weight")),
-     ("fc0,1.0,,0.9,0.5\n", "nan", ("target",))],
-    ids=["duplicate_layer", "nan_weight", "inf_weight", "nan_target"],
+     ("fc0,1.0,,0.9,0.5\n", "nan", ("target",)),
+     ("x" * 200_000 + ",1.0,,0.9,0.5\n", "2", ("s.csv", "CSV"))],
+    ids=["duplicate_layer", "nan_weight", "inf_weight", "nan_target", "oversized_field"],
 )
 def test_allocate_bad_input_is_a_usage_error(tmp_path, capsys, rows, target, names):
     csv = tmp_path / "s.csv"
@@ -180,6 +181,17 @@ def test_pack_roundtrip_cli(tmp_path, rbq):
     assert cli.main(["pack", "--unpack", "--rows", "10", "--in", str(packed),
                      "--out", str(unpacked)]) == 0
     np.testing.assert_array_equal(load_matrix(unpacked), values)
+
+
+@pytest.mark.parametrize("rows", ["0", "-2"])
+def test_unpack_rejects_rows_below_one(tmp_path, rbq, capsys, rows):
+    packed = tmp_path / "t.rbqp"
+    assert cli.main(["pack", "--in", rbq("t.rbq", np.ones((2, 5))), "--out", str(packed)]) == 0
+    out = tmp_path / "back.rbq"
+    assert cli.main(["pack", "--unpack", "--rows", rows, "--in", str(packed),
+                     "--out", str(out)]) == 2
+    assert "--rows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pack_rejects_nonternary(tmp_path, rbq):

@@ -5,15 +5,17 @@ from hypothesis import strategies as st
 
 from robuq import hadamard
 from robuq.errors import DimensionError
-from robuq.hadamard import (
-    HadamardPlan,
-    block_hadamard_matrix,
-    fold_into_weights,
-    fwht,
-    fwht_inplace,
-    hadamard_matrix,
-    transform_tokens,
-)
+from robuq.hadamard import HadamardPlan, fold_into_weights, hadamard_matrix, transform_tokens
+
+
+def _blockwise_oracle(x, block):
+    rows = x.shape[0]
+    return (x.reshape(rows, -1, block) @ hadamard_matrix(block)).reshape(rows, -1)
+
+
+def _transform(x, plan=None):
+    """transform_tokens on one vector."""
+    return transform_tokens(x[None, :], plan)[0]
 
 
 def test_order_one_and_two():
@@ -24,7 +26,7 @@ def test_order_one_and_two():
 
 
 def test_basis_vector_c2():
-    np.testing.assert_allclose(fwht(np.array([1.0, 0.0])), [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    np.testing.assert_allclose(_transform(np.array([1.0, 0.0])), [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_orthogonality_dense():
@@ -37,19 +39,19 @@ def test_fast_matches_dense_oracle(dim):
     rng = np.random.default_rng(dim)
     x = rng.standard_normal(dim)
     dense = hadamard_matrix(dim) @ x
-    assert np.abs(fwht(x) - dense).max() < 1e-5
+    assert np.abs(_transform(x) - dense).max() < 1e-5
 
 
 @pytest.mark.parametrize("dim", [2, 16, 129, 1152, 4096])
 def test_involution(dim):
     rng = np.random.default_rng(dim)
     x = rng.standard_normal(dim)
-    assert np.abs(fwht(fwht(x)) - x).max() < 1e-5
+    assert np.abs(_transform(_transform(x)) - x).max() < 1e-5
 
 
 def test_orthogonality_up_to_4096():
     for dim in (2, 64, 1024, 4096):
-        h = np.stack([fwht(row) for row in np.eye(dim)])
+        h = transform_tokens(np.eye(dim))
         assert np.abs(h.T @ h - np.eye(dim)).max() < 1e-5
 
 
@@ -58,15 +60,15 @@ def test_plan_block_decomposition():
     assert plan.block_size == 128
     assert HadamardPlan.for_dim(64).block_size == 64
     assert HadamardPlan.for_dim(3).block_size == 1  # odd dim degrades to identity
-    np.testing.assert_array_equal(fwht(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(_transform(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
 
 def test_block_transform_matches_blockdiag_matrix():
     plan = HadamardPlan.for_dim(24)  # 3 blocks of 8
     rng = np.random.default_rng(24)
     x = rng.standard_normal(24)
-    dense = block_hadamard_matrix(plan) @ x
-    np.testing.assert_allclose(fwht(x, plan), dense, atol=1e-12)
+    dense = _blockwise_oracle(x[None, :], plan.block_size)[0]
+    np.testing.assert_allclose(_transform(x, plan), dense, atol=1e-12)
 
 
 def test_transform_tokens_identity_rows():
@@ -103,7 +105,7 @@ def test_fold_algebraic_identity():
     rng = np.random.default_rng(8)
     w = rng.standard_normal((8, 8))
     x = rng.standard_normal(8)
-    assert np.abs(fold_into_weights(w) @ fwht(x) - w @ x).max() < 1e-5
+    assert np.abs(fold_into_weights(w) @ _transform(x) - w @ x).max() < 1e-5
 
 
 def test_fold_twice_recovers():
@@ -115,30 +117,13 @@ def test_fold_twice_recovers():
 def test_dimension_errors():
     plan = HadamardPlan.for_dim(8)
     with pytest.raises(DimensionError):
-        fwht(np.ones(4), plan)
+        fold_into_weights(np.ones((2, 4)), plan)
     with pytest.raises(DimensionError):
         transform_tokens(np.ones((2, 4)), plan)
     with pytest.raises(DimensionError):
         hadamard_matrix(12)
     with pytest.raises(DimensionError):
         HadamardPlan(dim=8, block_size=3)
-
-
-def test_inplace_variant():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(32)
-    expected = fwht(x)
-    buf = x.copy()
-    out = fwht_inplace(buf)
-    assert out is buf
-    np.testing.assert_array_equal(buf, expected)
-    with pytest.raises(DimensionError):
-        fwht_inplace(np.ones(8, dtype=np.float32))  # wrong dtype for in-place
-
-
-def _blockwise_oracle(x, block):
-    rows = x.shape[0]
-    return (x.reshape(rows, -1, block) @ hadamard_matrix(block)).reshape(rows, -1)
 
 
 @pytest.mark.parametrize("dim", [2**k for k in range(13)] + [96, 1152, 4608])
@@ -157,17 +142,6 @@ def test_cached_factors_are_read_only():
         with pytest.raises(ValueError):
             factor[0, 0] = 0.0
     np.testing.assert_array_equal(transform_tokens(x), before)
-
-
-def test_inplace_variant_on_a_factored_block():
-    x = np.random.default_rng(12).standard_normal(1024)
-    buf = x.copy()
-    assert fwht_inplace(buf) is buf
-    np.testing.assert_array_equal(buf, fwht(x))
-    with pytest.raises(DimensionError):
-        fwht_inplace(np.ones(1024, dtype=np.float32))
-    with pytest.raises(DimensionError):
-        fwht_inplace(np.ones(2048)[::2])  # strided view, not contiguous
 
 
 @st.composite

@@ -21,7 +21,7 @@ from robuq.lowrank import (
 )
 from robuq.quant import (
     _BLOCK_ENTRIES,
-    gauss_dequantize_token,
+    dequantize_codes,
     lloyd_max,
     quantize_tokens,
     ternarize,
@@ -410,8 +410,7 @@ def _oracle(layer, x, tokens=None):
         deq = quantize_tokens(xh, layer.codebook, center=layer.center)[0]
     else:
         codes, mu, sigma = tokens
-        deq = gauss_dequantize_token(codes, layer.codebook, mu[:, None], sigma[:, None],
-                                     center=layer.center)
+        deq = dequantize_codes(codes, layer.codebook, mu, sigma, center=layer.center)
     wq, a, b = layer.wq.dequantize(), layer.branch.A, layer.branch.B
     ref = deq @ wq.T + xh @ b.T @ a.T
     scale = np.abs(deq) @ np.abs(wq).T + np.abs(xh) @ np.abs(b).T @ np.abs(a).T

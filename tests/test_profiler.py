@@ -8,7 +8,6 @@ from robuq.profiler import (
     make_toy_data,
     make_toy_model,
     profile_sensitivity,
-    ste_linear_forward_backward,
     steps_sweep,
 )
 
@@ -36,7 +35,8 @@ def test_disabled_quantizers_give_dense_gradients():
     layer = ToyLayer(rng.standard_normal((8, 8)))
     x = rng.standard_normal((4, 8))
     gy = rng.standard_normal((4, 8))
-    y, grads, gx = ste_linear_forward_backward(layer, x, gy)
+    y, cache = layer.forward(x)
+    grads, gx = layer.backward(gy, cache)
     np.testing.assert_array_equal(y, x @ layer.weight.T)
     np.testing.assert_array_equal(grads["weight"], gy.T @ x)
     np.testing.assert_array_equal(gx, gy @ layer.weight)
@@ -93,13 +93,14 @@ def test_ste_shapes_and_dimension_check():
     layer = ToyLayer(rng.standard_normal((8, 16)))
     layer.enable_quant(4, rank=2)
     x = rng.standard_normal((5, 16))
-    y, grads, gx = ste_linear_forward_backward(layer, x, np.ones((5, 8)))
+    y, cache = layer.forward(x)
+    grads, gx = layer.backward(np.ones((5, 8)), cache)
     assert y.shape == (5, 8) and gx.shape == (5, 16)
     assert set(grads) == {"weight", "A", "B"}
     from robuq.errors import DimensionError
 
     with pytest.raises(DimensionError):
-        ste_linear_forward_backward(layer, x, np.ones((5, 9)))
+        layer.forward(np.ones((5, 9)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +190,7 @@ def test_sweep_training_reduces_loss():
     assert rows[0]["final_loss"] < rows[0]["initial_loss"]
 
 
-def test_sweep_more_profiling_steps_not_worse(tmp_path):
-    from robuq.profiler import write_sweep_csv
-
+def test_sweep_more_profiling_steps_not_worse():
     finals = {0: [], 50: []}
     for seed in (20, 21, 22):
         model = make_toy_model((32, 32, 32, 32), seed=seed)
@@ -202,15 +201,6 @@ def test_sweep_more_profiling_steps_not_worse(tmp_path):
             finals[row["steps"]].append(row["final_loss"])
     # Longer profiling gives tables at least as informative; allow batch noise.
     assert np.mean(finals[50]) <= np.mean(finals[0]) * 1.05 + 1e-6
-
-    model = make_toy_model((32, 32), seed=23)
-    data = make_toy_data(32, seed=23)
-    rows = steps_sweep(model, data, (0, 5), config=TrainConfig(steps=0, seed=23), full_steps=5)
-    out = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "steps,initial_loss,final_loss"
-    assert len(lines) == 3 and lines[1].startswith("0,")
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,9 @@ from robuq.errors import FormatError, ValidationError
 from robuq.quant import (
     GaussCodebook,
     TernaryWeights,
-    gauss_dequantize_token,
-    gauss_quantize_token,
+    dequantize_codes,
     lloyd_max,
     load_codebook,
-    minmax_dequantize,
-    minmax_quantize,
     quantize_tokens,
     save_codebook,
     ternarize,
@@ -95,41 +92,6 @@ def test_ternary_weights_reject_non_ternary(values):
 def test_ternary_weights_accept_ternary(dtype):
     values = np.array([[-1, 0, 1]]) if dtype != np.bool_ else np.array([[0, 1, 1]])
     TernaryWeights(values=values.astype(dtype), alpha=1.0)
-
-
-# ---------------------------------------------------------------------------
-# Min-max affine quantizer
-# ---------------------------------------------------------------------------
-
-def test_minmax_identity_grid():
-    q = minmax_quantize([0.0, 1.0, 2.0, 3.0], 2)
-    assert q.scale == 1.0
-    assert q.zero_point == 0
-    assert q.codes.tolist() == [0, 1, 2, 3]
-
-
-def test_minmax_one_bit_endpoints():
-    q = minmax_quantize([-1.0, 1.0], 1)
-    assert q.scale == 2.0
-    assert q.codes.min() == 0 and q.codes.max() == 1
-    deq = minmax_dequantize(q)
-    assert abs(deq[0] - (-1.0)) <= q.scale
-    assert abs(deq[1] - 1.0) <= q.scale
-
-
-def test_minmax_constant_token():
-    q = minmax_quantize([5.0, 5.0, 5.0], 3)
-    assert not q.codes.any()
-    np.testing.assert_array_equal(minmax_dequantize(q), [5.0, 5.0, 5.0])
-
-
-def test_minmax_codes_in_range_and_error_bound():
-    rng = np.random.default_rng(3)
-    for bits in (1, 2, 4, 8):
-        x = rng.standard_normal(257) * rng.uniform(0.1, 10)
-        q = minmax_quantize(x, bits)
-        assert q.codes.min() >= 0 and q.codes.max() <= 2**bits - 1
-        assert np.abs(minmax_dequantize(q) - x).max() <= q.scale + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -281,28 +243,19 @@ def test_uniform_step_unimodal_probe():
 # Per-token Gauss quantizer
 # ---------------------------------------------------------------------------
 
-def test_fixed_points_with_explicit_scale():
-    cb = uniform_gauss_codebook(4)
-    x = 2.0 * cb.levels
-    codes, mu, sigma = gauss_quantize_token(x, cb, center=False, scale=2.0)
-    assert np.array_equal(codes, np.arange(16))
-    rec = gauss_dequantize_token(codes, cb, mu, sigma, center=False)
-    np.testing.assert_array_equal(rec, x)
-
-
 def test_zero_token_degenerate():
     cb = uniform_gauss_codebook(3)
-    codes, mu, sigma = gauss_quantize_token(np.zeros(16), cb)
-    assert sigma == 0.0
+    codes, mu, sigma = token_codes(np.zeros((1, 16)), cb)
+    assert sigma[0] == 0.0
     assert np.all(codes == len(cb.levels) // 2)
-    np.testing.assert_array_equal(gauss_dequantize_token(codes, cb, mu, sigma), np.zeros(16))
+    np.testing.assert_array_equal(dequantize_codes(codes, cb, mu, sigma)[0], np.zeros(16))
 
 
 def test_constant_token_centered_roundtrip():
     cb = lloyd_max(2)
-    x = np.full(8, 3.25)
-    codes, mu, sigma = gauss_quantize_token(x, cb, center=True)
-    np.testing.assert_array_equal(gauss_dequantize_token(codes, cb, mu, sigma, center=True), x)
+    x = np.full((1, 8), 3.25)
+    codes, mu, sigma = token_codes(x, cb, center=True)
+    np.testing.assert_array_equal(dequantize_codes(codes, cb, mu, sigma, center=True), x)
 
 
 def test_roundtrip_mse_near_expected():
@@ -310,29 +263,29 @@ def test_roundtrip_mse_near_expected():
     cb = uniform_gauss_codebook(4)
     sigma_true = 2.7
     x = rng.standard_normal(200_000) * sigma_true
-    codes, mu, sigma = gauss_quantize_token(x, cb, center=False)
-    rec = gauss_dequantize_token(codes, cb, mu, sigma, center=False)
-    mse = np.mean((x - rec) ** 2) / sigma**2
+    codes, mu, sigma = token_codes(x[None, :], cb, center=False)
+    rec = dequantize_codes(codes, cb, mu, sigma, center=False)[0]
+    mse = np.mean((x - rec) ** 2) / sigma[0]**2
     assert abs(mse - cb.expected_mse) / cb.expected_mse < 0.10
 
 
 def test_scale_equivariance():
     rng = np.random.default_rng(4)
     cb = lloyd_max(3)
-    x = rng.standard_normal(64)
-    c1, _, s1 = gauss_quantize_token(x, cb, center=False)
+    x = rng.standard_normal((1, 64))
+    c1, m1, s1 = token_codes(x, cb, center=False)
     for c in (0.5, 3.0, 170.0):
-        c2, _, s2 = gauss_quantize_token(c * x, cb, center=False)
+        c2, m2, s2 = token_codes(c * x, cb, center=False)
         assert np.array_equal(c1, c2)
-        d1 = gauss_dequantize_token(c1, cb, 0.0, s1, center=False)
-        d2 = gauss_dequantize_token(c2, cb, 0.0, s2, center=False)
+        d1 = dequantize_codes(c1, cb, m1, s1, center=False)
+        d2 = dequantize_codes(c2, cb, m2, s2, center=False)
         np.testing.assert_allclose(d2, c * d1, rtol=1e-12)
 
 
 def test_dequantize_rejects_bad_codes():
     cb = uniform_gauss_codebook(2)
     with pytest.raises(ValidationError):
-        gauss_dequantize_token(np.array([17]), cb)
+        dequantize_codes(np.array([[17]]), cb, np.zeros(1), np.ones(1))
 
 
 def test_vectorized_matches_per_token():
@@ -342,10 +295,10 @@ def test_vectorized_matches_per_token():
     x[5] = -1.25  # constant row exercises the degenerate path
     deq, codes, mu, sigma = quantize_tokens(x, cb, center=True)
     for t in range(x.shape[0]):
-        ct, mt, st = gauss_quantize_token(x[t], cb, center=True)
-        assert np.array_equal(ct, codes[t])
-        assert (mt, st) == (mu[t], sigma[t])
-        np.testing.assert_array_equal(gauss_dequantize_token(ct, cb, mt, st), deq[t])
+        ct, mt, st = token_codes(x[t][None, :], cb, center=True)
+        assert np.array_equal(ct[0], codes[t])
+        assert (mt[0], st[0]) == (mu[t], sigma[t])
+        np.testing.assert_array_equal(dequantize_codes(ct, cb, mt, st)[0], deq[t])
 
 
 def test_gauss_quantize_token_rejects_overflowing_spread():
@@ -353,7 +306,7 @@ def test_gauss_quantize_token_rejects_overflowing_spread():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="token 0"):
-            gauss_quantize_token(np.array([1e200, -1e200, 0.0]), cb)
+            token_codes(np.array([[1e200, -1e200, 0.0]]), cb)
         with pytest.raises(ValidationError, match="token 1"):
             quantize_tokens(np.array([[1.0, 2.0, 3.0], [1e200, -1e200, 0.0]]), cb)
         x = np.ones((50, 1500))
@@ -420,8 +373,8 @@ def test_uniform_encode_with_thresholds_ulps_off_the_midpoints():
 
 def test_middle_codes_dequantize_to_middle_level():
     cb = lloyd_max(3)
-    codes = np.full(5, 4)
-    out = gauss_dequantize_token(codes, cb, 0.0, 1.0, center=False)
+    codes = np.full((1, 5), 4)
+    out = dequantize_codes(codes, cb, np.zeros(1), np.ones(1), center=False)[0]
     np.testing.assert_array_equal(out, np.full(5, cb.levels[4]))
 
 
@@ -500,9 +453,13 @@ _NON_GRID_CSV = ("# bits=2 uniform=1 mse=0.2\nlevel,threshold\n"
         "# bits=0 uniform=1 mse=0.36\nlevel,threshold\n0.0,\n",
         _GOOD_CSV.replace("0.8,\n", "nan,\n"),
         _NON_GRID_CSV,
+        _GOOD_CSV.replace("mse=0.36", "mse=nan"),
+        _GOOD_CSV.replace("mse=0.36", "mse=inf"),
+        _GOOD_CSV.replace("mse=0.36", "mse=-1"),
+        _GOOD_CSV.replace("0.8,\n", "0.8," + "9" * 200_000 + "\n"),  # over the csv field limit
     ],
     ids=["token_without_equals", "non_numeric_level", "negative_bits", "zero_bits", "nan_level",
-         "uniform_not_a_grid"],
+         "uniform_not_a_grid", "nan_mse", "inf_mse", "negative_mse", "oversized_field"],
 )
 def test_load_codebook_malformed_is_format_error(tmp_path, text):
     path = tmp_path / "cb.csv"
@@ -518,7 +475,8 @@ def test_load_codebook_non_utf8_is_format_error(tmp_path):
         load_codebook(path)
 
 
-@pytest.mark.parametrize("maker,bits", [(lloyd_max, 3), (uniform_gauss_codebook, 4)])
+@pytest.mark.parametrize("maker,bits", [(m, b) for m in (lloyd_max, uniform_gauss_codebook)
+                                         for b in range(1, 9)])
 def test_codebook_csv_roundtrip(tmp_path, maker, bits):
     cb = maker(bits)
     path = tmp_path / "cb.csv"
