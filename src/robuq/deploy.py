@@ -81,6 +81,9 @@ def load_packed(path) -> PackedTernary:
     data = raw[_PACK_HEADER.size:]
     if len(data) != -(-count // 5):
         raise FormatError(f"{path}: payload is {len(data)} bytes for {count} values")
+    top = np.frombuffer(data, dtype=np.uint8).max(initial=0)
+    if top > MAX_PACKED_BYTE:
+        raise FormatError(f"{path}: byte value {top} exceeds {MAX_PACKED_BYTE}")
     return PackedTernary(data=data, count=count)
 
 

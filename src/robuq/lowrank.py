@@ -22,8 +22,8 @@ sigma_t * levels[q_t] + mu_t, so with levels[c] = o + s * c the branch is
 For a uniform grid (Q, s, o) = (codes as float32, step, levels[0]): the
 GEMM of codes 0..n-1 against {-1, 0, +1} is exact in float32 while
 (n - 1) * in_dim < 2^24. Otherwise (a Lloyd-Max codebook, or a grid too
-wide for that bound) (Q, s, o) = (levels[codes] as float64, 1, 0). A
-per-channel alpha scales the output columns.
+wide for that bound) (Q, s, o) = (levels[codes] as float64, 1, 0). The
+one per-tensor alpha scales the whole ternary branch.
 
 The mean/offset term is an outer product, so it joins the low-rank branch
 as one more rank, and the whole layer is
@@ -43,12 +43,14 @@ The QAT profiler's quantized toy layers are these same layers, built by
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .deploy import load_packed, pack_ternary, save_packed, unpack_ternary
 from .errors import DimensionError, FormatError, ValidationError
 from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
 from .quant import (
@@ -56,7 +58,6 @@ from .quant import (
     GaussCodebook,
     TernaryWeights,
     _check_codes,
-    is_ternary,
     lloyd_max,
     ternarize,
     token_codes,
@@ -267,20 +268,24 @@ def reconstruct_weight(layer: QuantLinearLayer) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Layer serialization: a directory of RBQ1 files plus a JSON sidecar
+# Layer serialization: the packed ternary values, the RBQ1 factors and a
+# JSON sidecar
 # ---------------------------------------------------------------------------
+
+_VALUES_FILE = "wq_values.rbqp"
+
 
 def save_layer(layer: QuantLinearLayer, dirpath) -> None:
     from .tensorio import save_matrix
 
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    save_matrix(layer.wq.values.astype(np.float32), d / "wq_values.rbq")
+    save_packed(pack_ternary(layer.wq.values), d / _VALUES_FILE)
     if layer.branch.rank:
         save_matrix(layer.branch.A, d / "A.rbq")
         save_matrix(layer.branch.B, d / "B.rbq")
     meta = {
-        "alpha": np.asarray(layer.wq.alpha).tolist(),  # a number, or one per output row
+        "alpha": layer.wq.alpha,
         "rank": layer.branch.rank,
         "bits": layer.codebook.bits,
         "uniform": layer.codebook.is_uniform,
@@ -298,17 +303,18 @@ def load_layer(dirpath) -> QuantLinearLayer:
     """Read a layer directory written by ``save_layer``.
 
     A missing file, a sidecar that is not UTF-8 JSON with every field of
-    its type, or matrices whose shapes disagree with the sidecar raise
-    ``FormatError`` naming the file.
+    its type, a packed value file that does not hold out_dim * in_dim
+    ternary values, or factors whose shapes disagree with the sidecar
+    raise ``FormatError`` naming the file.
     """
     from .tensorio import load_matrix
 
     d = Path(dirpath)
     sidecar = d / "layer.json"
 
-    def matrix(name):
+    def read(loader, name):
         try:
-            return load_matrix(d / name)
+            return loader(d / name)
         except FileNotFoundError as exc:
             raise FormatError(f"{d / name}: missing") from exc
 
@@ -317,27 +323,25 @@ def load_layer(dirpath) -> QuantLinearLayer:
         in_dim, out_dim, rank = int(meta["in_dim"]), int(meta["out_dim"]), int(meta["rank"])
         bits, block_size = int(meta["bits"]), int(meta["block_size"])
         uniform, center = bool(meta["uniform"]), bool(meta["center"])
-        alpha = np.asarray(meta["alpha"], dtype=np.float64)
+        alpha = meta["alpha"]
+        if type(alpha) not in (int, float):
+            raise TypeError(f"alpha {alpha!r} is not a number")
+        alpha = float(alpha)
     except FileNotFoundError as exc:
         raise FormatError(f"{d}: missing layer.json sidecar") from exc
     # JSON and UTF-8 decoding errors are ValueErrors too
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{sidecar}: not a layer sidecar ({type(exc).__name__}: {exc})") from exc
-    if alpha.ndim and alpha.shape != (out_dim,):
-        raise FormatError(f"{sidecar}: per-channel alpha has shape {alpha.shape}, expected ({out_dim},)")
-    if not np.isfinite(alpha).all():
+    if not math.isfinite(alpha):
         raise FormatError(f"{sidecar}: alpha is not finite")
-    values = matrix("wq_values.rbq")
-    # Check before the int8 cast, which would turn 0.5 or 256 into 0.
-    if not is_ternary(values):
-        raise FormatError(f"{d / 'wq_values.rbq'}: ternary values must lie in {{-1, 0, +1}}")
-    if values.shape != (out_dim, in_dim):
-        raise FormatError(f"{d / 'wq_values.rbq'}: shape {values.shape} does not match "
-                          f"out_dim {out_dim} and in_dim {in_dim} in layer.json")
-    wq = TernaryWeights(values=values.astype(np.int8), alpha=alpha if alpha.ndim else float(alpha))
+    packed = read(load_packed, _VALUES_FILE)
+    if min(out_dim, in_dim) < 0 or packed.count != out_dim * in_dim:
+        raise FormatError(f"{d / _VALUES_FILE}: {packed.count} values do not fill "
+                          f"out_dim {out_dim} x in_dim {in_dim} from layer.json")
+    wq = TernaryWeights(values=unpack_ternary(packed).reshape(out_dim, in_dim), alpha=alpha)
     if rank:
-        branch = LowRankBranch(A=matrix("A.rbq").astype(np.float64),
-                               B=matrix("B.rbq").astype(np.float64))
+        branch = LowRankBranch(A=read(load_matrix, "A.rbq").astype(np.float64),
+                               B=read(load_matrix, "B.rbq").astype(np.float64))
         if (branch.A.shape, branch.B.shape) != ((out_dim, rank), (rank, in_dim)):
             raise FormatError(f"{d}: factor shapes {branch.A.shape} and {branch.B.shape} do not "
                               f"match rank {rank} in layer.json")

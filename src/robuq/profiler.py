@@ -372,11 +372,7 @@ def _train(model: ToyModel, data: ToyData, trainable: set[int],
 def _layer_specs(model: ToyModel) -> list[LayerSpec]:
     raw = [layer.out_dim * layer.in_dim for layer in model.layers]
     mean_flops = sum(raw) / len(raw)
-    return [
-        LayerSpec(name=f"fc{i}", in_dim=layer.in_dim, out_dim=layer.out_dim,
-                  flops_weight=raw[i] / mean_flops)
-        for i, layer in enumerate(model.layers)
-    ]
+    return [LayerSpec(name=f"fc{i}", flops_weight=f / mean_flops) for i, f in enumerate(raw)]
 
 
 def profile_sensitivity(

@@ -47,10 +47,7 @@ def is_ternary(values) -> bool:
 
 @dataclass
 class TernaryWeights:
-    """{-1, 0, +1} values plus the real scale recovered at dequantization.
-
-    ``alpha`` is a scalar for per-tensor quantization or a per-output-row
-    vector for the channel-wise variant.
+    """{-1, 0, +1} values plus the one real scale ``alpha`` of the tensor.
 
     The quantized forward multiplies activation codes by ``values`` as a
     float GEMM operand, ``operand_f32`` or ``operand_f64``: the values in
@@ -61,25 +58,17 @@ class TernaryWeights:
     """
 
     values: np.ndarray
-    alpha: float | np.ndarray
+    alpha: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
         if not is_ternary(self.values):
             raise ValidationError("ternary values must lie in {-1, 0, +1}")
 
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
     @functools.cached_property
     def operand_f32(self) -> tuple[np.ndarray, np.ndarray]:
         """(values as float32, their row sums as float64); the sums are exact
-        while cols <= 2^24."""
+        while a row has at most 2^24 entries."""
         v = self.values.astype(np.float32)
         return v, v.sum(axis=1).astype(np.float64)
 
@@ -90,32 +79,25 @@ class TernaryWeights:
         return v, v.sum(axis=1)
 
     def dequantize(self) -> np.ndarray:
-        if np.ndim(self.alpha) == 0:
-            return float(self.alpha) * self.values.astype(np.float64)
-        return np.asarray(self.alpha)[:, None] * self.values.astype(np.float64)
+        return self.alpha * self.values.astype(np.float64)
 
 
 def _round_clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.minimum(np.maximum(np.rint(x), lo), hi)
 
 
-def ternarize(w: np.ndarray, per_channel: bool = False) -> TernaryWeights:
+def ternarize(w: np.ndarray) -> TernaryWeights:
     """Quantize a weight matrix to scaled ternary values.
 
-    Per-tensor by default: the divisor gamma and the scale alpha are both the
-    mean absolute value of the whole tensor. ``per_channel=True`` computes
-    them per output row instead. An all-zero tensor yields all-zero values
-    with alpha = 0, the only degenerate case.
+    The divisor gamma and the scale alpha are both the mean absolute value
+    of the whole tensor. An all-zero tensor yields all-zero values with
+    alpha = 0, the only degenerate case.
     """
     arr = np.asarray(w, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError(f"expected a nonempty 2-D weight matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("weights contain NaN or Inf")
-    if per_channel:
-        gamma = np.mean(np.abs(arr), axis=1, keepdims=True)
-        values = _round_clip(arr / (gamma + TERNARY_EPS), -1, 1).astype(np.int8)
-        return TernaryWeights(values=values, alpha=gamma[:, 0].copy())
     gamma = float(np.mean(np.abs(arr)))
     values = _round_clip(arr / (gamma + TERNARY_EPS), -1, 1).astype(np.int8)
     return TernaryWeights(values=values, alpha=gamma)

@@ -69,8 +69,6 @@ class LayerSpec:
     """
 
     name: str
-    in_dim: int = 0
-    out_dim: int = 0
     flops_weight: float = 1.0
     fixed_bits: int | None = None
 

@@ -102,6 +102,17 @@ def test_every_truncation_of_a_packed_file_is_format_error(tmp_path):
             unpack_ternary(load_packed(path))
 
 
+@pytest.mark.parametrize("byte", [243, 250, 255])
+def test_packed_file_bad_byte_is_format_error_naming_the_file(tmp_path, byte):
+    path = tmp_path / "w.rbqp"
+    save_packed(pack_ternary(np.zeros(10, dtype=np.int8)), path)
+    raw = bytearray(path.read_bytes())
+    raw[-1] = byte
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"w.rbqp: byte value {byte} exceeds 242"):
+        load_packed(path)
+
+
 def test_packed_file_bad_magic(tmp_path):
     path = tmp_path / "bad.rbqp"
     path.write_bytes(b"XXXX" + b"\x00" * 8)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,19 +287,16 @@ def test_layer_serialization_rank0(tmp_path):
     np.testing.assert_array_equal(back.wq.values, layer.wq.values)
 
 
-def test_layer_serialization_per_channel_alpha(tmp_path):
-    from dataclasses import replace
-
-    rng = np.random.default_rng(11)
-    w = rng.standard_normal((12, 16))
-    layer = init_layer(w, r=2)
-    wh = fold_into_weights(w, layer.plan)
-    layer = replace(layer, wq=ternarize(wh - layer.branch.matrix(), per_channel=True))
-    save_layer(layer, tmp_path / "pc")
-    back = load_layer(tmp_path / "pc")
-    assert back.wq.alpha.dtype == np.float64
-    np.testing.assert_array_equal(back.wq.alpha, layer.wq.alpha)
+@pytest.mark.parametrize("shape", [(7, 9), (5, 8), (1, 1)], ids=["63_values", "40_values", "1_value"])
+def test_layer_serialization_packs_the_ternary_values(tmp_path, shape):
+    layer = init_layer(np.random.default_rng(11).standard_normal(shape), r=1)
+    save_layer(layer, tmp_path / "p")
+    size = shape[0] * shape[1]
+    assert (tmp_path / "p" / "wq_values.rbqp").stat().st_size == 12 + -(-size // 5)
+    back = load_layer(tmp_path / "p")
+    assert back.wq.values.dtype == np.int8
     np.testing.assert_array_equal(back.wq.values, layer.wq.values)
+    assert back.wq.alpha == layer.wq.alpha
 
 
 def test_layer_per_tensor_alpha_stays_scalar(tmp_path):
@@ -329,18 +324,28 @@ def test_load_layer_alpha_length_mismatch_is_format_error(tmp_path):
         load_layer(tmp_path / "bad")
 
 
-@pytest.mark.parametrize("bad", [0.5, -0.7, 256.0])
-def test_load_layer_rejects_non_ternary_values(tmp_path, bad):
-    from robuq.tensorio import load_matrix, save_matrix
-
+def test_load_layer_rejects_non_ternary_values(tmp_path):
     layer = init_layer(np.random.default_rng(17).standard_normal((8, 8)), r=2)
     save_layer(layer, tmp_path / "nt")
-    path = tmp_path / "nt" / "wq_values.rbq"
-    values = load_matrix(path)
-    values[3, 5] = bad
-    save_matrix(values, path)
-    with pytest.raises(FormatError, match="wq_values.rbq"):
+    path = tmp_path / "nt" / "wq_values.rbqp"
+    raw = bytearray(path.read_bytes())
+    raw[12 + 3] = 250  # a byte above 242 holds no five ternary digits
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="wq_values.rbqp"):
         load_layer(tmp_path / "nt")
+
+
+@pytest.mark.parametrize("dims", [{"out_dim": 7}, {"out_dim": -8, "in_dim": -8}],
+                         ids=["out_dim_short", "both_negative"])
+def test_load_layer_value_count_mismatch_is_format_error(tmp_path, dims):
+    import json
+
+    d = _saved_layer(tmp_path)
+    meta = json.loads((d / "layer.json").read_text())
+    meta.update(dims)
+    (d / "layer.json").write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match="wq_values.rbqp: 64 values"):
+        load_layer(d)
 
 
 def _saved_layer(tmp_path, rank=2):
@@ -364,8 +369,10 @@ def test_load_layer_bad_sidecar_is_format_error(tmp_path, text):
 @pytest.mark.parametrize("key,value", [
     ("rank", None), ("alpha", "x"), ("alpha", [[0.5]]), ("alpha", float("nan")),
     ("in_dim", "eight"), ("bits", [4]), ("out_dim", 7), ("rank", 1), ("rank", 3),
+    ("alpha", "0.5"), ("alpha", True), ("alpha", 10**400),
 ], ids=["rank_missing", "alpha_text", "alpha_nested", "alpha_nan", "in_dim_text", "bits_list",
-        "out_dim_wrong", "rank_below_factors", "rank_above_factors"])
+        "out_dim_wrong", "rank_below_factors", "rank_above_factors",
+        "alpha_numeric_text", "alpha_bool", "alpha_int_beyond_float"])
 def test_load_layer_bad_field_is_format_error(tmp_path, key, value):
     import json
 
@@ -387,7 +394,7 @@ def test_load_layer_non_utf8_sidecar_is_format_error(tmp_path):
         load_layer(d)
 
 
-@pytest.mark.parametrize("name", ["A.rbq", "B.rbq", "wq_values.rbq"])
+@pytest.mark.parametrize("name", ["A.rbq", "B.rbq", "wq_values.rbqp"])
 def test_load_layer_missing_matrix_is_format_error(tmp_path, name):
     d = _saved_layer(tmp_path)
     (d / name).unlink()
@@ -424,11 +431,6 @@ def _assert_matches_oracle(layer, x, tokens=None):
     return y, cache
 
 
-def _per_channel(layer, w):
-    residual = fold_into_weights(w, layer.plan) - layer.branch.matrix()
-    return replace(layer, wq=ternarize(residual, per_channel=True))
-
-
 def _tokens(rng, t, c):
     x = rng.standard_normal((t, c)) * np.exp(rng.standard_normal((t, 1)))
     x += 3.0 * rng.standard_normal((t, 1))
@@ -441,17 +443,18 @@ def _tokens(rng, t, c):
     return x
 
 
-@pytest.mark.parametrize("per_channel", [False, True], ids=["scalar", "per_channel"])
+@pytest.mark.parametrize("reload", [False, True], ids=["scalar", "reloaded"])
 @pytest.mark.parametrize("center", [True, False], ids=["centered", "uncentered"])
 @pytest.mark.parametrize("cb", [uniform_gauss_codebook(b) for b in range(1, 9)]
                          + [lloyd_max(2), lloyd_max(4)],
                          ids=[f"u{b}" for b in range(1, 9)] + ["lm2", "lm4"])
-def test_forward_matches_dequantized_oracle(cb, center, per_channel):
+def test_forward_matches_dequantized_oracle(tmp_path, cb, center, reload):
     rng = np.random.default_rng(cb.bits)
     w = rng.standard_normal((40, 64))
     layer = init_layer(w, r=4, codebook=cb, center=center)
-    if per_channel:
-        layer = _per_channel(layer, w)
+    if reload:
+        save_layer(layer, tmp_path / "l")
+        layer = load_layer(tmp_path / "l")
     x = _tokens(rng, 12, 64)
     y, cache = _assert_matches_oracle(layer, x)
     assert set(cache) == {"xh", "codes", "mu", "sigma"}
@@ -482,10 +485,9 @@ def test_forward_rank0_width96_and_replay(cb):
 
 
 def _random_layer(rng, in_dim, out_dim, rank, cb, center=True):
-    """A layer with random per-channel ternary weights and factors, built
-    without an SVD."""
+    """A layer with random ternary weights and factors, built without an SVD."""
     return QuantLinearLayer(
-        wq=ternarize(rng.standard_normal((out_dim, in_dim)), per_channel=True),
+        wq=ternarize(rng.standard_normal((out_dim, in_dim))),
         branch=LowRankBranch(A=rng.standard_normal((out_dim, rank)),
                              B=rng.standard_normal((rank, in_dim))),
         codebook=cb, plan=HadamardPlan.for_dim(in_dim),
@@ -550,13 +552,10 @@ def _layers_and_tokens(draw):
     cb = draw(st.sampled_from([uniform_gauss_codebook(b) for b in (1, 2, 4, 8)]
                               + [lloyd_max(3)]))
     center = draw(st.booleans())
-    per_channel = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))
     w = scale * rng.standard_normal((out_dim, in_dim))
     layer = init_layer(w, r=rank, codebook=cb, center=center)
-    if per_channel:
-        layer = _per_channel(layer, w)
     t = draw(st.integers(1, 6))
     x = scale * rng.standard_normal((t, in_dim)) + rng.standard_normal((t, 1))
     if draw(st.booleans()):

@@ -58,13 +58,6 @@ def test_ternarize_idempotent_on_own_output():
     assert np.array_equal(t.values, v)
 
 
-def test_ternarize_per_channel():
-    w = np.array([[1.0, -1.0], [10.0, 10.0]])
-    t = ternarize(w, per_channel=True)
-    np.testing.assert_allclose(t.alpha, [1.0, 10.0])
-    np.testing.assert_allclose(t.dequantize(), w)
-
-
 def test_ternarize_validation():
     with pytest.raises(ValidationError):
         ternarize(np.array([[np.nan, 1.0]]))
