@@ -324,12 +324,19 @@ def test_load_layer_alpha_length_mismatch_is_format_error(tmp_path):
         load_layer(tmp_path / "bad")
 
 
-def test_load_layer_rejects_non_ternary_values(tmp_path):
+@pytest.mark.parametrize("bad", [0.5, -0.7, 256.0])
+def test_load_layer_rejects_non_ternary_values(tmp_path, bad):
     layer = init_layer(np.random.default_rng(17).standard_normal((8, 8)), r=2)
+    values = layer.wq.values.astype(np.float64)
+    values[3, 5] = bad
+    with pytest.raises(ValidationError):
+        pack_ternary(values)  # the writer cannot store the bad value itself
     save_layer(layer, tmp_path / "nt")
     path = tmp_path / "nt" / "wq_values.rbqp"
     raw = bytearray(path.read_bytes())
-    raw[12 + 3] = 250  # a byte above 242 holds no five ternary digits
+    # so it can only show up as a corrupt byte: the one holding value [3, 5],
+    # after the 12-byte header; a byte above 242 holds no five ternary digits
+    raw[12 + (3 * 8 + 5) // 5] = 250
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="wq_values.rbqp"):
         load_layer(tmp_path / "nt")
