@@ -63,7 +63,6 @@ class Allocation:
     bits_per_layer: dict[str, int]
     achieved_avg_bits: float
     predicted_loss: float
-    target_avg_bits: float = 0.0
 
 
 def _split_layers(table: SensitivityTable):
@@ -87,12 +86,7 @@ def _finish(problem: AllocationProblem, chosen: dict[int, int]) -> Allocation:
     bits_per_layer = {table.layers[i].name: chosen[i] for i in dp_idx}
     for i in fixed_idx:
         bits_per_layer[table.layers[i].name] = table.layers[i].fixed_bits
-    return Allocation(
-        bits_per_layer=bits_per_layer,
-        achieved_avg_bits=achieved,
-        predicted_loss=loss,
-        target_avg_bits=problem.target_avg_bits,
-    )
+    return Allocation(bits_per_layer, achieved_avg_bits=achieved, predicted_loss=loss)
 
 
 def _infeasible(problem: AllocationProblem) -> InfeasibleError:

@@ -75,7 +75,7 @@ def _oracle_transform(rows: np.ndarray, block: int) -> np.ndarray:
 
 def cmd_hadamard(args) -> int:
     x = tensorio.load_matrix(args.infile)
-    plan = hadamard.HadamardPlan.for_dim(x.shape[1])
+    plan = hadamard.HadamardPlan(x.shape[1])
     y = hadamard.transform_tokens(x, plan)
 
     in_norms = np.linalg.norm(x.astype(np.float64), axis=1)
@@ -168,10 +168,8 @@ def cmd_profile(args) -> int:
     bits = _int_list(args.bits, "--bits")
     model = profiler.make_toy_model(widths, seed=args.seed)
     data = profiler.make_toy_data(widths[0], seed=args.seed)
-    config = profiler.TrainConfig(
-        steps=args.steps, learning_rate=args.lr, batch=args.batch,
-        seed=args.seed, optimizer=args.optimizer,
-    )
+    config = profiler.TrainConfig(steps=args.steps, learning_rate=args.lr, batch=args.batch,
+                                  seed=args.seed)
     table = profiler.profile_sensitivity(model, data, bits, config)
     for b in bits:
         if b >= 32:
@@ -263,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=0)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_profile)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -23,6 +24,9 @@ from .hadamard import HadamardPlan, transform_tokens
 
 BERRY_ESSEEN_CONST = 0.56  # published constant for non-identical summands
 _KS_GRID_POINTS = 1024
+_COV_MAX_PAIRS = 4096  # sampled channel pairs of offdiag_cov_bound above C = 128
+_NMI_MAX_PAIRS = 2048  # sampled channel pairs of nmi_channels above C = 64
+_KL_COORDS = 16  # leading transformed coordinates whose covariance build_report's KL uses
 
 
 @dataclass
@@ -41,12 +45,12 @@ class GaussReport:
     mean_nmi: float
 
 
-def _as_batch(x: np.ndarray, min_tokens: int = 2) -> np.ndarray:
+def _as_batch(x: np.ndarray) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"expected a T x C activation matrix, got shape {arr.shape}")
-    if arr.shape[0] < min_tokens:
-        raise ValidationError(f"need at least {min_tokens} tokens, got {arr.shape[0]}")
+    if arr.shape[0] < 2:
+        raise ValidationError(f"need at least 2 tokens, got {arr.shape[0]}")
     return arr
 
 
@@ -69,7 +73,6 @@ def variance_identity(
 def offdiag_cov_bound(
     x: np.ndarray,
     plan: HadamardPlan | None = None,
-    max_pairs: int = 4096,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Largest sample off-diagonal covariance vs its theoretical bound.
@@ -89,7 +92,7 @@ def offdiag_cov_bound(
         max_off = float(np.max(np.abs(off))) if off.size else 0.0
     else:
         rng = np.random.default_rng(seed)
-        n_pairs = min(max_pairs, c * (c - 1) // 2)
+        n_pairs = min(_COV_MAX_PAIRS, c * (c - 1) // 2)
         ii = rng.integers(0, c, size=n_pairs)
         jj = (ii + rng.integers(1, c, size=n_pairs)) % c  # distinct by construction
         covs = np.einsum("ti,ti->i", yc[:, ii], yc[:, jj]) / t
@@ -103,11 +106,11 @@ def offdiag_cov_bound(
 def normality(
     x: np.ndarray,
     plan: HadamardPlan | None = None,
-    k_be: float = BERRY_ESSEEN_CONST,
     token: int | None = None,
 ) -> tuple[float, float]:
     """Kolmogorov distance of transformed coordinates to N(0, sigma_t^2),
-    next to the computed Berry-Esseen bound K * M3 / (sigma_t^3 sqrt(C)).
+    next to the computed Berry-Esseen bound K * M3 / (sigma_t^3 sqrt(C))
+    with K = ``BERRY_ESSEEN_CONST``.
 
     The empirical CDF pools all transformed coordinates (of one token row
     when ``token`` is given, else of every row — valid when tokens share
@@ -123,7 +126,7 @@ def normality(
         raise ValidationError("all channels are constant; normality is undefined")
     centered = arr - arr.mean(axis=0)
     m3 = float(np.max(np.mean(np.abs(centered) ** 3, axis=0)))
-    be_bound = k_be * m3 / (sigma_t**3 * np.sqrt(c))
+    be_bound = BERRY_ESSEEN_CONST * m3 / (sigma_t**3 * np.sqrt(c))
 
     pooled = np.sort((y[token] if token is not None else y).ravel())
     grid = np.linspace(-8.0 * sigma_t, 8.0 * sigma_t, _KS_GRID_POINTS)
@@ -175,18 +178,15 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def nmi_channels(
-    x: np.ndarray,
-    bins: int = 16,
-    max_pairs: int = 2048,
-    seed: int = 0,
-) -> float:
+def nmi_channels(x: np.ndarray, bins: int = 16, seed: int = 0) -> float:
     """Mean pairwise normalized mutual information across channels.
 
-    Histogram MI on equal-frequency bins (avoids empty-bin artifacts),
-    normalized by sqrt(H_i H_j). All pairs are enumerated when C <= 64;
-    otherwise a seeded random pair sample is used.
+    Histogram MI on ``bins`` >= 2 equal-frequency bins (avoids empty-bin
+    artifacts), normalized by sqrt(H_i H_j). All pairs are enumerated when
+    C <= 64; otherwise a seeded random sample of 2048 pairs is used.
     """
+    if not isinstance(bins, numbers.Integral) or isinstance(bins, bool) or bins < 2:
+        raise ValidationError(f"bins must be an integer >= 2, got {bins!r}")
     arr = _as_batch(x)
     t, c = arr.shape
     if t < 10 * bins:
@@ -198,7 +198,7 @@ def nmi_channels(
         pairs = [(i, j) for i in range(c) for j in range(i + 1, c)]
     else:
         rng = np.random.default_rng(seed)
-        target = min(max_pairs, c * (c - 1) // 2)
+        target = min(_NMI_MAX_PAIRS, c * (c - 1) // 2)
         seen = set()
         while len(seen) < target:
             i, j = rng.integers(0, c, size=2)
@@ -231,8 +231,6 @@ def mse_preservation(
     squared error per element.
     """
     arr = _as_batch(x)
-    if plan is None:
-        plan = HadamardPlan.for_dim(arr.shape[1])
     y = transform_tokens(arr, plan)
     qy = np.asarray(quantizer(y), dtype=np.float64)
     if qy.shape != y.shape:
@@ -243,25 +241,19 @@ def mse_preservation(
     return mse_direct, mse_transformed
 
 
-def build_report(
-    x: np.ndarray,
-    bins: int = 16,
-    seed: int = 0,
-    k_be: float = BERRY_ESSEEN_CONST,
-    kl_coords: int = 16,
-) -> tuple[GaussReport, dict]:
+def build_report(x: np.ndarray, bins: int = 16, seed: int = 0) -> tuple[GaussReport, dict]:
     """Run the full analysis suite on one activation batch.
 
     Returns the report plus a metadata dict (C, T, seed, bins, K_BE) for
     reproducibility. The KL/TV numbers use the sample covariance of the
-    first ``kl_coords`` transformed coordinates.
+    first 16 transformed coordinates (all of them when C < 16).
     """
-    arr = _as_batch(x, min_tokens=2)
-    plan = HadamardPlan.for_dim(arr.shape[1])
+    arr = _as_batch(x)
+    plan = HadamardPlan(arr.shape[1])
     per_coord, sigma_t2 = variance_identity(arr, plan)
     max_off, bound = offdiag_cov_bound(arr, plan, seed=seed)
-    ks, be = normality(arr, plan, k_be=k_be)
-    m = min(kl_coords, arr.shape[1])
+    ks, be = normality(arr, plan)
+    m = min(_KL_COORDS, arr.shape[1])
     y = transform_tokens(arr, plan)[:, :m]
     cov = np.cov(y, rowvar=False, bias=True)
     kl_exact, kl_approx, tv = kl_tv_product_gaussian(cov, sigma_t2)
@@ -278,7 +270,8 @@ def build_report(
         tv_bound=tv,
         mean_nmi=nmi,
     )
-    meta = {"T": arr.shape[0], "C": arr.shape[1], "seed": seed, "bins": bins, "K_BE": k_be}
+    meta = {"T": arr.shape[0], "C": arr.shape[1], "seed": seed, "bins": bins,
+            "K_BE": BERRY_ESSEEN_CONST}
     return report, meta
 
 

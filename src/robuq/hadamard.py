@@ -35,32 +35,24 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _DENSE_MAX = 128
 
 
-def _largest_pow2_divisor(n: int) -> int:
-    return n & (-n)
-
-
 @dataclass(frozen=True)
 class HadamardPlan:
-    """Immutable transform descriptor: total dim and power-of-two block size."""
+    """Immutable transform descriptor for ``dim`` channels.
+
+    The block size is derived, never set: the largest power of two dividing
+    ``dim``. A power-of-two dim gets one global transform; any other dim a
+    block-diagonal one (an odd dim degrades to the identity).
+    """
 
     dim: int
-    block_size: int
 
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionError(f"dim must be positive, got {self.dim}")
-        b = self.block_size
-        if b < 1 or (b & (b - 1)) != 0 or self.dim % b != 0:
-            raise DimensionError(
-                f"block_size {b} must be a power of two dividing dim {self.dim}"
-            )
 
-    @classmethod
-    def for_dim(cls, dim: int) -> "HadamardPlan":
-        """Plan for ``dim`` channels, block-decomposed when dim is not a power of two."""
-        if dim < 1:
-            raise DimensionError(f"dim must be positive, got {dim}")
-        return cls(dim=dim, block_size=_largest_pow2_divisor(dim))
+    @property
+    def block_size(self) -> int:
+        return self.dim & -self.dim
 
 
 @functools.cache
@@ -109,7 +101,7 @@ def transform_tokens(x: np.ndarray, plan: HadamardPlan | None = None) -> np.ndar
     if arr.ndim != 2:
         raise DimensionError(f"expected a T x C matrix, got shape {arr.shape}")
     if plan is None:
-        plan = HadamardPlan.for_dim(arr.shape[1])
+        plan = HadamardPlan(arr.shape[1])
     if arr.shape[1] != plan.dim:
         raise DimensionError(f"channel dim {arr.shape[1]} != plan dim {plan.dim}")
     return _apply(arr, plan.block_size)
@@ -125,7 +117,7 @@ def fold_into_weights(w: np.ndarray, plan: HadamardPlan | None = None) -> np.nda
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-D weight matrix, got shape {arr.shape}")
     if plan is None:
-        plan = HadamardPlan.for_dim(arr.shape[1])
+        plan = HadamardPlan(arr.shape[1])
     if arr.shape[1] != plan.dim:
         raise DimensionError(
             f"contraction dim {arr.shape[1]} != plan dim {plan.dim}"

@@ -88,25 +88,33 @@ class QuantLinearLayer:
 
     ``wq`` quantizes the transformed residual; ``branch`` holds the factors
     of the transformed weight's dominant singular structure; ``codebook``
-    quantizes the transformed activations per token.
+    quantizes the transformed activations per token. The dims and the
+    transform plan follow from the shape of ``wq.values``.
     """
 
     wq: TernaryWeights
     branch: LowRankBranch
     codebook: GaussCodebook
-    plan: HadamardPlan
-    in_dim: int
-    out_dim: int
     center: bool = True
 
     def __post_init__(self):
-        if self.wq.values.shape != (self.out_dim, self.in_dim):
-            raise DimensionError(
-                f"ternary values shape {self.wq.values.shape} != ({self.out_dim}, {self.in_dim})"
-            )
+        if self.wq.values.ndim != 2:
+            raise DimensionError(f"ternary values must be 2-D, got shape {self.wq.values.shape}")
         r = self.branch.rank
         if self.branch.A.shape != (self.out_dim, r) or self.branch.B.shape != (r, self.in_dim):
             raise DimensionError("low-rank branch shapes inconsistent with layer dims")
+
+    @property
+    def out_dim(self) -> int:
+        return self.wq.values.shape[0]
+
+    @property
+    def in_dim(self) -> int:
+        return self.wq.values.shape[1]
+
+    @property
+    def plan(self) -> HadamardPlan:
+        return HadamardPlan(self.in_dim)
 
 
 def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,7 +187,6 @@ def init_layer(
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-D weight matrix, got shape {arr.shape}")
     out_dim, in_dim = arr.shape
-    plan = HadamardPlan.for_dim(in_dim)
     if codebook is None:
         codebook = uniform_gauss_codebook(4)
     max_rank = min(out_dim, in_dim)
@@ -187,17 +194,14 @@ def init_layer(
         warnings.warn(f"rank {r} clamped to min(dims) = {max_rank}", stacklevel=2)
         r = max_rank
 
-    wh = fold_into_weights(arr, plan)
+    wh = fold_into_weights(arr)
     if r == 0:
         branch = LowRankBranch(A=np.zeros((out_dim, 0)), B=np.zeros((0, in_dim)))
     else:
         u, s, v = truncated_svd(wh, r)
         branch = LowRankBranch(A=u * s, B=v.T)
     wq = ternarize(wh - branch.matrix())
-    return QuantLinearLayer(
-        wq=wq, branch=branch, codebook=codebook, plan=plan,
-        in_dim=in_dim, out_dim=out_dim, center=center,
-    )
+    return QuantLinearLayer(wq=wq, branch=branch, codebook=codebook, center=center)
 
 
 # float32 holds every integer of magnitude at most 2^24 exactly
@@ -299,13 +303,27 @@ def save_layer(layer: QuantLinearLayer, dirpath) -> None:
         fh.write("\n")
 
 
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean"}
+
+
+def _field(meta: dict, key: str, *kinds: type):
+    """``meta[key]`` if its type is exactly one of ``kinds``: JSON true is
+    a bool, not an integer, and 4.7 or 4.0 is a float."""
+    value = meta[key]
+    if type(value) not in kinds:
+        raise TypeError(f"{key} {value!r} is not a JSON "
+                        + " or ".join(_JSON_TYPES[k] for k in kinds))
+    return value
+
+
 def load_layer(dirpath) -> QuantLinearLayer:
     """Read a layer directory written by ``save_layer``.
 
     A missing file, a sidecar that is not UTF-8 JSON with every field of
-    its type, a packed value file that does not hold out_dim * in_dim
-    ternary values, or factors whose shapes disagree with the sidecar
-    raise ``FormatError`` naming the file.
+    its JSON type and range (dims >= 1, bits in 1..8, ``block_size`` the
+    largest power of two dividing ``in_dim``), a packed value file that
+    does not hold out_dim * in_dim ternary values, or factors whose shapes
+    disagree with the sidecar raise ``FormatError`` naming the file.
     """
     from .tensorio import load_matrix
 
@@ -320,13 +338,10 @@ def load_layer(dirpath) -> QuantLinearLayer:
 
     try:
         meta = json.loads(sidecar.read_bytes().decode("utf-8"))
-        in_dim, out_dim, rank = int(meta["in_dim"]), int(meta["out_dim"]), int(meta["rank"])
-        bits, block_size = int(meta["bits"]), int(meta["block_size"])
-        uniform, center = bool(meta["uniform"]), bool(meta["center"])
-        alpha = meta["alpha"]
-        if type(alpha) not in (int, float):
-            raise TypeError(f"alpha {alpha!r} is not a number")
-        alpha = float(alpha)
+        in_dim, out_dim, rank, bits, block_size = (
+            _field(meta, key, int) for key in ("in_dim", "out_dim", "rank", "bits", "block_size"))
+        uniform, center = (_field(meta, key, bool) for key in ("uniform", "center"))
+        alpha = float(_field(meta, "alpha", int, float))
     except FileNotFoundError as exc:
         raise FormatError(f"{d}: missing layer.json sidecar") from exc
     # JSON and UTF-8 decoding errors are ValueErrors too
@@ -334,8 +349,16 @@ def load_layer(dirpath) -> QuantLinearLayer:
         raise FormatError(f"{sidecar}: not a layer sidecar ({type(exc).__name__}: {exc})") from exc
     if not math.isfinite(alpha):
         raise FormatError(f"{sidecar}: alpha is not finite")
+    if min(out_dim, in_dim) < 1:
+        raise FormatError(f"{sidecar}: out_dim {out_dim} and in_dim {in_dim} must be >= 1")
+    if not 1 <= bits <= 8:
+        raise FormatError(f"{sidecar}: bits {bits} not in 1..8")
+    derived = HadamardPlan(in_dim).block_size
+    if block_size != derived:
+        raise FormatError(f"{sidecar}: block_size {block_size} is not {derived}, the largest "
+                          f"power of two dividing in_dim {in_dim}")
     packed = read(load_packed, _VALUES_FILE)
-    if min(out_dim, in_dim) < 0 or packed.count != out_dim * in_dim:
+    if packed.count != out_dim * in_dim:
         raise FormatError(f"{d / _VALUES_FILE}: {packed.count} values do not fill "
                           f"out_dim {out_dim} x in_dim {in_dim} from layer.json")
     wq = TernaryWeights(values=unpack_ternary(packed).reshape(out_dim, in_dim), alpha=alpha)
@@ -348,8 +371,4 @@ def load_layer(dirpath) -> QuantLinearLayer:
     else:
         branch = LowRankBranch(A=np.zeros((out_dim, 0)), B=np.zeros((0, in_dim)))
     maker = uniform_gauss_codebook if uniform else lloyd_max
-    return QuantLinearLayer(
-        wq=wq, branch=branch, codebook=maker(bits),
-        plan=HadamardPlan(dim=in_dim, block_size=block_size),
-        in_dim=in_dim, out_dim=out_dim, center=center,
-    )
+    return QuantLinearLayer(wq=wq, branch=branch, codebook=maker(bits), center=center)

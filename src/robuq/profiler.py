@@ -46,17 +46,17 @@ from .quant import TernaryWeights, dequantize_codes, ternarize, uniform_gauss_co
 from .tensorio import LayerSpec, SensitivityTable
 
 FP_BITS = 32
+_VAL_POOL = 1000  # validation tokens of every toy data set
 
 
 @dataclass
 class TrainConfig:
-    """Short-QAT hyperparameters; steps = 0 degenerates to pure PTQ."""
+    """Short-QAT hyperparameters for Adam; steps = 0 degenerates to pure PTQ."""
 
     steps: int = 1000
     learning_rate: float = 1e-3
     batch: int = 32
     seed: int = 42
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if self.steps < 0:
@@ -68,8 +68,6 @@ class TrainConfig:
                 and math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValidationError(f"unknown optimizer {self.optimizer!r}")
 
 
 class ToyLayer:
@@ -252,7 +250,6 @@ class ToyData:
 
     in_dim: int
     val_inputs: np.ndarray
-    seed: int = 0
 
     def train_batch(self, rng: np.random.Generator, batch: int) -> np.ndarray:
         return rng.standard_normal((batch, self.in_dim))
@@ -274,9 +271,9 @@ def make_toy_model(widths: tuple[int, ...], seed: int = 0) -> ToyModel:
     return ToyModel(layers=[ToyLayer(w) for w in teacher], teacher=[w.copy() for w in teacher])
 
 
-def make_toy_data(in_dim: int, seed: int = 0, pool: int = 1000) -> ToyData:
+def make_toy_data(in_dim: int, seed: int = 0) -> ToyData:
     rng = np.random.default_rng([seed, 0xDA7A])
-    return ToyData(in_dim=in_dim, val_inputs=rng.standard_normal((pool, in_dim)), seed=seed)
+    return ToyData(in_dim=in_dim, val_inputs=rng.standard_normal((_VAL_POOL, in_dim)))
 
 
 class _Adam:
@@ -316,26 +313,9 @@ class _Adam:
         params -= grad
 
 
-class _Sgd:
-    """Plain SGD over one flat buffer: p -= lr*g, with ``grad`` as scratch."""
-
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        grad *= self.lr
-        params -= grad
-
-
-def _make_optimizer(config: TrainConfig, size: int):
-    if config.optimizer == "adam":
-        return _Adam(config.learning_rate, size)
-    return _Sgd(config.learning_rate)
-
-
 def _train(model: ToyModel, data: ToyData, trainable: set[int],
            config: TrainConfig, rng: np.random.Generator) -> None:
-    """``config.steps`` optimizer steps on the ``trainable`` layers.
+    """``config.steps`` Adam steps on the ``trainable`` layers.
 
     The trainable arrays are copied into one contiguous float64 buffer and
     each layer is rebound to views of it (``ToyLayer.bind``); the layers
@@ -361,7 +341,7 @@ def _train(model: ToyModel, data: ToyData, trainable: set[int],
     for i, layer_views in views.items():
         model.layers[i].bind(layer_views)
     grad = np.empty_like(flat)
-    opt = _make_optimizer(config, flat.size)
+    opt = _Adam(config.learning_rate, flat.size)
     for _ in range(config.steps):
         x = data.train_batch(rng, config.batch)
         _, grads = model.loss_and_grads(x, trainable)

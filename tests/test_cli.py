@@ -111,6 +111,17 @@ def test_gauss_report_fields(tmp_path, rbq):
     assert rep["meta"]["C"] == 32
 
 
+@pytest.mark.parametrize("bins", ["0", "1", "-1"])
+def test_gauss_report_rejects_bins_below_two(tmp_path, rbq, capsys, bins):
+    src = rbq("a.rbq", np.random.default_rng(3).standard_normal((200, 16)))
+    out = tmp_path / "rep.json"
+    assert cli.main(["gauss-report", "--activations", src, "--bins", bins,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("robuq: error:") and "bins" in err, err
+    assert not out.exists()
+
+
 def test_profile_deterministic_csv(tmp_path):
     args = ["profile", "--widths", "32,32", "--bits", "1,2,32", "--steps", "2",
             "--seed", "5", "--out"]
@@ -152,6 +163,16 @@ def test_allocate_rejects_beta_flag(tmp_path, capsys):
         cli.main(["allocate", "--sensitivity", str(csv), "--target", "1", "--beta", "1000"])
     assert exc.value.code == 2
     assert "--beta" in capsys.readouterr().err
+
+
+def test_profile_rejects_optimizer_flag(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["profile", "--widths", "16,16", "--bits", "2", "--optimizer", "adam",
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--optimizer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

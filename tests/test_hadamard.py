@@ -56,15 +56,15 @@ def test_orthogonality_up_to_4096():
 
 
 def test_plan_block_decomposition():
-    plan = HadamardPlan.for_dim(1152)
+    plan = HadamardPlan(1152)
     assert plan.block_size == 128
-    assert HadamardPlan.for_dim(64).block_size == 64
-    assert HadamardPlan.for_dim(3).block_size == 1  # odd dim degrades to identity
+    assert HadamardPlan(64).block_size == 64
+    assert HadamardPlan(3).block_size == 1  # odd dim degrades to identity
     np.testing.assert_array_equal(_transform(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
 
 def test_block_transform_matches_blockdiag_matrix():
-    plan = HadamardPlan.for_dim(24)  # 3 blocks of 8
+    plan = HadamardPlan(24)  # 3 blocks of 8
     rng = np.random.default_rng(24)
     x = rng.standard_normal(24)
     dense = _blockwise_oracle(x[None, :], plan.block_size)[0]
@@ -115,7 +115,7 @@ def test_fold_twice_recovers():
 
 
 def test_dimension_errors():
-    plan = HadamardPlan.for_dim(8)
+    plan = HadamardPlan(8)
     with pytest.raises(DimensionError):
         fold_into_weights(np.ones((2, 4)), plan)
     with pytest.raises(DimensionError):
@@ -123,14 +123,14 @@ def test_dimension_errors():
     with pytest.raises(DimensionError):
         hadamard_matrix(12)
     with pytest.raises(DimensionError):
-        HadamardPlan(dim=8, block_size=3)
+        HadamardPlan(0)
 
 
 @pytest.mark.parametrize("dim", [2**k for k in range(13)] + [96, 1152, 4608])
 def test_transform_tokens_matches_blockwise_dense_oracle(dim):
     # Blocks up to 128 take the dense product, larger ones the factored one.
     x = np.random.default_rng(dim).standard_normal((5, dim))
-    block = HadamardPlan.for_dim(dim).block_size
+    block = HadamardPlan(dim).block_size
     assert np.abs(transform_tokens(x) - _blockwise_oracle(x, block)).max() <= 1e-12
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from robuq.deploy import pack_ternary
 from robuq.errors import DimensionError, FormatError, ValidationError
-from robuq.hadamard import HadamardPlan, fold_into_weights, transform_tokens
+from robuq.hadamard import fold_into_weights, transform_tokens
 from robuq.lowrank import (
     LowRankBranch,
     QuantLinearLayer,
@@ -342,16 +342,17 @@ def test_load_layer_rejects_non_ternary_values(tmp_path, bad):
         load_layer(tmp_path / "nt")
 
 
-@pytest.mark.parametrize("dims", [{"out_dim": 7}, {"out_dim": -8, "in_dim": -8}],
+@pytest.mark.parametrize("dims,match", [({"out_dim": 7}, "wq_values.rbqp: 64 values"),
+                                        ({"out_dim": -8, "in_dim": -8}, "layer.json")],
                          ids=["out_dim_short", "both_negative"])
-def test_load_layer_value_count_mismatch_is_format_error(tmp_path, dims):
+def test_load_layer_value_count_mismatch_is_format_error(tmp_path, dims, match):
     import json
 
     d = _saved_layer(tmp_path)
     meta = json.loads((d / "layer.json").read_text())
     meta.update(dims)
     (d / "layer.json").write_text(json.dumps(meta))
-    with pytest.raises(FormatError, match="wq_values.rbqp: 64 values"):
+    with pytest.raises(FormatError, match=match):
         load_layer(d)
 
 
@@ -377,9 +378,13 @@ def test_load_layer_bad_sidecar_is_format_error(tmp_path, text):
     ("rank", None), ("alpha", "x"), ("alpha", [[0.5]]), ("alpha", float("nan")),
     ("in_dim", "eight"), ("bits", [4]), ("out_dim", 7), ("rank", 1), ("rank", 3),
     ("alpha", "0.5"), ("alpha", True), ("alpha", 10**400),
+    ("uniform", "false"), ("center", "no"), ("in_dim", 8.9), ("bits", 4.7), ("bits", True),
+    ("bits", 9), ("block_size", 4), ("block_size", 3),
 ], ids=["rank_missing", "alpha_text", "alpha_nested", "alpha_nan", "in_dim_text", "bits_list",
         "out_dim_wrong", "rank_below_factors", "rank_above_factors",
-        "alpha_numeric_text", "alpha_bool", "alpha_int_beyond_float"])
+        "alpha_numeric_text", "alpha_bool", "alpha_int_beyond_float",
+        "uniform_text", "center_text", "in_dim_float", "bits_float", "bits_bool",
+        "bits_above_8", "block_size_not_derived", "block_size_not_pow2"])
 def test_load_layer_bad_field_is_format_error(tmp_path, key, value):
     import json
 
@@ -497,8 +502,7 @@ def _random_layer(rng, in_dim, out_dim, rank, cb, center=True):
         wq=ternarize(rng.standard_normal((out_dim, in_dim))),
         branch=LowRankBranch(A=rng.standard_normal((out_dim, rank)),
                              B=rng.standard_normal((rank, in_dim))),
-        codebook=cb, plan=HadamardPlan.for_dim(in_dim),
-        in_dim=in_dim, out_dim=out_dim, center=center,
+        codebook=cb, center=center,
     )
 
 

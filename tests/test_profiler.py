@@ -153,15 +153,6 @@ def test_layer_specs_carry_flops_weights():
     assert weights[0] == weights[1]  # 64*32 and 32*64 cost the same
 
 
-def test_sgd_optimizer_path():
-    model = make_toy_model((32, 32), seed=12)
-    data = make_toy_data(32, seed=12)
-    table = profile_sensitivity(
-        model, data, (2,), TrainConfig(steps=20, seed=12, optimizer="sgd", learning_rate=1e-3)
-    )
-    assert np.isfinite(table.delta_loss).all()
-
-
 # ---------------------------------------------------------------------------
 # Steps sweep
 # ---------------------------------------------------------------------------
@@ -312,24 +303,16 @@ class _ReferenceAdam:
             params[key] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-class _ReferenceSgd:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, params, grads):
-        for key, g in grads.items():
-            params[key] -= self.lr * g
-
-
 def _reference_train(model, data, trainable, config, rng):
-    opt = (_ReferenceAdam if config.optimizer == "adam" else _ReferenceSgd)(config.learning_rate)
+    opt = _ReferenceAdam(config.learning_rate)
     params = {(i, n): a for i in trainable for n, a in model.layers[i].params().items()}
     for _ in range(config.steps):
         _, grads = _full_backward(model, data.train_batch(rng, config.batch), trainable)
         opt.step(params, {(i, n): g for i, gs in grads.items() for n, g in gs.items()})
 
 
-@pytest.mark.parametrize("optimizer,lr", [("adam", 1e-3), ("sgd", 1e-2)])
+# Adam is the one optimizer; the ids keep its name
+@pytest.mark.parametrize("optimizer,lr", [("adam", 1e-3)])
 @pytest.mark.parametrize("rank", [0, 4])
 @pytest.mark.parametrize("trainable", [{0}, {2}, {0, 1, 2}], ids=["first", "last", "all"])
 def test_flat_buffer_training_matches_per_array_reference_bitwise(optimizer, lr, rank, trainable):
@@ -339,7 +322,7 @@ def test_flat_buffer_training_matches_per_array_reference_bitwise(optimizer, lr,
     for i in trainable:
         model.layers[i].enable_quant(2 + i, rank=rank)
     data = make_toy_data(32, seed=40)
-    config = TrainConfig(steps=6, batch=8, seed=40, optimizer=optimizer, learning_rate=lr)
+    config = TrainConfig(steps=6, batch=8, seed=40, learning_rate=lr)
     flat, ref = model.copy(), model.copy()
     _train(flat, data, trainable, config, np.random.default_rng(41))
     _reference_train(ref, data, trainable, config, np.random.default_rng(41))
@@ -424,15 +407,14 @@ def test_truncated_backward_matches_full_backward(trainable):
 # x86-64; a BLAS that rounds its GEMMs differently moves these last bits.
 _SWEEP_LOSSES = {
     "adam": ("0x1.3c6a8c4dd486dp-1", "0x1.9c975fc1f1cb1p-2"),
-    "sgd": ("0x1.3c6a8c4dd486dp-1", "0x1.31eeeb77120cbp-1"),
 }
 
 
-@pytest.mark.parametrize("optimizer,lr", [("adam", 1e-3), ("sgd", 1e-2)])
+@pytest.mark.parametrize("optimizer,lr", [("adam", 1e-3)])
 def test_sweep_losses_pinned_bitwise(optimizer, lr):
     model = make_toy_model((128, 96, 64, 64), seed=31)
     data = make_toy_data(128, seed=31)
-    config = TrainConfig(steps=0, seed=31, optimizer=optimizer, learning_rate=lr)
+    config = TrainConfig(steps=0, seed=31, learning_rate=lr)
     (row,) = steps_sweep(model, data, (5,), config=config, full_steps=30, rank=8)
     initial, final = (float.fromhex(h) for h in _SWEEP_LOSSES[optimizer])
     assert (row["initial_loss"], row["final_loss"]) == (initial, final)
