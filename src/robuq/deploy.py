@@ -48,12 +48,16 @@ def pack_ternary(values) -> PackedTernary:
         return PackedTernary(data=b"", count=0)
     if not is_ternary(arr):
         raise ValidationError("values must all lie in {-1, 0, +1}")
-    digits = (arr + 1).astype(np.uint8)
-    pad = (-digits.size) % 5
-    if pad:
-        digits = np.concatenate([digits, np.ones(pad, dtype=np.uint8)])  # digit 1 == value 0
-    packed = digits.reshape(-1, 5) @ _POW3
-    return PackedTernary(data=packed.astype(np.uint8).tobytes(), count=arr.size)
+    digits = np.ones(-(-arr.size // 5) * 5, dtype=np.uint8)  # pad digit 1 == value 0
+    np.add(arr, 1, out=digits[: arr.size], casting="unsafe")
+    # Horner's rule on the digit columns, last digit first; every partial
+    # value fits in uint8.
+    columns = digits.reshape(-1, 5)
+    packed = columns[:, 4].copy()
+    for k in (3, 2, 1, 0):
+        packed *= 3
+        packed += columns[:, k]
+    return PackedTernary(data=packed.tobytes(), count=arr.size)
 
 
 def unpack_ternary(p: PackedTernary) -> np.ndarray:
@@ -61,7 +65,7 @@ def unpack_ternary(p: PackedTernary) -> np.ndarray:
     raw = np.frombuffer(p.data, dtype=np.uint8)
     if raw.size and raw.max() > MAX_PACKED_BYTE:
         raise FormatError(f"byte value {raw.max()} exceeds {MAX_PACKED_BYTE}")
-    return _UNPACKED[raw].ravel()[: p.count]
+    return np.take(_UNPACKED, raw, axis=0).ravel()[: p.count]
 
 
 def save_packed(p: PackedTernary, path) -> None:

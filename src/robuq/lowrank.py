@@ -132,7 +132,10 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     angle of about eps * (s_0 / s_i)^2, so they too are resolved only above
     sqrt(eps) * s_0. The reconstruction error ||m - U_r S_r V_r^T|| is within
     about sqrt(eps) * s_0 of the Eckart-Young optimum. All of this holds at
-    any finite magnitude of m, since the scaling is undone exactly.
+    any magnitude of m whose top singular value s_0 is representable in
+    float64, since the scaling is undone exactly; when s_0 overflows,
+    ``ValidationError`` is raised. One max/min pass over m gives both the
+    finiteness check and the scaling exponent.
 
     U_r and V_r have orthonormal columns; S_r is nonincreasing, nonnegative.
     Singular values at or below the rank tolerance s_0 * max(dims) * eps (the
@@ -145,7 +148,9 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
         raise DimensionError(f"expected a 2-D matrix, got shape {arr.shape}")
     if r < 1 or r > min(arr.shape):
         raise DimensionError(f"rank {r} not in 1..min{arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # max|m| = max(top, -bottom); NaN propagates through max and min.
+    top, bottom = float(arr.max()), float(arr.min())
+    if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ValidationError("matrix contains NaN or Inf")
 
     # numpy's LAPACK rather than scipy's: the scipy wheel bundles a second
@@ -155,7 +160,7 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     a = arr.T if wide else arr
     # Scaling by a power of two is exact and keeps the Gram matrix's entries
     # (up to rows * max|a|^2) clear of overflow and underflow.
-    e = int(np.frexp(np.max(np.abs(a)))[1])
+    e = math.frexp(max(top, -bottom))[1]
     a = np.ldexp(a, -e)
     basis = np.linalg.eigh(a.T @ a)[1][:, -r:]
     # Rayleigh-Ritz: the squared condition number of the Gram matrix only
@@ -164,8 +169,13 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     v = basis @ qt.T
     if wide:
         u, v = v, u
-    s = np.ldexp(s, e)
-    s[s <= s[0] * max(arr.shape) * np.finfo(np.float64).eps] = 0.0
+    with np.errstate(over="ignore"):
+        s = np.ldexp(s, e)
+    if math.isinf(s[0]):
+        raise ValidationError("top singular value overflows float64")
+    # s_0 * eps first, so the product cannot overflow where s_0 does not; it
+    # equals s_0 * max(dims) * eps bit for bit while s_0 * max(dims) >= 2^-970.
+    s[s <= s[0] * np.finfo(np.float64).eps * max(arr.shape)] = 0.0
     signs = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(r)])
     return u * signs, s, v * signs
 
@@ -181,7 +191,9 @@ def init_layer(
     Transforms W, splits off the top-r singular structure into the
     full-precision branch, and ternarizes the residual. ``r`` is clamped to
     min(dims) with a warning so small test matrices stay usable; r = 0
-    disables the branch entirely.
+    disables the branch entirely. The residual overwrites the A B product
+    and the transformed weight is released before ternarizing, so the
+    temporaries peak at about 2.5 float64 copies of W.
     """
     arr = np.asarray(w, dtype=np.float64)
     if arr.ndim != 2:
@@ -197,10 +209,14 @@ def init_layer(
     wh = fold_into_weights(arr)
     if r == 0:
         branch = LowRankBranch(A=np.zeros((out_dim, 0)), B=np.zeros((0, in_dim)))
+        residual = wh
     else:
         u, s, v = truncated_svd(wh, r)
         branch = LowRankBranch(A=u * s, B=v.T)
-    wq = ternarize(wh - branch.matrix())
+        residual = branch.matrix()
+        np.subtract(wh, residual, out=residual)
+    del wh
+    wq = ternarize(residual)
     return QuantLinearLayer(wq=wq, branch=branch, codebook=codebook, center=center)
 
 

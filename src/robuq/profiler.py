@@ -18,7 +18,8 @@ chain-rule gradients, which is what the finite-difference checks pin down.
 
 Each step does only the work it uses. ``ToyModel.loss`` runs the deployed
 forward alone and forms none of the straight-through arrays, and
-``loss_and_grads`` stops its backward at the lowest trainable layer.
+``loss_and_grads`` forms parameter gradients only for the trainable layers
+and input gradients only above the lowest of them.
 ``_train`` copies the trainable arrays into one contiguous float64 buffer
 and rebinds each layer's ``weight``, ``A`` and ``B`` to views of it, each in
 its own memory order, so the optimizer updates every parameter with one
@@ -167,20 +168,28 @@ class ToyLayer:
     def backward(self, gy: np.ndarray, cache: dict):
         """Straight-through gradients: both quantizers behave as identity,
         so the residual inherits the dequantized-product gradient and the
-        transformed activation inherits the output-side chain."""
+        transformed activation inherits the output-side chain. Returns
+        (parameter gradients, input gradient)."""
+        return self._param_grads(gy, cache), self._input_grad(gy, cache)
+
+    def _param_grads(self, gy: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
         if not self.quantized:
-            return {"weight": gy.T @ cache["x"]}, gy @ self.weight
+            return {"weight": gy.T @ cache["x"]}
         plan, branch = self.qlayer.plan, self.qlayer.branch
-        g_residual = gy.T @ cache["deq"]
-        grads = {"weight": fold_into_weights(g_residual, plan)}
+        grads = {"weight": fold_into_weights(gy.T @ cache["deq"], plan)}
+        if branch.rank:
+            grads["A"] = gy.T @ (cache["xh"] @ branch.B.T)
+            grads["B"] = branch.A.T @ gy.T @ cache["xh"]
+        return grads
+
+    def _input_grad(self, gy: np.ndarray, cache: dict) -> np.ndarray:
+        if not self.quantized:
+            return gy @ self.weight
+        plan, branch = self.qlayer.plan, self.qlayer.branch
         g_xh = gy @ cache["wq"]
         if branch.rank:
-            proj = cache["xh"] @ branch.B.T
-            grads["A"] = gy.T @ proj
-            grads["B"] = branch.A.T @ gy.T @ cache["xh"]
             g_xh = g_xh + gy @ branch.A @ branch.B
-        gx = transform_tokens(g_xh, plan)
-        return grads, gx
+        return transform_tokens(g_xh, plan)
 
     def snapshot(self, cache: dict) -> dict:
         return {k: cache[k] for k in ("codes", "mu", "sigma", "values")}
@@ -221,8 +230,9 @@ class ToyModel:
         return float(np.mean((h - t) ** 2))
 
     def loss_and_grads(self, x: np.ndarray, trainable: set[int]):
-        """Loss and the gradients of the ``trainable`` layers; the backward
-        stops at the lowest of them, since nothing below it is updated."""
+        """Loss and the gradients of the ``trainable`` layers. The backward
+        forms parameter gradients only for those layers and input gradients
+        only above the lowest of them, since nothing else is updated."""
         y, caches = self.forward(x)
         t = self.target(x)
         diff = y - t
@@ -231,9 +241,10 @@ class ToyModel:
         grads: dict[int, dict[str, np.ndarray]] = {}
         lowest = min(trainable, default=len(self.layers))
         for i in range(len(self.layers) - 1, lowest - 1, -1):
-            layer_grads, gy = self.layers[i].backward(gy, caches[i])
             if i in trainable:
-                grads[i] = layer_grads
+                grads[i] = self.layers[i]._param_grads(gy, caches[i])
+            if i > lowest:
+                gy = self.layers[i]._input_grad(gy, caches[i])
         return loss, grads
 
     def snapshots(self, x: np.ndarray) -> list[dict | None]:
@@ -246,10 +257,21 @@ class ToyModel:
 
 @dataclass
 class ToyData:
-    """Gaussian inputs: a fixed validation pool plus a fresh-batch sampler."""
+    """Gaussian inputs: a fixed validation pool plus a fresh-batch sampler.
+    The input width is the pool's, which must be a 2-D matrix with at least
+    one column."""
 
-    in_dim: int
     val_inputs: np.ndarray
+
+    def __post_init__(self):
+        self.val_inputs = np.asarray(self.val_inputs, dtype=np.float64)
+        if self.val_inputs.ndim != 2 or self.val_inputs.shape[1] < 1:
+            raise ValidationError("val_inputs must be a T x in_dim matrix with in_dim >= 1, "
+                                  f"got shape {self.val_inputs.shape}")
+
+    @property
+    def in_dim(self) -> int:
+        return self.val_inputs.shape[1]
 
     def train_batch(self, rng: np.random.Generator, batch: int) -> np.ndarray:
         return rng.standard_normal((batch, self.in_dim))
@@ -273,7 +295,7 @@ def make_toy_model(widths: tuple[int, ...], seed: int = 0) -> ToyModel:
 
 def make_toy_data(in_dim: int, seed: int = 0) -> ToyData:
     rng = np.random.default_rng([seed, 0xDA7A])
-    return ToyData(in_dim=in_dim, val_inputs=rng.standard_normal((_VAL_POOL, in_dim)))
+    return ToyData(val_inputs=rng.standard_normal((_VAL_POOL, in_dim)))
 
 
 class _Adam:

@@ -2,10 +2,14 @@
 standard-normal codebooks (uniform grid and Lloyd-Max).
 
 The weight quantizer maps a tensor W to alpha * RoundClip(W / (gamma + eps), -1, 1)
-with gamma = alpha = mean(|W|); eps = 1e-8 guards the all-zero tensor. The
-activation quantizer is per-token: ``token_codes`` normalizes each
-(Hadamard-transformed) token by its own statistics and codes it against a
-codebook precomputed for N(0, 1); ``dequantize_codes`` maps the codes back.
+with gamma = alpha = mean(|W|); eps = 1e-8 guards the all-zero tensor. It
+divides, rounds and clips a row block of about 2^15 entries at a time
+through one reused float64 scratch block and writes the int8 values
+directly, so beyond the int8 output it holds only the one |W| temporary
+that the mean reduces. The activation quantizer is per-token:
+``token_codes`` normalizes each (Hadamard-transformed) token by its own
+statistics and codes it against a codebook precomputed for N(0, 1);
+``dequantize_codes`` maps the codes back.
 
 Codebooks are solved once per bit width from the closed-form moments of
 N(0, 1) over each cell, which need only ``math.erfc``: Lloyd-Max levels by
@@ -28,6 +32,11 @@ import numpy as np
 from .errors import ConvergenceError, FormatError, ValidationError
 
 TERNARY_EPS = 1e-8
+# ternarize and token_codes work through the rows in blocks of about this
+# many entries, so that a block's temporaries (256 KiB each) stay in cache:
+# at 256 x 4608 token_codes took 15 ms against 43 ms for whole-matrix passes
+# on a 2-vCPU Xeon.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _check_bits(bits) -> None:
@@ -82,24 +91,35 @@ class TernaryWeights:
         return self.alpha * self.values.astype(np.float64)
 
 
-def _round_clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return np.minimum(np.maximum(np.rint(x), lo), hi)
-
-
 def ternarize(w: np.ndarray) -> TernaryWeights:
     """Quantize a weight matrix to scaled ternary values.
 
     The divisor gamma and the scale alpha are both the mean absolute value
     of the whole tensor. An all-zero tensor yields all-zero values with
-    alpha = 0, the only degenerate case.
+    alpha = 0, the only degenerate case. A NaN or Inf, or a sum of |W| that
+    overflows float64, raises ``ValidationError``.
     """
     arr = np.asarray(w, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError(f"expected a nonempty 2-D weight matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("weights contain NaN or Inf")
-    gamma = float(np.mean(np.abs(arr)))
-    values = _round_clip(arr / (gamma + TERNARY_EPS), -1, 1).astype(np.int8)
+    with np.errstate(over="ignore"):
+        gamma = float(np.mean(np.abs(arr)))
+    # A NaN or Inf entry always makes gamma non-finite, so only then is
+    # the tensor scanned.
+    if not math.isfinite(gamma):
+        if not np.isfinite(arr).all():
+            raise ValidationError("weights contain NaN or Inf")
+        raise ValidationError("mean |W| overflows float64: the sum of |W| is not representable")
+    values = np.empty_like(arr, dtype=np.int8)  # in the memory order of w, as arr / d is
+    rows = max(1, _BLOCK_ENTRIES // arr.shape[1])
+    scratch = np.empty((min(rows, arr.shape[0]), arr.shape[1]))
+    for first in range(0, arr.shape[0], rows):
+        part = slice(first, first + rows)
+        block = scratch[: len(values[part])]
+        np.divide(arr[part], gamma + TERNARY_EPS, out=block)
+        np.rint(block, out=block)
+        np.clip(block, -1, 1, out=block)
+        values[part] = block
     return TernaryWeights(values=values, alpha=gamma)
 
 
@@ -290,11 +310,6 @@ def uniform_gauss_codebook(bits: int) -> GaussCodebook:
 # ---------------------------------------------------------------------------
 # Per-token Gauss quantizer
 # ---------------------------------------------------------------------------
-
-# token_codes works through the rows in blocks of about this many entries,
-# so that a block's temporaries (256 KiB each) stay in cache: at 256 x 4608
-# that took 15 ms against 43 ms for whole-matrix passes on a 2-vCPU Xeon.
-_BLOCK_ENTRIES = 1 << 15
 
 
 def _code_rows(arr, cb, center, first, codes, mu, sigma):

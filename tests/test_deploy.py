@@ -43,6 +43,22 @@ def test_pack_roundtrip_random():
     np.testing.assert_array_equal(unpack_ternary(p), v)
 
 
+def _pack_by_matmul(values) -> bytes:
+    """Five base-3 digits per byte as one integer matmul by their powers."""
+    digits = (np.asarray(values).ravel() + 1).astype(np.uint8)
+    digits = np.concatenate([digits, np.ones(-digits.size % 5, dtype=np.uint8)])
+    return (digits.reshape(-1, 5) @ np.array([1, 3, 9, 27, 81], dtype=np.uint8)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(n,) for n in range(12)] + [(4608, 1152)],
+                         ids=[f"count_{n}" for n in range(12)] + ["4608x1152"])
+def test_pack_matches_the_base3_matmul_formula(shape):
+    values = np.random.default_rng(64).integers(-1, 2, size=shape).astype(np.int8)
+    p = pack_ternary(values)
+    assert p.data == _pack_by_matmul(values)
+    np.testing.assert_array_equal(unpack_ternary(p), values.ravel(), strict=True)
+
+
 def test_pack_padding_truncated_on_unpack():
     p = pack_ternary([1, 0, -1])
     assert p.count == 3

@@ -100,6 +100,26 @@ def test_svd_values_at_extreme_magnitudes(scale):
     np.testing.assert_allclose(s, s_full[:4] * scale, rtol=0, atol=1e-13 * s_full[0] * scale)
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3)], ids=["tall", "wide"])
+def test_svd_overflowing_top_singular_value_is_validation_error(shape):
+    # Every entry is finite, but s_0 = sqrt(6) * 1e308 is not.
+    with pytest.raises(ValidationError, match="top singular value overflows"):
+        truncated_svd(np.full(shape, 1e308), 1)
+
+
+def test_svd_top_singular_value_just_below_overflow():
+    _, s, _ = truncated_svd(np.full((3, 2), 7e307), 1)
+    np.testing.assert_allclose(s, [np.sqrt(6.0) * 7e307], rtol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_svd_rejects_a_non_finite_entry(bad):
+    m = np.random.default_rng(17).standard_normal((40, 24))
+    m[-1, -1] = bad
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        truncated_svd(m, 2)
+
+
 def _graded(shape, seed):
     """A matrix with singular values 2^-i on random orthonormal factors."""
     rng = np.random.default_rng(seed)
@@ -155,6 +175,31 @@ def test_init_layer_zero_weight():
     assert not layer.wq.values.any()
     assert np.abs(layer.branch.matrix()).max() == 0.0
     np.testing.assert_array_equal(forward(layer, np.zeros((3, 8))), np.zeros((3, 8)))
+
+
+def test_init_layer_overflowing_weight_is_validation_error():
+    # At rank 1 the top singular value overflows; at rank 0 the sum of |W H|.
+    with pytest.raises(ValidationError, match="top singular value overflows"):
+        init_layer(np.full((3, 2), 1e308), r=1)
+    with pytest.raises(ValidationError, match="overflows float64"):
+        init_layer(np.full((3, 2), 1e308), r=0)
+
+
+@pytest.mark.parametrize("shape", [(1152, 256), (256, 1152)], ids=["tall", "wide"])
+def test_init_layer_transient_memory_is_at_most_three_weights(shape):
+    import tracemalloc
+
+    w = np.random.default_rng(18).standard_normal(shape)
+    init_layer(w, r=16)
+    tracemalloc.start()
+    try:
+        init_layer(w, r=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # W H, the scaled copy the SVD factors, then the residual written into
+    # the A B product after W H is released, and the |residual| of ternarize.
+    assert peak <= 3 * w.nbytes
 
 
 def test_init_layer_branch_captures_low_rank():
@@ -262,6 +307,19 @@ def test_residual_matches_ternarize_of_residual():
     expected = ternarize(wh - layer.branch.matrix())
     assert np.array_equal(layer.wq.values, expected.values)
     assert layer.wq.alpha == expected.alpha
+
+
+@pytest.mark.parametrize("r", [0, 4])
+def test_init_layer_residual_over_several_row_blocks_is_the_whole_matrix_formula(r):
+    # 300 x 1152: ternarize works through 28-row blocks with a ragged last one.
+    rng = np.random.default_rng(19)
+    w = rng.standard_normal((300, 1152))
+    layer = init_layer(w, r=r)
+    residual = fold_into_weights(w) - layer.branch.matrix()
+    gamma = float(np.mean(np.abs(residual)))
+    expected = np.clip(np.rint(residual / (gamma + 1e-8)), -1, 1).astype(np.int8)
+    np.testing.assert_array_equal(layer.wq.values, expected, strict=True)
+    assert layer.wq.alpha.hex() == gamma.hex()
 
 
 def test_layer_serialization_roundtrip(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from robuq.errors import ValidationError
 from robuq.profiler import (
+    ToyData,
     ToyLayer,
     ToyModel,
     TrainConfig,
@@ -418,3 +420,47 @@ def test_sweep_losses_pinned_bitwise(optimizer, lr):
     (row,) = steps_sweep(model, data, (5,), config=config, full_steps=30, rank=8)
     initial, final = (float.fromhex(h) for h in _SWEEP_LOSSES[optimizer])
     assert (row["initial_loss"], row["final_loss"]) == (initial, final)
+
+
+@pytest.mark.parametrize("trainable,param_layers,input_layers",
+                         [({0}, [0], [3, 2, 1]), ({2}, [2], [3]), ({1, 3}, [3, 1], [3, 2]),
+                          (set(), [], [])],
+                         ids=["first", "middle", "two", "none"])
+def test_backward_forms_only_the_gradients_it_returns(monkeypatch, trainable, param_layers,
+                                                      input_layers):
+    model = make_toy_model((32, 24, 32, 16, 16), seed=47)
+    model.layers[0].enable_quant(3, rank=4)
+    model.layers[2].enable_quant(2, rank=0)
+    calls = {"param": [], "input": []}
+    for kind, name in (("param", "_param_grads"), ("input", "_input_grad")):
+        real = getattr(ToyLayer, name)
+
+        def spy(self, gy, cache, real=real, kind=kind):
+            calls[kind].append(model.layers.index(self))
+            return real(self, gy, cache)
+
+        monkeypatch.setattr(ToyLayer, name, spy)
+    model.loss_and_grads(np.random.default_rng(48).standard_normal((6, 32)), trainable)
+    assert calls == {"param": param_layers, "input": input_layers}
+
+
+# ---------------------------------------------------------------------------
+# Toy data
+# ---------------------------------------------------------------------------
+
+def test_toy_data_width_is_the_pool_width():
+    data = ToyData(val_inputs=np.zeros((50, 32)))
+    assert data.in_dim == 32
+    assert data.train_batch(np.random.default_rng(0), 4).shape == (4, 32)
+    assert make_toy_data(24, seed=1).in_dim == 24
+    with pytest.raises(AttributeError):
+        data.in_dim = 16
+    with pytest.raises(TypeError):
+        ToyData(in_dim=16, val_inputs=np.zeros((50, 32)))
+
+
+@pytest.mark.parametrize("shape", [(50,), (50, 0), (2, 50, 32), ()],
+                         ids=["1d", "no_columns", "3d", "scalar"])
+def test_toy_data_rejects_a_pool_that_is_not_a_matrix(shape):
+    with pytest.raises(ValidationError, match="val_inputs"):
+        ToyData(val_inputs=np.zeros(shape))

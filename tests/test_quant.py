@@ -11,6 +11,8 @@ import pytest
 import robuq
 from robuq.errors import FormatError, ValidationError
 from robuq.quant import (
+    _BLOCK_ENTRIES,
+    TERNARY_EPS,
     GaussCodebook,
     TernaryWeights,
     dequantize_codes,
@@ -63,6 +65,81 @@ def test_ternarize_validation():
         ternarize(np.array([[np.nan, 1.0]]))
     with pytest.raises(ValidationError):
         ternarize(np.ones(4))
+
+
+def _whole_matrix_ternarize(w):
+    """The ternarizer as one whole-matrix formula: (values, alpha)."""
+    arr = np.asarray(w, dtype=np.float64)
+    gamma = float(np.mean(np.abs(arr)))
+    return np.clip(np.rint(arr / (gamma + TERNARY_EPS)), -1, 1).astype(np.int8), gamma
+
+
+def _assert_matches_whole_matrix_formula(w):
+    t = ternarize(w)
+    values, alpha = _whole_matrix_ternarize(w)
+    assert t.values.dtype == np.int8
+    assert (t.values.flags.c_contiguous, t.values.flags.f_contiguous) == (
+        values.flags.c_contiguous, values.flags.f_contiguous)
+    np.testing.assert_array_equal(t.values, values, strict=True)
+    assert t.alpha.hex() == alpha.hex()
+    return t
+
+
+@pytest.mark.parametrize(
+    "shape,order",
+    [((300, 1152), "C"), ((300, 1152), "F"), ((1, 40_000), "C"), ((5000, 3), "C"), ((1, 1), "C")],
+    ids=["ragged_row_blocks", "fortran", "row_wider_than_a_block", "narrow_rows", "one_entry"],
+)
+def test_ternarize_matches_the_whole_matrix_formula(shape, order):
+    # 300 rows of 1152 are ten blocks of 28 rows and a last block of 20.
+    rng = np.random.default_rng(60)
+    w = np.asarray(rng.standard_normal(shape) * rng.uniform(0.5, 3.0, shape[1]), order=order)
+    _assert_matches_whole_matrix_formula(w)
+
+
+def test_ternarize_rounds_exact_half_ties_to_even():
+    # Half the entries are +-2^33 and half +-1.5 * 2^34, so mean|w| is 2^34
+    # exactly and eps vanishes beside it: w / d is exactly +-0.5 or +-1.5.
+    # rint rounds both halves to even, so +-0.5 gives 0 and +-1.5 clips to +-1.
+    rng = np.random.default_rng(61)
+    shape = (64, 1152)
+    half = rng.permutation(np.arange(np.prod(shape)) % 2 == 0).reshape(shape)
+    w = np.where(half, 2.0**33, 1.5 * 2.0**34) * rng.choice([-1.0, 1.0], shape)
+    t = _assert_matches_whole_matrix_formula(w)
+    assert t.alpha == 2.0**34
+    np.testing.assert_array_equal(t.values, np.where(half, 0, np.sign(w)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ternarize_rejects_a_non_finite_last_entry(bad):
+    w = np.random.default_rng(62).standard_normal((300, 1152))
+    w[-1, -1] = bad
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        ternarize(w)
+
+
+def test_ternarize_overflowing_mean_is_validation_error():
+    # Every entry is finite, but the sum of |W| that the mean needs is not.
+    with pytest.raises(ValidationError, match="overflows float64"):
+        ternarize(np.full((2, 2), 1e308))
+
+
+def test_ternarize_transient_memory_is_one_copy_plus_values_and_one_block():
+    import tracemalloc
+
+    w = np.random.default_rng(63).standard_normal((300, 1152))
+    ternarize(w)
+    tracemalloc.start()
+    try:
+        t = ternarize(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One float64 |W| for the mean, the int8 values, one float64 scratch
+    # block of rows, and numpy's buffer for casting a block into the values.
+    bound = w.nbytes + t.values.nbytes + 8 * _BLOCK_ENTRIES + 8 * np.getbufsize()
+    assert bound < 2 * w.nbytes  # leaves no room for a second float64 copy
+    assert peak <= bound
 
 
 @pytest.mark.parametrize(
