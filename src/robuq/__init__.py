@@ -65,9 +65,7 @@ from .quant import (
     TernaryWeights,
     dequantize_codes,
     lloyd_max,
-    load_codebook,
     quantize_tokens,
-    save_codebook,
     ternarize,
     token_codes,
     uniform_gauss_codebook,

@@ -57,7 +57,7 @@ from .quant import (
     _BLOCK_ENTRIES,
     GaussCodebook,
     TernaryWeights,
-    _check_codes,
+    _is_int,
     lloyd_max,
     ternarize,
     token_codes,
@@ -199,6 +199,8 @@ def init_layer(
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-D weight matrix, got shape {arr.shape}")
     out_dim, in_dim = arr.shape
+    if not _is_int(r):
+        raise ValidationError(f"rank must be an integer, got {r!r}")
     if codebook is None:
         codebook = uniform_gauss_codebook(4)
     max_rank = min(out_dim, in_dim)
@@ -224,35 +226,20 @@ def init_layer(
 _FLOAT32_EXACT = 1 << 24
 
 
-def forward_with_cache(
-    layer: QuantLinearLayer,
-    x: np.ndarray,
-    tokens: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, dict]:
+def forward_with_cache(layer: QuantLinearLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Apply the layer to a T x in_dim activation batch; returns (y, cache).
 
-    Each token is transformed once; the low-rank branch consumes it
-    unquantized, the ternary branch its per-token Gauss codes. One
-    rank-(r + 1) GEMM of the low-rank factors, widened by the per-token
-    mean/offset column, writes y; the code product, scaled per token and
-    by alpha, is then added in row blocks through one scratch block (see
-    the module docstring for the formula). ``tokens = (codes, mu, sigma)``
-    replays an earlier call's quantizer decisions; codes outside the
-    codebook raise ``ValidationError``. The cache keeps ``xh``, ``codes``,
-    ``mu`` and ``sigma``.
+    The low-rank branch reads the transformed tokens, the ternary branch
+    their per-token Gauss codes; see the module docstring for the formula.
+    The cache keeps ``xh``, ``codes``, ``mu`` and ``sigma``.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != layer.in_dim:
         raise DimensionError(f"expected T x {layer.in_dim} input, got shape {arr.shape}")
     xh = transform_tokens(arr, layer.plan)
     cb, wq = layer.codebook, layer.wq
-    n = len(cb.levels)
-    if tokens is None:
-        codes, mu, sigma = token_codes(xh, cb, center=layer.center)
-    else:
-        codes, mu, sigma = (np.asarray(a) for a in tokens)
-        _check_codes(codes, cb)
-    if cb.is_uniform and (n - 1) * layer.in_dim < _FLOAT32_EXACT:
+    codes, mu, sigma = token_codes(xh, cb, center=layer.center)
+    if cb.is_uniform and (len(cb.levels) - 1) * layer.in_dim < _FLOAT32_EXACT:
         # levels[c] = levels[0] + step * c, and codes @ V^T is an exact
         # float32 GEMM: every partial sum is an integer below 2^24.
         v, row_sums = wq.operand_f32

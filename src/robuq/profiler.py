@@ -14,7 +14,9 @@ QAT needs: the float shadow weight, the frozen low-rank anchor whose
 residual is re-ternarized from that shadow every step, and the
 straight-through backward. Both quantizers backpropagate as identity; the
 low-rank factors and everything outside a quantizer receive exact
-chain-rule gradients, which is what the finite-difference checks pin down.
+chain-rule gradients. The finite-difference checks pin this down on
+``ToyModel.loss``, asserting at every evaluation that no quantizer decision
+(ternary value, token code, mean or scale) has moved.
 
 Each step does only the work it uses. ``ToyModel.loss`` runs the deployed
 forward alone and forms none of the straight-through arrays, and
@@ -43,7 +45,7 @@ from .allocator import AllocationProblem, dp_allocate
 from .errors import DimensionError, ValidationError
 from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
 from .lowrank import QuantLinearLayer, forward_with_cache, init_layer
-from .quant import TernaryWeights, dequantize_codes, ternarize, uniform_gauss_codebook
+from .quant import _is_int, dequantize_codes, ternarize, uniform_gauss_codebook
 from .tensorio import LayerSpec, SensitivityTable
 
 FP_BITS = 32
@@ -60,10 +62,9 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValidationError("steps must be >= 0")
-        integral = isinstance(self.batch, numbers.Integral) and not isinstance(self.batch, bool)
-        if not integral or self.batch < 1:
+        if not _is_int(self.steps) or self.steps < 0:
+            raise ValidationError(f"steps must be an integer >= 0, got {self.steps!r}")
+        if not _is_int(self.batch) or self.batch < 1:
             raise ValidationError(f"batch must be an integer >= 1, got {self.batch!r}")
         if not (isinstance(self.learning_rate, numbers.Real)
                 and math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -133,36 +134,27 @@ class ToyLayer:
         if self.rank:
             self.qlayer.branch.A, self.qlayer.branch.B = params["A"], params["B"]
 
-    def deployed_forward(self, x: np.ndarray, frozen: dict | None = None):
+    def deployed_forward(self, x: np.ndarray):
         """Returns (y, cache) of the deployed layer alone: the dense product,
         or ``forward_with_cache`` after the residual of the live weight
-        against the anchor is re-ternarized. ``frozen`` pins the quantizer
-        decisions of a reference forward (ternary values, activation codes
-        and statistics), leaving only the smooth parts live; used by
-        gradient oracles."""
+        against the anchor is re-ternarized."""
         if not self.quantized:
             return x @ self.weight.T, {"x": x}
         q = self.qlayer
-        residual = fold_into_weights(self.weight, q.plan) - self.anchor
-        if frozen is None:
-            q.wq = ternarize(residual)
-            tokens = None
-        else:
-            q.wq = TernaryWeights(values=frozen["values"], alpha=float(np.mean(np.abs(residual))))
-            tokens = (frozen["codes"], frozen["mu"], frozen["sigma"])
-        return forward_with_cache(q, x, tokens)
+        q.wq = ternarize(fold_into_weights(self.weight, q.plan) - self.anchor)
+        return forward_with_cache(q, x)
 
-    def forward(self, x: np.ndarray, frozen: dict | None = None):
+    def forward(self, x: np.ndarray):
         """Returns (y, cache): ``deployed_forward`` plus, on a quantized
         layer, what the straight-through backward reads."""
-        y, cache = self.deployed_forward(x, frozen)
+        y, cache = self.deployed_forward(x)
         if not self.quantized:
             return y, cache
         q = self.qlayer
         # The straight-through backward needs the dequantized activations
         # and the dense ternary weight, which the forward never forms.
         deq = dequantize_codes(cache["codes"], q.codebook, cache["mu"], cache["sigma"], q.center)
-        cache.update(x=x, values=q.wq.values, deq=deq, wq=q.wq.dequantize())
+        cache.update(x=x, deq=deq, wq=q.wq.dequantize())
         return y, cache
 
     def backward(self, gy: np.ndarray, cache: dict):
@@ -191,9 +183,6 @@ class ToyLayer:
             g_xh = g_xh + gy @ branch.A @ branch.B
         return transform_tokens(g_xh, plan)
 
-    def snapshot(self, cache: dict) -> dict:
-        return {k: cache[k] for k in ("codes", "mu", "sigma", "values")}
-
 
 @dataclass
 class ToyModel:
@@ -211,21 +200,21 @@ class ToyModel:
             h = h @ w.T
         return h
 
-    def forward(self, x: np.ndarray, frozen: list[dict | None] | None = None):
+    def forward(self, x: np.ndarray):
         h = x
         caches = []
-        for i, layer in enumerate(self.layers):
-            h, cache = layer.forward(h, None if frozen is None else frozen[i])
+        for layer in self.layers:
+            h, cache = layer.forward(h)
             caches.append(cache)
         return h, caches
 
-    def loss(self, x: np.ndarray, frozen: list[dict | None] | None = None) -> float:
+    def loss(self, x: np.ndarray) -> float:
         """Mean squared error against the teacher, bitwise equal to that of
         ``forward``'s output. Each layer runs only its deployed forward, so
         no straight-through array is formed; nothing backpropagates here."""
         h = x
-        for i, layer in enumerate(self.layers):
-            h, _ = layer.deployed_forward(h, None if frozen is None else frozen[i])
+        for layer in self.layers:
+            h, _ = layer.deployed_forward(h)
         t = self.target(x)
         return float(np.mean((h - t) ** 2))
 
@@ -246,13 +235,6 @@ class ToyModel:
             if i > lowest:
                 gy = self.layers[i]._input_grad(gy, caches[i])
         return loss, grads
-
-    def snapshots(self, x: np.ndarray) -> list[dict | None]:
-        _, caches = self.forward(x)
-        return [
-            layer.snapshot(c) if layer.quantized else None
-            for layer, c in zip(self.layers, caches)
-        ]
 
 
 @dataclass
@@ -391,6 +373,9 @@ def profile_sensitivity(
     so the table is identical no matter how cells are scheduled. Bit width 32
     means no quantization: the gap is exactly zero by construction.
     """
+    if data.in_dim != model.layers[0].in_dim:
+        raise DimensionError(
+            f"data width {data.in_dim} is not the model's input width {model.layers[0].in_dim}")
     bits = tuple(sorted(bits))
     base_loss = model.loss(data.val_inputs)
     gaps = np.zeros((len(model.layers), len(bits)))

@@ -20,7 +20,6 @@ about 1e-13, which plain fixed-point iteration does not reach at 8 bits.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import numbers
@@ -29,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConvergenceError, FormatError, ValidationError
+from .errors import ConvergenceError, ValidationError
 
 TERNARY_EPS = 1e-8
 # ternarize and token_codes work through the rows in blocks of about this
@@ -39,8 +38,13 @@ TERNARY_EPS = 1e-8
 _BLOCK_ENTRIES = 1 << 15
 
 
+def _is_int(value) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_bits(bits) -> None:
-    if not (isinstance(bits, numbers.Integral) and 1 <= bits <= 8):
+    if not (_is_int(bits) and 1 <= bits <= 8):
         raise ValidationError(f"bits must be in 1..8, got {bits}")
 
 
@@ -363,12 +367,6 @@ def token_codes(
     return codes, mu, sigma
 
 
-def _check_codes(codes: np.ndarray, cb: GaussCodebook) -> None:
-    """Raise ``ValidationError`` unless every code indexes a level of ``cb``."""
-    if codes.size and (codes.min() < 0 or codes.max() >= len(cb.levels)):
-        raise ValidationError(f"codes out of range for a {cb.bits}-bit codebook")
-
-
 def dequantize_codes(
     codes: np.ndarray,
     cb: GaussCodebook,
@@ -378,12 +376,18 @@ def dequantize_codes(
 ) -> np.ndarray:
     """Invert ``token_codes`` on T x C codes with per-token ``mu`` and
     ``sigma``: row t is sigma_t * levels[codes_t] (+ mu_t when centered).
-    Codes outside the codebook raise ``ValidationError``."""
-    codes = np.asarray(codes)
-    _check_codes(codes, cb)
-    out = np.asarray(sigma)[:, None] * cb.levels[codes]
+    Codes that are not a 2-D integer array of indices of levels of ``cb``,
+    or ``mu`` and ``sigma`` not of length T, raise ``ValidationError``."""
+    codes, mu, sigma = np.asarray(codes), np.asarray(mu), np.asarray(sigma)
+    if codes.ndim != 2 or codes.dtype.kind not in "iu":
+        raise ValidationError(f"codes must be a 2-D integer array, got {codes.dtype} {codes.shape}")
+    if codes.size and (codes.min() < 0 or codes.max() >= len(cb.levels)):
+        raise ValidationError(f"codes out of range for a {cb.bits}-bit codebook")
+    if mu.shape != (len(codes),) or sigma.shape != (len(codes),):
+        raise ValidationError(f"mu and sigma must have length T = {len(codes)}")
+    out = sigma[:, None] * cb.levels[codes]
     if center:
-        out += np.asarray(mu)[:, None]
+        out += mu[:, None]
     return out
 
 
@@ -397,60 +401,3 @@ def quantize_tokens(
     """
     codes, mu, sigma = token_codes(x, cb, center)
     return dequantize_codes(codes, cb, mu, sigma, center), codes, mu, sigma
-
-
-# ---------------------------------------------------------------------------
-# Codebook serialization
-# ---------------------------------------------------------------------------
-
-def save_codebook(cb: GaussCodebook, path) -> None:
-    """CSV with a metadata comment line, then level,threshold pairs."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# bits={cb.bits} uniform={int(cb.is_uniform)} mse={cb.expected_mse!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["level", "threshold"])
-        for i, lev in enumerate(cb.levels):
-            thr = repr(float(cb.thresholds[i])) if i < len(cb.thresholds) else ""
-            writer.writerow([repr(float(lev)), thr])
-
-
-def load_codebook(path) -> GaussCodebook:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            meta = fh.readline().strip()
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    except csv.Error as exc:
-        raise FormatError(f"{path}: malformed CSV ({exc})") from exc
-    if not meta.startswith("# "):
-        raise FormatError(f"{path}: missing metadata comment line")
-    try:
-        fields = dict(part.split("=", 1) for part in meta[2:].split())
-        bits = int(fields["bits"])
-        uniform = bool(int(fields["uniform"]))
-        mse = float(fields["mse"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: bad metadata line {meta!r}") from exc
-    if not rows or rows[0] != ["level", "threshold"]:
-        raise FormatError(f"{path}: missing level,threshold header")
-    levels, thresholds = [], []
-    try:
-        for row in rows[1:]:
-            if not row:
-                continue
-            levels.append(float(row[0]))
-            if len(row) > 1 and row[1].strip() != "":
-                thresholds.append(float(row[1]))
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric level or threshold ({exc})") from exc
-    try:
-        return GaussCodebook(
-            bits=bits,
-            levels=np.array(levels),
-            thresholds=np.array(thresholds),
-            is_uniform=uniform,
-            expected_mse=mse,
-        )
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc

@@ -19,3 +19,31 @@ def dit_like_table():
         return SensitivityTable(layers, list(bits), np.array(gaps))
 
     return make
+
+
+@pytest.fixture()
+def loss_at_fixed_decisions():
+    """``make(model, x)`` returns a closure that evaluates ``model.loss(x)``
+    after asserting that every quantized layer's ternary values, token
+    codes, means and scales equal those of ``model`` when ``make`` was
+    called. The straight-through gradient is the derivative of the loss
+    only while no quantizer decision moves, so finite differences of this
+    closure check it and fail loudly if a step crosses a decision."""
+
+    def decisions(model, x):
+        _, caches = model.forward(x)
+        return [(layer.qlayer.wq.values, c["codes"], c["mu"], c["sigma"])
+                for layer, c in zip(model.layers, caches) if layer.quantized]
+
+    def make(model, x):
+        reference = decisions(model, x)
+
+        def loss():
+            for now, then in zip(decisions(model, x), reference, strict=True):
+                for a, b in zip(now, then, strict=True):
+                    np.testing.assert_array_equal(a, b)
+            return model.loss(x)
+
+        return loss
+
+    return make

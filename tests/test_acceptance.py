@@ -179,7 +179,7 @@ def test_08_flops_arithmetic():
     _report(8, "fixture classes exact; total == class sum; W1.58A4 = fp/8", t0, 1.0)
 
 
-def test_09_gradient_checks():
+def test_09_gradient_checks(loss_at_fixed_decisions):
     t0 = time.time()
     rng = np.random.default_rng(9)
     model = make_toy_model((32, 32, 32, 32), seed=9)  # 3 layers
@@ -187,7 +187,7 @@ def test_09_gradient_checks():
     for layer in model.layers[1:]:
         layer.weight += 0.05 * rng.standard_normal(layer.weight.shape)
     x = rng.standard_normal((16, 32))
-    frozen = model.snapshots(x)
+    loss = loss_at_fixed_decisions(model, x)
     _, grads = model.loss_and_grads(x, {0, 1, 2})
 
     h = 1e-5
@@ -198,9 +198,9 @@ def test_09_gradient_checks():
             idx = tuple(rng.integers(0, s) for s in param.shape)
             p0 = param[idx]
             param[idx] = p0 + h
-            lp = model.loss(x, frozen)
+            lp = loss()
             param[idx] = p0 - h
-            lm = model.loss(x, frozen)
+            lm = loss()
             param[idx] = p0
             fd = (lp - lm) / (2 * h)
             an = grads[li][name][idx]

@@ -44,49 +44,49 @@ def test_disabled_quantizers_give_dense_gradients():
     np.testing.assert_array_equal(gx, gy @ layer.weight)
 
 
-def test_single_element_shadow_matches_fd_on_frozen_codes():
+def test_single_element_shadow_matches_fd_on_frozen_codes(loss_at_fixed_decisions):
     rng = np.random.default_rng(1)
     model = ToyModel(layers=[ToyLayer(np.array([[0.7]]))], teacher=[np.array([[1.3]])])
     model.layers[0].enable_quant(2)
     x = rng.standard_normal((32, 1))
-    frozen = model.snapshots(x)
+    loss = loss_at_fixed_decisions(model, x)
     _, grads = model.loss_and_grads(x, {0})
     w = model.layers[0].weight
-    fd = _fd_grad(lambda: model.loss(x, frozen), w, (0, 0))
+    fd = _fd_grad(loss, w, (0, 0))
     assert _rel(fd, grads[0]["weight"][0, 0]) < 1e-4
 
 
-def test_branch_factors_match_fd():
+def test_branch_factors_match_fd(loss_at_fixed_decisions):
     rng = np.random.default_rng(2)
     model = make_toy_model((32, 32, 32), seed=3)
     model.layers[0].enable_quant(3, rank=4)
     # Perturb downstream so the teacher-matching gradient is nonzero.
     model.layers[1].weight += 0.05 * rng.standard_normal((32, 32))
     x = rng.standard_normal((16, 32))
-    frozen = model.snapshots(x)
+    loss = loss_at_fixed_decisions(model, x)
     _, grads = model.loss_and_grads(x, {0, 1})
     for name in ("A", "B"):
         param = model.layers[0].params()[name]
         for _ in range(6):
             idx = tuple(rng.integers(0, s) for s in param.shape)
-            fd = _fd_grad(lambda: model.loss(x, frozen), param, idx)
+            fd = _fd_grad(loss, param, idx)
             assert _rel(fd, grads[0][name][idx]) < 1e-4
 
 
-def test_downstream_weights_match_fd():
+def test_downstream_weights_match_fd(loss_at_fixed_decisions):
     rng = np.random.default_rng(4)
     model = make_toy_model((32, 32, 32, 32), seed=5)
     model.layers[0].enable_quant(2, rank=2)
     for layer in model.layers[1:]:
         layer.weight += 0.05 * rng.standard_normal(layer.weight.shape)
     x = rng.standard_normal((8, 32))
-    frozen = model.snapshots(x)
+    loss = loss_at_fixed_decisions(model, x)
     _, grads = model.loss_and_grads(x, {1, 2})
     for li in (1, 2):
         param = model.layers[li].weight
         for _ in range(6):
             idx = tuple(rng.integers(0, s) for s in param.shape)
-            fd = _fd_grad(lambda: model.loss(x, frozen), param, idx)
+            fd = _fd_grad(loss, param, idx)
             assert _rel(fd, grads[li]["weight"][idx]) < 1e-4
 
 
@@ -144,6 +144,16 @@ def test_short_qat_not_worse_than_ptq():
     ptq = profile_sensitivity(model, data, (2,), TrainConfig(steps=0, seed=10))
     qat = profile_sensitivity(model, data, (2,), TrainConfig(steps=200, seed=10))
     assert np.all(qat.delta_loss <= ptq.delta_loss + 1e-12)
+
+
+def test_profiling_rejects_data_of_another_width():
+    from robuq.errors import DimensionError
+
+    model, data = make_toy_model((8, 8)), make_toy_data(16)
+    with pytest.raises(DimensionError, match="16 .*8"):
+        profile_sensitivity(model, data, (2,), TrainConfig(steps=1))
+    with pytest.raises(DimensionError, match="16 .*8"):
+        steps_sweep(model, data, (1,), bits=(2,), config=TrainConfig(steps=1), full_steps=1)
 
 
 def test_layer_specs_carry_flops_weights():
@@ -224,17 +234,9 @@ def test_quantized_toy_cache_holds_what_the_backward_reads():
 
     layer = _shared_forward_model().layers[0]
     _, cache = layer.forward(np.random.default_rng(28).standard_normal((10, 32)))
-    assert set(cache) == {"x", "xh", "deq", "wq", "codes", "mu", "sigma", "values"}
+    assert set(cache) == {"x", "xh", "deq", "wq", "codes", "mu", "sigma"}
     np.testing.assert_array_equal(cache["deq"], quantize_tokens(cache["xh"], layer.qlayer.codebook)[0])
     np.testing.assert_array_equal(cache["wq"], layer.qlayer.wq.dequantize())
-
-
-def test_frozen_snapshot_replays_forward_bitwise():
-    model = _shared_forward_model()
-    x = np.random.default_rng(26).standard_normal((10, 32))
-    y, _ = model.forward(x)
-    y_frozen, _ = model.forward(x, model.snapshots(x))
-    np.testing.assert_array_equal(y_frozen, y)
 
 
 def test_rank_zero_layer_trains_only_the_shadow_weight():
@@ -255,7 +257,9 @@ def test_rank_zero_layer_trains_only_the_shadow_weight():
     [({"batch": 0}, "batch"), ({"batch": -3}, "batch"), ({"batch": 2.0}, "batch"),
      ({"batch": True}, "batch"), ({"learning_rate": float("nan")}, "learning_rate"),
      ({"learning_rate": float("inf")}, "learning_rate"), ({"learning_rate": 0.0}, "learning_rate"),
-     ({"learning_rate": -1.0}, "learning_rate")],
+     ({"learning_rate": -1.0}, "learning_rate"), ({"steps": 2.5}, "steps"),
+     ({"steps": 3.0}, "steps"), ({"steps": "3"}, "steps"), ({"steps": True}, "steps"),
+     ({"steps": -1}, "steps")],
 )
 def test_train_config_rejects_bad_batch_and_learning_rate(kwargs, field):
     from robuq.errors import ValidationError
@@ -265,7 +269,8 @@ def test_train_config_rejects_bad_batch_and_learning_rate(kwargs, field):
 
 
 def test_train_config_accepts_integer_types():
-    assert TrainConfig(batch=np.int64(4), learning_rate=1).batch == 4
+    config = TrainConfig(steps=np.int64(3), batch=np.int64(4), learning_rate=1)
+    assert (config.steps, config.batch) == (3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -366,29 +371,25 @@ def _loss_model():
     return model
 
 
-@pytest.mark.parametrize("use_frozen", [False, True], ids=["live", "frozen"])
-def test_loss_is_mean_squared_forward_error_bitwise(use_frozen):
+def test_loss_is_mean_squared_forward_error_bitwise():
     model = _loss_model()
     x = np.random.default_rng(44).standard_normal((20, 32))
-    frozen = model.snapshots(x) if use_frozen else None
-    y, _ = model.forward(x, frozen)
-    assert model.loss(x, frozen) == float(np.mean((y - model.target(x)) ** 2))
+    y, _ = model.forward(x)
+    assert model.loss(x) == float(np.mean((y - model.target(x)) ** 2))
 
 
-@pytest.mark.parametrize("use_frozen", [False, True], ids=["live", "frozen"])
-def test_loss_never_dequantizes(monkeypatch, use_frozen):
+def test_loss_never_dequantizes(monkeypatch):
     from robuq.quant import TernaryWeights
 
     model = _loss_model()
     x = np.random.default_rng(45).standard_normal((20, 32))
-    frozen = model.snapshots(x) if use_frozen else None
-    expected = model.loss(x, frozen)
+    expected = model.loss(x)
 
     def refuse(self):
         raise AssertionError("the loss formed a dense ternary weight")
 
     monkeypatch.setattr(TernaryWeights, "dequantize", refuse)
-    assert model.loss(x, frozen) == expected
+    assert model.loss(x) == expected
 
 
 @pytest.mark.parametrize("trainable", [{2}, {1, 2}])

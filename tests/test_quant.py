@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import robuq
-from robuq.errors import FormatError, ValidationError
+from robuq.errors import ValidationError
 from robuq.quant import (
     _BLOCK_ENTRIES,
     TERNARY_EPS,
@@ -17,9 +17,7 @@ from robuq.quant import (
     TernaryWeights,
     dequantize_codes,
     lloyd_max,
-    load_codebook,
     quantize_tokens,
-    save_codebook,
     ternarize,
     token_codes,
     uniform_gauss_codebook,
@@ -354,8 +352,18 @@ def test_scale_equivariance():
 
 def test_dequantize_rejects_bad_codes():
     cb = uniform_gauss_codebook(2)
-    with pytest.raises(ValidationError):
-        dequantize_codes(np.array([[17]]), cb, np.zeros(1), np.ones(1))
+    two = np.array([[0, 3], [1, 2]])
+    for codes, mu, sigma, match in [
+        (np.array([[17]]), np.zeros(1), np.ones(1), "out of range"),
+        (np.array([[-1]]), np.zeros(1), np.ones(1), "out of range"),
+        (np.arange(4), np.zeros(4), np.ones(4), "2-D integer"),  # 1-D codes
+        (two.astype(np.float64), np.zeros(2), np.ones(2), "2-D integer"),
+        (two, np.zeros(1), np.ones(2), "length T = 2"),  # would broadcast
+        (two, np.zeros(2), np.ones(1), "length T = 2"),
+        (two, 0.0, np.ones(2), "length T = 2"),  # scalar mu
+    ]:
+        with pytest.raises(ValidationError, match=match):
+            dequantize_codes(codes, cb, mu, sigma)
 
 
 def test_vectorized_matches_per_token():
@@ -449,13 +457,16 @@ def test_middle_codes_dequantize_to_middle_level():
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Codebook validation
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("maker", [lloyd_max, uniform_gauss_codebook])
 def test_solvers_reject_non_integer_bits(maker):
-    with pytest.raises(ValidationError):
-        maker(2.5)
+    # bits=True would make a codebook whose layer.json holds "bits": true,
+    # which load_layer rejects
+    for bits in (2.5, True):
+        with pytest.raises(ValidationError):
+            maker(bits)
 
 
 @pytest.mark.parametrize("bits", [0, 9, -1])
@@ -501,63 +512,10 @@ def test_uniform_codebook_rejects_thresholds_off_the_midpoints():
 
 
 @pytest.mark.parametrize("bits", range(1, 9))
-def test_uniform_codebooks_are_grids(tmp_path, bits):
+def test_uniform_codebooks_are_grids(bits):
     cb = uniform_gauss_codebook(bits)
     c = np.arange(1 << bits) - ((1 << bits) - 1) / 2
     assert np.max(np.abs(cb.levels - cb.step * c)) <= 4 * np.spacing(cb.levels[-1])
-    save_codebook(cb, tmp_path / "cb.csv")
-    assert load_codebook(tmp_path / "cb.csv").step == cb.step
-
-
-_GOOD_CSV = "# bits=1 uniform=1 mse=0.36\nlevel,threshold\n-0.8,0.0\n0.8,\n"
-_NON_GRID_CSV = ("# bits=2 uniform=1 mse=0.2\nlevel,threshold\n"
-                 "-2,-1.15\n-0.3,0\n0.3,1.15\n2,\n")
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        _GOOD_CSV.replace(" mse=0.36", " mse=0.36 stray"),
-        _GOOD_CSV.replace("0.8,\n", "high,\n"),
-        "# bits=-1 uniform=1 mse=0.36\nlevel,threshold\n-0.8,0.0\n0.8,\n",
-        "# bits=0 uniform=1 mse=0.36\nlevel,threshold\n0.0,\n",
-        _GOOD_CSV.replace("0.8,\n", "nan,\n"),
-        _NON_GRID_CSV,
-        _GOOD_CSV.replace("mse=0.36", "mse=nan"),
-        _GOOD_CSV.replace("mse=0.36", "mse=inf"),
-        _GOOD_CSV.replace("mse=0.36", "mse=-1"),
-        _GOOD_CSV.replace("0.8,\n", "0.8," + "9" * 200_000 + "\n"),  # over the csv field limit
-    ],
-    ids=["token_without_equals", "non_numeric_level", "negative_bits", "zero_bits", "nan_level",
-         "uniform_not_a_grid", "nan_mse", "inf_mse", "negative_mse", "oversized_field"],
-)
-def test_load_codebook_malformed_is_format_error(tmp_path, text):
-    path = tmp_path / "cb.csv"
-    path.write_text(text)
-    with pytest.raises(FormatError, match="cb.csv"):
-        load_codebook(path)
-
-
-def test_load_codebook_non_utf8_is_format_error(tmp_path):
-    path = tmp_path / "cb.csv"
-    path.write_bytes(_GOOD_CSV.replace("0.8,\n", "0.8\xe9,\n").encode("latin-1"))
-    with pytest.raises(FormatError, match="cb.csv"):
-        load_codebook(path)
-
-
-@pytest.mark.parametrize("maker,bits", [(m, b) for m in (lloyd_max, uniform_gauss_codebook)
-                                         for b in range(1, 9)])
-def test_codebook_csv_roundtrip(tmp_path, maker, bits):
-    cb = maker(bits)
-    path = tmp_path / "cb.csv"
-    save_codebook(cb, path)
-    first = path.read_text().splitlines()[0]
-    assert first.startswith(f"# bits={bits} uniform={int(cb.is_uniform)} mse=")
-    back = load_codebook(path)
-    assert back.bits == cb.bits and back.is_uniform == cb.is_uniform
-    np.testing.assert_array_equal(back.levels, cb.levels)
-    np.testing.assert_array_equal(back.thresholds, cb.thresholds)
-    assert back.expected_mse == cb.expected_mse
 
 
 @pytest.mark.parametrize("maker", [uniform_gauss_codebook, lloyd_max])
