@@ -2,11 +2,12 @@
 
 A layer is built from a dense weight W by transforming it (W H), capturing
 the top-r singular structure in full-precision factors A = U_r S_r and
-B = V_r^T (the top-r eigenvectors of the small Gram matrix, refined by one
+B = V_r^T (randomized subspace iteration with a fixed seed, then one
 Rayleigh-Ritz SVD; LAPACK via numpy), and ternarizing only the residual
-W H - A B. The forward then runs the cheap ternary branch on
-Gauss-quantized transformed activations while the low-rank branch consumes
-the unquantized transformed activations:
+W H - A B. The Frobenius error of A B is within 1% of the Eckart-Young
+optimum, measured on flat spectra, the hardest case. The forward then runs
+the cheap ternary branch on Gauss-quantized transformed activations while
+the low-rank branch consumes the unquantized transformed activations:
 
     W x ~ A (B (H x)) + alpha V . dequant(Q(H x))
 
@@ -65,6 +66,9 @@ from .quant import (
 )
 
 DEFAULT_RANK = 16
+# truncated_svd's sketch: r + _OVERSAMPLE columns, _POWER_STEPS rounds
+_OVERSAMPLE = 16
+_POWER_STEPS = 3
 
 
 @dataclass
@@ -121,21 +125,33 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """Top-r singular triple (U_r, S_r, V_r) of m (LAPACK via numpy).
 
     On the tall orientation a (n = min(dims) columns), scaled by an exact
-    power of two, the top-r eigenvectors of the n x n Gram matrix a^T a span
-    the dominant right singular subspace; one Rayleigh-Ritz step, the thin
-    SVD of the r-column matrix a @ basis, then gives the triples (Halko,
-    Martinsson & Tropp 2011, "subspace, then small SVD").
+    power of two, randomized subspace iteration (Halko, Martinsson & Tropp
+    2011, Alg. 4.4) finds an orthonormal basis of l = min(n, r + 16)
+    columns: a Gaussian sketch drawn from ``np.random.default_rng(0)``, then
+    3 rounds of basis = qr(a^T qr(a basis)). One Rayleigh-Ritz step, the
+    thin SVD of a @ basis, gives the triples, of which the top r are kept.
+    The fixed generator keeps conversion deterministic, and the global
+    numpy RNG is neither read nor advanced. The constants: each round
+    shrinks the pull of the spectrum below s_{l-1} on the basis by another
+    power of (s_{l-1} / s_i)^2, and the 16 extra columns put s_{l-1} well
+    below s_{r-1}. With 2 rounds a DiT-XL/2 block converted about 10%
+    faster, but its quantized output error moved 1.7 times as far from the
+    exact solver's (+0.23% against +0.13%).
 
-    Accuracy: forming a^T a squares the condition number. Singular values
-    above sqrt(eps) * s_0 match an exact SVD to about eps * s_0; smaller ones
-    only to about sqrt(eps) * s_0. The vectors of a value s_i are off by an
-    angle of about eps * (s_0 / s_i)^2, so they too are resolved only above
-    sqrt(eps) * s_0. The reconstruction error ||m - U_r S_r V_r^T|| is within
-    about sqrt(eps) * s_0 of the Eckart-Young optimum. All of this holds at
-    any magnitude of m whose top singular value s_0 is representable in
-    float64, since the scaling is undone exactly; when s_0 overflows,
-    ``ValidationError`` is raised. One max/min pass over m gives both the
-    finiteness check and the scaling exponent.
+    Accuracy: each S_r[i] is a Ritz value of a, so it never exceeds the
+    true i-th singular value (Cauchy interlacing). The reconstruction error
+    ||m - U_r S_r V_r^T||_F is at most 1.01 times the Eckart-Young optimum
+    on flat Gaussian matrices, the hardest case as their gaps are smallest:
+    the worst measured excess is 9.0e-3 at 300 x 400 and 5.0e-3 at 1152^2,
+    r = 16 or 30. Decaying spectra converge faster. On a flat spectrum a
+    single value can still be a few percent low (6.6% at 1152^2), which
+    costs little reconstruction error since its neighbours are as large.
+    When n <= r + 16 the basis spans every column and the result is an
+    exact SVD to rounding: values within about eps * s_0. All of this holds
+    at any magnitude of m whose top singular value s_0 is representable in
+    float64, since the scaling is undone exactly; when the top Ritz value
+    overflows, ``ValidationError`` is raised. One max/min pass over m gives
+    both the finiteness check and the scaling exponent.
 
     U_r and V_r have orthonormal columns; S_r is nonincreasing, nonnegative.
     Singular values at or below the rank tolerance s_0 * max(dims) * eps (the
@@ -155,18 +171,23 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
     # numpy's LAPACK rather than scipy's: the scipy wheel bundles a second
     # OpenBLAS whose thread pool competes with numpy's, which made the many
-    # small solves of QAT profiling slower on a 2-core machine.
+    # small solves of QAT profiling slower on a 2-core machine. Measured on a
+    # 2-vCPU Xeon against the earlier exact Gram solver: scipy's
+    # eigh(subset_by_index, driver="evr") took one 1152^2 Gram from 198 to
+    # 87 ms on its own, yet end to end it made dit-convert 10.1 -> 8.7
+    # Mparam/s and toy-pipeline 798 -> 461 steps/s.
     wide = arr.shape[0] < arr.shape[1]
     a = arr.T if wide else arr
-    # Scaling by a power of two is exact and keeps the Gram matrix's entries
-    # (up to rows * max|a|^2) clear of overflow and underflow.
+    # Scaling by a power of two is exact and keeps the products of the
+    # iteration (up to rows * max|a|^2) clear of overflow and underflow.
     e = math.frexp(max(top, -bottom))[1]
     a = np.ldexp(a, -e)
-    basis = np.linalg.eigh(a.T @ a)[1][:, -r:]
-    # Rayleigh-Ritz: the squared condition number of the Gram matrix only
-    # blurs the subspace; the values and vectors come from a @ basis itself.
+    n = a.shape[1]
+    basis = np.random.default_rng(0).standard_normal((n, min(n, r + _OVERSAMPLE)))
+    for _ in range(_POWER_STEPS):
+        basis = np.linalg.qr(a.T @ np.linalg.qr(a @ basis)[0])[0]
     u, s, qt = np.linalg.svd(a @ basis, full_matrices=False)
-    v = basis @ qt.T
+    u, s, v = u[:, :r], s[:r], basis @ qt[:r].T
     if wide:
         u, v = v, u
     with np.errstate(over="ignore"):
@@ -193,7 +214,7 @@ def init_layer(
     min(dims) with a warning so small test matrices stay usable; r = 0
     disables the branch entirely. The residual overwrites the A B product
     and the transformed weight is released before ternarizing, so the
-    temporaries peak at about 2.5 float64 copies of W.
+    temporaries peak at about 2.1 float64 copies of W.
     """
     arr = np.asarray(w, dtype=np.float64)
     if arr.ndim != 2:

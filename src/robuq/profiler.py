@@ -109,8 +109,9 @@ class ToyLayer:
         branch is initialized from the transformed weight's top singular
         structure; its product at enable time anchors the residual, so the
         factors train freely without re-entering the weight quantizer.
-        ``seed`` has no effect: the SVD is deterministic. It is still
-        accepted because existing callers pass it.
+        ``seed`` has no effect: the SVD's random sketch is drawn from a
+        fixed internal seed, so it is deterministic. It is still accepted
+        because existing callers pass it.
         """
         if bits >= FP_BITS:
             return

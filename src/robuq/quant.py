@@ -55,6 +55,9 @@ def _check_bits(bits) -> None:
 def is_ternary(values) -> bool:
     """True when every entry is -1, 0 or +1 (NaN, 0.5, 256 and int8 -128 are not)."""
     v = np.asarray(values)
+    if v.dtype.kind in "biu":
+        # Integers hold no NaN or fraction: two reductions, no temporaries.
+        return v.size == 0 or bool(v.min() >= -1 and v.max() <= 1)
     return bool(((v == 0) | (np.abs(v) == 1)).all())
 
 

@@ -406,10 +406,10 @@ def test_truncated_backward_matches_full_backward(trainable):
             np.testing.assert_array_equal(grads[i][name], ref_grads[i][name], strict=True)
 
 
-# Recorded before the flat-buffer optimizer with scipy-openblas 0.3.31 on
+# Recorded with the randomized truncated_svd and scipy-openblas 0.3.31 on
 # x86-64; a BLAS that rounds its GEMMs differently moves these last bits.
 _SWEEP_LOSSES = {
-    "adam": ("0x1.3c6a8c4dd486dp-1", "0x1.9c975fc1f1cb1p-2"),
+    "adam": ("0x1.3cb83b11a0258p-1", "0x1.9cf35bc1b572dp-2"),
 }
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robuq
 from robuq.errors import ValidationError
@@ -16,6 +18,7 @@ from robuq.quant import (
     GaussCodebook,
     TernaryWeights,
     dequantize_codes,
+    is_ternary,
     lloyd_max,
     quantize_tokens,
     ternarize,
@@ -154,6 +157,42 @@ def test_ternarize_transient_memory_is_one_copy_plus_values_and_one_block():
 def test_ternary_weights_reject_non_ternary(values):
     with pytest.raises(ValidationError):
         TernaryWeights(values=values, alpha=1.0)
+
+
+_INTEGER_DTYPES = [np.bool_, np.int8, np.int16, np.int32, np.int64,
+                   np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def _ternary_check_inputs(draw):
+    """Mostly-ternary arrays of every integer dtype and of float64, salted
+    with the values a shortcut could misjudge."""
+    dtype = draw(st.sampled_from(_INTEGER_DTYPES + [np.float64]))
+    if dtype == np.bool_:
+        pool = [False, True]
+    elif dtype == np.float64:
+        pool = [-1.0, 0.0, 1.0, np.nan, 0.5, -0.5, 2.0, np.inf, -np.inf]
+    else:
+        info = np.iinfo(dtype)
+        pool = [int(x) for x in (-128, -2, -1, 0, 1, 2, 255, 256, info.min, info.max)
+                if info.min <= x <= info.max]
+    shape = draw(st.tuples(st.integers(0, 4), st.integers(0, 5)))
+    size = shape[0] * shape[1]
+    ternary = [x for x in pool if x in (-1, 0, 1)]
+    entries = draw(st.lists(st.sampled_from(ternary), min_size=size, max_size=size))
+    salt = draw(st.lists(st.tuples(st.integers(0, max(size - 1, 0)), st.sampled_from(pool)),
+                         max_size=2 if size else 0))
+    for i, x in salt:
+        entries[i] = x
+    return np.array(entries, dtype=dtype).reshape(shape)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_ternary_check_inputs())
+def test_is_ternary_matches_the_elementwise_rule(v):
+    with np.errstate(invalid="ignore"):
+        expected = bool(((v == 0) | (abs(v) == 1)).all())
+    assert is_ternary(v) is expected
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int8, np.bool_])
