@@ -2,10 +2,12 @@
 
 A layer is built from a dense weight W by transforming it (W H), capturing
 the top-r singular structure in full-precision factors A = U_r S_r and
-B = V_r^T (randomized subspace iteration with a fixed seed, then one
-Rayleigh-Ritz SVD; LAPACK via numpy), and ternarizing only the residual
-W H - A B. The Frobenius error of A B is within 1% of the Eckart-Young
-optimum, measured on flat spectra, the hardest case. The forward then runs
+B = V_r^T, and ternarizing only the residual W H - A B. The subspace is
+found by randomized subspace iteration with a fixed seed on a float32
+copy, and one float64 QB step then gives the factors (LAPACK via numpy).
+The Frobenius error of A B is within 1% of the Eckart-Young optimum,
+measured on flat spectra, the hardest case, and exact whenever W has
+rank at most r + 16. The forward then runs
 the cheap ternary branch on Gauss-quantized transformed activations while
 the low-rank branch consumes the unquantized transformed activations:
 
@@ -69,6 +71,11 @@ DEFAULT_RANK = 16
 # truncated_svd's sketch: r + _OVERSAMPLE columns, _POWER_STEPS rounds
 _OVERSAMPLE = 16
 _POWER_STEPS = 3
+# _cholesky_qr's diagonal shift: _EPS32 * trace + _TINY32
+_EPS32 = float(np.finfo(np.float32).eps)
+_TINY32 = float(np.finfo(np.float32).tiny)
+# bound on |k| for the 2^k that scales truncated_svd's thin factors
+_SCALE_EXP = 1000
 
 
 @dataclass
@@ -121,43 +128,89 @@ class QuantLinearLayer:
         return HadamardPlan(self.in_dim)
 
 
+def _cholesky_qr(y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the columns of a float32 y, by two passes of
+    shifted Cholesky-QR (Fukaya et al., SIAM J. Sci. Comput. 2020).
+
+    Each pass factors the Gram matrix plus eps32 * trace on its diagonal,
+    which keeps it positive definite when y is rank-deficient (tiny32 more
+    for y = 0); the second pass restores the orthogonality that the first
+    loses to float32 rounding. The span, which is all the power iteration
+    needs, is the span of y. The Gram matrix is formed in float64: a
+    float32 one is off by up to about rows * eps32 * trace, more than the
+    shift, and its Cholesky failed on np.ones((64, 96)).
+    """
+    for _ in range(2):
+        y64 = y.astype(np.float64)
+        g = y64.T @ y64
+        g.flat[:: len(g) + 1] += _EPS32 * g.trace() + _TINY32
+        y = y @ np.linalg.inv(np.linalg.cholesky(g)).T.astype(np.float32)
+    return y
+
+
+def _dominant_subspace(a: np.ndarray, peak: float, l: int) -> np.ndarray:
+    """n x l float32 basis close to the top right singular subspace of the
+    m x n matrix a, whose largest magnitude is ``peak``.
+
+    Randomized subspace iteration (Halko, Martinsson & Tropp 2011, Alg.
+    4.4) on a float32 copy of a / peak: a Gaussian sketch from
+    ``np.random.default_rng(0)``, then _POWER_STEPS rounds of
+    basis = cholesky_qr(a^T cholesky_qr(a basis)).
+    """
+    # One pass makes the copy. Dividing rather than multiplying by 1 / peak
+    # keeps it finite when peak is subnormal, and the copy is the same
+    # float32 matrix, up to float64 rounding, at every scale of a.
+    a32 = np.divide(a, peak or 1.0, out=np.empty_like(a, dtype=np.float32), casting="same_kind")
+    basis = np.random.default_rng(0).standard_normal((a.shape[1], l)).astype(np.float32)
+    for _ in range(_POWER_STEPS):
+        basis = _cholesky_qr(a32.T @ _cholesky_qr(a32 @ basis))
+    return basis
+
+
 def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-r singular triple (U_r, S_r, V_r) of m (LAPACK via numpy).
 
-    On the tall orientation a (n = min(dims) columns), scaled by an exact
-    power of two, randomized subspace iteration (Halko, Martinsson & Tropp
-    2011, Alg. 4.4) finds an orthonormal basis of l = min(n, r + 16)
-    columns: a Gaussian sketch drawn from ``np.random.default_rng(0)``, then
-    3 rounds of basis = qr(a^T qr(a basis)). One Rayleigh-Ritz step, the
-    thin SVD of a @ basis, gives the triples, of which the top r are kept.
-    The fixed generator keeps conversion deterministic, and the global
-    numpy RNG is neither read nor advanced. The constants: each round
-    shrinks the pull of the spectrum below s_{l-1} on the basis by another
-    power of (s_{l-1} / s_i)^2, and the 16 extra columns put s_{l-1} well
-    below s_{r-1}. With 2 rounds a DiT-XL/2 block converted about 10%
-    faster, but its quantized output error moved 1.7 times as far from the
-    exact solver's (+0.23% against +0.13%).
+    On the tall orientation a (n = min(dims) columns) an n x l basis, l =
+    min(n, r + 16), locates the dominant right singular subspace. When
+    l < n it comes from 3 rounds of randomized subspace iteration in
+    float32 (``_dominant_subspace``, with Cholesky-QR between the steps);
+    otherwise it is the identity. One float64 QB step (Halko et al. Alg.
+    5.1) finishes: q = qr(a basis), then the thin SVD of q^T a gives the
+    triples, of which the top r are kept. The sketch comes from
+    ``np.random.default_rng(0)``, so conversion is deterministic and the
+    global numpy RNG is neither read nor advanced. The constants: each
+    round shrinks the pull of the spectrum below s_{l-1} on the basis by
+    another power of (s_{l-1} / s_i)^2, and the 16 extra columns put
+    s_{l-1} well below s_{r-1}. With 2 rounds a DiT-XL/2 block converted
+    about 10% faster, but its reconstruction error moved 1.5 times as far
+    from an exact solver's (+0.17% against +0.12%).
 
-    Accuracy: each S_r[i] is a Ritz value of a, so it never exceeds the
-    true i-th singular value (Cauchy interlacing). The reconstruction error
-    ||m - U_r S_r V_r^T||_F is at most 1.01 times the Eckart-Young optimum
-    on flat Gaussian matrices, the hardest case as their gaps are smallest:
-    the worst measured excess is 9.0e-3 at 300 x 400 and 5.0e-3 at 1152^2,
-    r = 16 or 30. Decaying spectra converge faster. On a flat spectrum a
-    single value can still be a few percent low (6.6% at 1152^2), which
-    costs little reconstruction error since its neighbours are as large.
-    When n <= r + 16 the basis spans every column and the result is an
-    exact SVD to rounding: values within about eps * s_0. All of this holds
-    at any magnitude of m whose top singular value s_0 is representable in
-    float64, since the scaling is undone exactly; when the top Ritz value
-    overflows, ``ValidationError`` is raised. One max/min pass over m gives
-    both the finiteness check and the scaling exponent.
+    Accuracy: the float32 sketch only chooses the subspace; every value and
+    vector comes from the float64 step, whose q is orthonormal to float64
+    rounding. So each S_r[i] is a Ritz value of a and never exceeds the true
+    i-th singular value (Cauchy interlacing), and when rank(a) <= l (in
+    particular when n <= r + 16) q spans the range of a and the result is
+    an exact SVD to rounding: values within about eps * s_0. The
+    reconstruction error ||m - U_r S_r V_r^T||_F is at most 1.01 times the
+    Eckart-Young optimum on flat Gaussian matrices, the hardest case as
+    their gaps are smallest: the worst measured excess is 6.6e-3 at
+    300 x 400 and 2.3e-3 at 1152^2, r = 16 or 30. Decaying spectra
+    converge faster: at s_i = 10^(-i/2) the error is within 1e-9 of the
+    optimum. On a flat spectrum a single value can still be a few percent
+    low (5.4% at 1152^2), which costs little reconstruction error since its
+    neighbours are as large.
+    All of this holds at any magnitude of m whose top singular value s_0 is
+    representable in float64: the thin factors are scaled by powers of
+    two, which is exact, and the scaling is undone exactly; when the top
+    value overflows, ``ValidationError`` is raised. One max/min pass over
+    m gives both the finiteness check and the scale.
 
     U_r and V_r have orthonormal columns; S_r is nonincreasing, nonnegative.
     Singular values at or below the rank tolerance s_0 * max(dims) * eps (the
     one ``np.linalg.matrix_rank`` uses) are set to exactly zero. Each pair
     (u_i, v_i) is sign-flipped so that the largest-magnitude entry of u_i is
-    positive, which makes the factors deterministic.
+    positive, which makes the factors deterministic. U_r and V_r are
+    C-ordered, so B = V_r^T is Fortran-ordered.
     """
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2:
@@ -171,27 +224,25 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
     # numpy's LAPACK rather than scipy's: the scipy wheel bundles a second
     # OpenBLAS whose thread pool competes with numpy's, which made the many
-    # small solves of QAT profiling slower on a 2-core machine. Measured on a
-    # 2-vCPU Xeon against the earlier exact Gram solver: scipy's
-    # eigh(subset_by_index, driver="evr") took one 1152^2 Gram from 198 to
-    # 87 ms on its own, yet end to end it made dit-convert 10.1 -> 8.7
-    # Mparam/s and toy-pipeline 798 -> 461 steps/s.
+    # small solves of QAT profiling slower on a 2-core machine.
+    peak = max(top, -bottom)
     wide = arr.shape[0] < arr.shape[1]
     a = arr.T if wide else arr
-    # Scaling by a power of two is exact and keeps the products of the
-    # iteration (up to rows * max|a|^2) clear of overflow and underflow.
-    e = math.frexp(max(top, -bottom))[1]
-    a = np.ldexp(a, -e)
     n = a.shape[1]
-    basis = np.random.default_rng(0).standard_normal((n, min(n, r + _OVERSAMPLE)))
-    for _ in range(_POWER_STEPS):
-        basis = np.linalg.qr(a.T @ np.linalg.qr(a @ basis)[0])[0]
-    u, s, qt = np.linalg.svd(a @ basis, full_matrices=False)
-    u, s, v = u[:, :r], s[:r], basis @ qt[:r].T
+    l = min(n, r + _OVERSAMPLE)
+    basis = _dominant_subspace(a, peak, l) if l < n else np.eye(n)
+    # 2^k, k = -exponent(peak) clipped to +-1000, scales the thin factors
+    # instead of a: a factor of magnitude <= 1 stays finite, and a 2^k peaks
+    # within [2^-74, 2^24], so no product below over- or underflows.
+    k = min(max(-math.frexp(peak)[1], -_SCALE_EXP), _SCALE_EXP)
+    q = np.linalg.qr(a @ np.ldexp(basis, k, dtype=np.float64))[0]
+    # a^T q is (q^T a)^T, whose left factor is V itself, C-ordered
+    v, s, wt = np.linalg.svd(a.T @ np.ldexp(q, k), full_matrices=False)
+    u, s, v = q @ wt[:r].T, s[:r], v[:, :r]
     if wide:
         u, v = v, u
     with np.errstate(over="ignore"):
-        s = np.ldexp(s, e)
+        s = np.ldexp(s, -k)
     if math.isinf(s[0]):
         raise ValidationError("top singular value overflows float64")
     # s_0 * eps first, so the product cannot overflow where s_0 does not; it
@@ -214,7 +265,8 @@ def init_layer(
     min(dims) with a warning so small test matrices stay usable; r = 0
     disables the branch entirely. The residual overwrites the A B product
     and the transformed weight is released before ternarizing, so the
-    temporaries peak at about 2.1 float64 copies of W.
+    temporaries peak at about 2.0 float64 copies of W (W H and the A B
+    product; the SVD's float32 copy adds only half a copy to W H).
     """
     arr = np.asarray(w, dtype=np.float64)
     if arr.ndim != 2:

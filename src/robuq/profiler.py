@@ -158,14 +158,10 @@ class ToyLayer:
         cache.update(x=x, deq=deq, wq=q.wq.dequantize())
         return y, cache
 
-    def backward(self, gy: np.ndarray, cache: dict):
-        """Straight-through gradients: both quantizers behave as identity,
-        so the residual inherits the dequantized-product gradient and the
-        transformed activation inherits the output-side chain. Returns
-        (parameter gradients, input gradient)."""
-        return self._param_grads(gy, cache), self._input_grad(gy, cache)
-
     def _param_grads(self, gy: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
+        """Straight-through parameter gradients: both quantizers behave as
+        identity, so the residual inherits the dequantized-product
+        gradient."""
         if not self.quantized:
             return {"weight": gy.T @ cache["x"]}
         plan, branch = self.qlayer.plan, self.qlayer.branch
@@ -176,6 +172,8 @@ class ToyLayer:
         return grads
 
     def _input_grad(self, gy: np.ndarray, cache: dict) -> np.ndarray:
+        """Straight-through input gradient: the transformed activation
+        inherits the output-side chain."""
         if not self.quantized:
             return gy @ self.weight
         plan, branch = self.qlayer.plan, self.qlayer.branch

@@ -47,3 +47,15 @@ def loss_at_fixed_decisions():
         return loss
 
     return make
+
+
+@pytest.fixture()
+def backward():
+    """``backward(layer, gy, cache)`` returns a toy layer's straight-through
+    (parameter gradients, input gradient), the two halves that
+    ``ToyModel.loss_and_grads`` forms separately."""
+
+    def run(layer, gy, cache):
+        return layer._param_grads(gy, cache), layer._input_grad(gy, cache)
+
+    return run

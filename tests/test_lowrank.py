@@ -190,13 +190,13 @@ def test_svd_rejects_a_non_finite_entry(bad):
         truncated_svd(m, 2)
 
 
-def _graded(shape, seed):
-    """A matrix with singular values 2^-i on random orthonormal factors."""
+def _graded(shape, seed, ratio=2.0):
+    """A matrix with singular values ratio^-i on random orthonormal factors."""
     rng = np.random.default_rng(seed)
     n = min(shape)
     u = np.linalg.qr(rng.standard_normal((shape[0], n)))[0]
     v = np.linalg.qr(rng.standard_normal((shape[1], n)))[0]
-    return (u * 2.0 ** -np.arange(n)) @ v.T
+    return (u * ratio ** -np.arange(n)) @ v.T
 
 
 @pytest.mark.parametrize("shape", [(60, 45), (45, 60)])
@@ -217,6 +217,100 @@ def test_svd_of_transpose_is_transposed():
     ut, st_, vt = truncated_svd(m.T, 5)
     s0 = np.linalg.norm(m, 2)
     np.testing.assert_allclose((ut * st_) @ vt.T, ((u * s) @ v.T).T, rtol=0, atol=1e-13 * s0)
+
+
+# The test_sketched_svd inputs have min(dims) > r + 16, so the float32
+# subspace iteration and its Cholesky-QR steps run on each of them.
+
+def _assert_orthonormal(u, v):
+    r = u.shape[1]
+    np.testing.assert_allclose(u.T @ u, np.eye(r), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v.T @ v, np.eye(r), rtol=0, atol=1e-12)
+
+
+def _assert_exact(m, r, rank):
+    u, s, v = truncated_svd(m, r)
+    _assert_orthonormal(u, v)
+    assert np.all(s[rank:] == 0.0)
+    np.testing.assert_allclose(s, np.linalg.svd(m, compute_uv=False)[:r], rtol=0,
+                               atol=1e-13 * np.abs(m).max())
+    np.testing.assert_allclose((u * s) @ v.T, m, rtol=0, atol=1e-12 * np.linalg.norm(m))
+    return u, s, v
+
+
+def test_sketched_svd_of_a_zero_matrix():
+    u, s, v = truncated_svd(np.zeros((64, 96)), 4)
+    assert not s.any()
+    _assert_orthonormal(u, v)
+
+
+@pytest.mark.parametrize("r", [1, 8])
+@pytest.mark.parametrize("kind", ["random", "ones"])
+def test_sketched_svd_of_a_rank_one_product(kind, r):
+    # A float32 Gram matrix of the all-ones sketch is not positive definite
+    # even after the shift; the float64 one is.
+    rng = np.random.default_rng(20)
+    m = np.outer(rng.standard_normal(64), rng.standard_normal(96))
+    _assert_exact(m if kind == "random" else np.ones((64, 96)), r, 1)
+
+
+def test_sketched_svd_with_duplicated_columns():
+    rng = np.random.default_rng(21)
+    columns = rng.standard_normal((64, 5))
+    _assert_exact(columns[:, rng.integers(0, 5, 96)], 8, 5)
+
+
+def test_sketched_svd_of_a_single_nonzero_entry():
+    m = np.zeros((64, 96))
+    m[10, 20] = -3.5
+    u, s, v = _assert_exact(m, 4, 1)
+    assert s[0] == 3.5 and u[10, 0] == 1.0 and v[20, 0] == -1.0
+
+
+def test_sketched_svd_with_an_entry_that_underflows_float32():
+    # The float32 copy holds 1e-300 as 0; the value is below the rank
+    # tolerance, so the exact answer is rank 1 all the same.
+    m = np.zeros((64, 96))
+    m[0, 0], m[1, 1] = 1.0, 1e-300
+    _assert_exact(m, 2, 1)
+
+
+def test_sketched_svd_of_a_subnormal_matrix():
+    # Every entry is subnormal, so 1 / max|m| overflows. m * 2^1060 is
+    # exact and has the same singular vectors; the singular values of m
+    # are subnormal too, so they hold s * 2^-1060 to the nearest 2^-1074.
+    m = np.ldexp(np.random.default_rng(22).standard_normal((40, 24)), -1060)
+    u, s, v = truncated_svd(m, 4)
+    _assert_orthonormal(u, v)
+    u_up, s_up, v_up = truncated_svd(np.ldexp(m, 1060), 4)
+    np.testing.assert_allclose(u, u_up, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(v, v_up, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(s, np.ldexp(s_up, -1060), rtol=0, atol=2.0**-1074)
+
+
+@pytest.mark.parametrize("shape", [(64, 96), (96, 64), (300, 400)])
+def test_sketched_svd_near_eckart_young_on_a_steep_spectrum(shape):
+    m = _graded(shape, 23, ratio=10**0.5)  # s_i = 10^(-i/2): the optimum is about 1e-8
+    u, s, v = truncated_svd(m, 16)
+    _assert_orthonormal(u, v)
+    s_full = np.linalg.svd(m, compute_uv=False)
+    assert np.all(s <= s_full[:16] + 1e-13 * s_full[0])
+    assert np.linalg.norm(m - (u * s) @ v.T) <= 1.01 * np.sqrt(np.sum(s_full[16:] ** 2))
+
+
+def test_sketched_svd_overflowing_top_singular_value_is_validation_error():
+    with pytest.raises(ValidationError, match="top singular value overflows"):
+        truncated_svd(np.full((64, 96), 1e308), 4)
+    _, s, _ = truncated_svd(np.full((64, 96), 1e306), 4)
+    np.testing.assert_allclose(s[0], np.sqrt(64 * 96) * 1e306, rtol=1e-14)
+
+
+@pytest.mark.parametrize("shape,r", [((64, 96), 4), ((96, 64), 4), ((8, 12), 4), ((12, 8), 4)])
+def test_svd_factors_are_c_ordered(shape, r):
+    # init_layer's B = V^T is then Fortran-ordered, which the QAT buffer
+    # layout and the forward's xh @ B.T keep.
+    u, _, v = truncated_svd(np.random.default_rng(24).standard_normal(shape), r)
+    assert u.flags.c_contiguous and v.flags.c_contiguous
 
 
 @st.composite
@@ -273,8 +367,8 @@ def test_init_layer_transient_memory_is_at_most_three_weights(shape):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # W H, the scaled copy the SVD factors, then the residual written into
-    # the A B product after W H is released, and the |residual| of ternarize.
+    # W H and the SVD's float32 copy, then W H and the A B product the
+    # residual is written into; W H is released before ternarizing.
     assert peak <= 3 * w.nbytes
 
 

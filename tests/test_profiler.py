@@ -32,13 +32,13 @@ def _rel(a, b):
 # Straight-through gradients
 # ---------------------------------------------------------------------------
 
-def test_disabled_quantizers_give_dense_gradients():
+def test_disabled_quantizers_give_dense_gradients(backward):
     rng = np.random.default_rng(0)
     layer = ToyLayer(rng.standard_normal((8, 8)))
     x = rng.standard_normal((4, 8))
     gy = rng.standard_normal((4, 8))
     y, cache = layer.forward(x)
-    grads, gx = layer.backward(gy, cache)
+    grads, gx = backward(layer, gy, cache)
     np.testing.assert_array_equal(y, x @ layer.weight.T)
     np.testing.assert_array_equal(grads["weight"], gy.T @ x)
     np.testing.assert_array_equal(gx, gy @ layer.weight)
@@ -90,13 +90,13 @@ def test_downstream_weights_match_fd(loss_at_fixed_decisions):
             assert _rel(fd, grads[li]["weight"][idx]) < 1e-4
 
 
-def test_ste_shapes_and_dimension_check():
+def test_ste_shapes_and_dimension_check(backward):
     rng = np.random.default_rng(6)
     layer = ToyLayer(rng.standard_normal((8, 16)))
     layer.enable_quant(4, rank=2)
     x = rng.standard_normal((5, 16))
     y, cache = layer.forward(x)
-    grads, gx = layer.backward(np.ones((5, 8)), cache)
+    grads, gx = backward(layer, np.ones((5, 8)), cache)
     assert y.shape == (5, 8) and gx.shape == (5, 16)
     assert set(grads) == {"weight", "A", "B"}
     from robuq.errors import DimensionError
@@ -277,14 +277,14 @@ def test_train_config_accepts_integer_types():
 # The flat-buffer QAT loop against the per-array reference
 # ---------------------------------------------------------------------------
 
-def _full_backward(model, x, trainable):
+def _full_backward(model, x, trainable, backward):
     """Loss and gradients from a backward through every layer."""
     y, caches = model.forward(x)
     diff = y - model.target(x)
     gy = (2.0 / diff.size) * diff
     grads = {}
     for i in range(len(model.layers) - 1, -1, -1):
-        layer_grads, gy = model.layers[i].backward(gy, caches[i])
+        layer_grads, gy = backward(model.layers[i], gy, caches[i])
         if i in trainable:
             grads[i] = layer_grads
     return float(np.mean(diff**2)), grads
@@ -310,11 +310,11 @@ class _ReferenceAdam:
             params[key] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _reference_train(model, data, trainable, config, rng):
+def _reference_train(model, data, trainable, config, rng, backward):
     opt = _ReferenceAdam(config.learning_rate)
     params = {(i, n): a for i in trainable for n, a in model.layers[i].params().items()}
     for _ in range(config.steps):
-        _, grads = _full_backward(model, data.train_batch(rng, config.batch), trainable)
+        _, grads = _full_backward(model, data.train_batch(rng, config.batch), trainable, backward)
         opt.step(params, {(i, n): g for i, gs in grads.items() for n, g in gs.items()})
 
 
@@ -322,7 +322,8 @@ def _reference_train(model, data, trainable, config, rng):
 @pytest.mark.parametrize("optimizer,lr", [("adam", 1e-3)])
 @pytest.mark.parametrize("rank", [0, 4])
 @pytest.mark.parametrize("trainable", [{0}, {2}, {0, 1, 2}], ids=["first", "last", "all"])
-def test_flat_buffer_training_matches_per_array_reference_bitwise(optimizer, lr, rank, trainable):
+def test_flat_buffer_training_matches_per_array_reference_bitwise(optimizer, lr, rank, trainable,
+                                                                  backward):
     from robuq.profiler import _train
 
     model = make_toy_model((32, 24, 32, 16), seed=40)
@@ -332,7 +333,7 @@ def test_flat_buffer_training_matches_per_array_reference_bitwise(optimizer, lr,
     config = TrainConfig(steps=6, batch=8, seed=40, learning_rate=lr)
     flat, ref = model.copy(), model.copy()
     _train(flat, data, trainable, config, np.random.default_rng(41))
-    _reference_train(ref, data, trainable, config, np.random.default_rng(41))
+    _reference_train(ref, data, trainable, config, np.random.default_rng(41), backward)
     for i in range(len(model.layers)):
         got, want = flat.layers[i].params(), ref.layers[i].params()
         assert list(got) == list(want)
@@ -393,12 +394,12 @@ def test_loss_never_dequantizes(monkeypatch):
 
 
 @pytest.mark.parametrize("trainable", [{2}, {1, 2}])
-def test_truncated_backward_matches_full_backward(trainable):
+def test_truncated_backward_matches_full_backward(trainable, backward):
     model = _loss_model()
     model.layers[1].enable_quant(4, rank=2)
     x = np.random.default_rng(46).standard_normal((12, 32))
     loss, grads = model.loss_and_grads(x, trainable)
-    ref_loss, ref_grads = _full_backward(model, x, trainable)
+    ref_loss, ref_grads = _full_backward(model, x, trainable, backward)
     assert loss == ref_loss and set(grads) == set(ref_grads) == trainable
     for i in trainable:
         assert list(grads[i]) == list(ref_grads[i])
@@ -406,10 +407,10 @@ def test_truncated_backward_matches_full_backward(trainable):
             np.testing.assert_array_equal(grads[i][name], ref_grads[i][name], strict=True)
 
 
-# Recorded with the randomized truncated_svd and scipy-openblas 0.3.31 on
-# x86-64; a BLAS that rounds its GEMMs differently moves these last bits.
+# Recorded with the float32-sketch truncated_svd and scipy-openblas 0.3.31
+# on x86-64; a BLAS that rounds its GEMMs differently moves these last bits.
 _SWEEP_LOSSES = {
-    "adam": ("0x1.3cb83b11a0258p-1", "0x1.9cf35bc1b572dp-2"),
+    "adam": ("0x1.3c264ee584493p-1", "0x1.9c1230b039c0cp-2"),
 }
 
 
