@@ -129,14 +129,15 @@ class QuantLinearLayer:
 
 
 def _cholesky_qr(y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the columns of a float32 y, by two passes of
-    shifted Cholesky-QR (Fukaya et al., SIAM J. Sci. Comput. 2020).
+    """Basis of the column span of a float32 y, by two passes of shifted
+    Cholesky-QR (Fukaya et al., SIAM J. Sci. Comput. 2020).
 
     Each pass factors the Gram matrix plus eps32 * trace on its diagonal,
     which keeps it positive definite when y is rank-deficient (tiny32 more
     for y = 0); the second pass restores the orthogonality that the first
-    loses to float32 rounding. The span, which is all the power iteration
-    needs, is the span of y. The Gram matrix is formed in float64: a
+    loses to float32 rounding. Directions of y below the shift come out
+    shorter than unit length, but the span, which is all the power
+    iteration needs, is that of y. The Gram matrix is formed in float64: a
     float32 one is off by up to about rows * eps32 * trace, more than the
     shift, and its Cholesky failed on np.ones((64, 96)).
     """
