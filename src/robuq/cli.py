@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -120,22 +121,20 @@ def cmd_quantize(args) -> int:
     layer = lowrank.init_layer(w, r=args.rank, codebook=cb)
     lowrank.save_layer(layer, args.out_dir)
 
-    rec = lowrank.reconstruct_weight(layer)
-    err = float(np.linalg.norm(w - rec) / max(np.linalg.norm(w), 1e-30))
-    combined_err = float(
-        np.linalg.norm(
-            hadamard.fold_into_weights(w, layer.plan)
-            - (layer.branch.matrix() + layer.wq.dequantize())
-        )
-    )
-    direct_err = float(np.linalg.norm(w - rec))
+    # Each whole-matrix temporary is formed once: A B and alpha V, their sum
+    # (in place of A B) and its fold, which is reconstruct_weight(layer).
+    branch, ternary = layer.branch.matrix(), layer.wq.dequantize()
+    branch_sq, ternary_sq = float(np.sum(branch**2)), float(np.sum(ternary**2))
+    combined = np.add(branch, ternary, out=branch)
+    del ternary
+    direct_err = float(np.linalg.norm(w - hadamard.fold_into_weights(combined, layer.plan)))
+    combined_err = float(np.linalg.norm(hadamard.fold_into_weights(w, layer.plan) - combined))
+    err = direct_err / max(float(np.linalg.norm(w)), 1e-30)
     # Orthogonal invariance: the two Frobenius errors agree up to rounding.
     _check(
         abs(combined_err - direct_err) <= 1e-8 * max(direct_err, 1.0),
         f"orthogonal-invariance mismatch: {direct_err} vs {combined_err}",
     )
-    branch_sq = float(np.sum(layer.branch.matrix() ** 2))
-    ternary_sq = float(np.sum(layer.wq.dequantize() ** 2))
     share = branch_sq / (branch_sq + ternary_sq) if branch_sq + ternary_sq > 0 else 0.0
     _write_json(
         {
@@ -155,11 +154,7 @@ def cmd_gauss_report(args) -> int:
     report, meta = gaussanalysis.build_report(x, bins=args.bins, seed=args.seed)
     _check(report.tv_bound >= 0.0, "tv bound must be nonnegative")
     _check(np.isfinite(report.ks_distance), "ks distance must be finite")
-    text = gaussanalysis.report_to_json(report, meta)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write_json({"meta": meta, **asdict(report)}, args.out)
     return 0
 
 
@@ -171,13 +166,11 @@ def cmd_profile(args) -> int:
     config = profiler.TrainConfig(steps=args.steps, learning_rate=args.lr, batch=args.batch,
                                   seed=args.seed)
     table = profiler.profile_sensitivity(model, data, bits, config)
-    for b in bits:
-        if b >= 32:
-            col = table.bits.index(b)
-            _check(
-                np.all(table.delta_loss[:, col] == 0.0),
-                "loss gap at 32 bits must be exactly zero",
-            )
+    if quant.FP_BITS in table.bits:
+        _check(
+            np.all(table.delta_loss[:, table.bits.index(quant.FP_BITS)] == 0.0),
+            "loss gap at 32 bits must be exactly zero",
+        )
     tensorio.save_sensitivity(table, args.out)
     return 0
 

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .quant import is_ternary
+from .quant import FP_BITS, _check_bits, is_ternary
+from .tensorio import _field
 
 PACKED_MAGIC = b"RBQP"
 _PACK_HEADER = struct.Struct("<4sQ")
@@ -29,16 +31,23 @@ _UNPACKED = (np.arange(MAX_PACKED_BYTE + 1)[:, None] // _POW3 % 3 - 1).astype(np
 TERNARY_BITS = "ternary"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PackedTernary:
+    """``count`` ternary values packed five per byte into ``data``, checked
+    once when built: exactly ceil(count / 5) bytes (else ``ValidationError``),
+    each at most 242 (else ``FormatError``), so unpacking needs no check."""
+
     data: bytes
     count: int
 
     def __post_init__(self):
-        if len(self.data) != -(-self.count // 5):
+        if self.count < 0 or len(self.data) != -(-self.count // 5):
             raise ValidationError(
                 f"{len(self.data)} bytes cannot hold {self.count} ternary values"
             )
+        top = np.frombuffer(self.data, dtype=np.uint8).max(initial=0)
+        if top > MAX_PACKED_BYTE:
+            raise FormatError(f"byte value {top} exceeds {MAX_PACKED_BYTE}")
 
 
 def pack_ternary(values) -> PackedTernary:
@@ -62,10 +71,7 @@ def pack_ternary(values) -> PackedTernary:
 
 def unpack_ternary(p: PackedTernary) -> np.ndarray:
     """Exact inverse of pack_ternary, truncated to the stored count."""
-    raw = np.frombuffer(p.data, dtype=np.uint8)
-    if raw.size and raw.max() > MAX_PACKED_BYTE:
-        raise FormatError(f"byte value {raw.max()} exceeds {MAX_PACKED_BYTE}")
-    return np.take(_UNPACKED, raw, axis=0).ravel()[: p.count]
+    return np.take(_UNPACKED, np.frombuffer(p.data, dtype=np.uint8), axis=0).ravel()[: p.count]
 
 
 def save_packed(p: PackedTernary, path) -> None:
@@ -75,6 +81,9 @@ def save_packed(p: PackedTernary, path) -> None:
 
 
 def load_packed(path) -> PackedTernary:
+    """Read a file written by ``save_packed``. A short header, a wrong
+    magic, a payload of the wrong length or a byte above 242 raises
+    ``FormatError`` naming ``path``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _PACK_HEADER.size:
@@ -82,13 +91,10 @@ def load_packed(path) -> PackedTernary:
     magic, count = _PACK_HEADER.unpack_from(raw)
     if magic != PACKED_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {PACKED_MAGIC!r}")
-    data = raw[_PACK_HEADER.size:]
-    if len(data) != -(-count // 5):
-        raise FormatError(f"{path}: payload is {len(data)} bytes for {count} values")
-    top = np.frombuffer(data, dtype=np.uint8).max(initial=0)
-    if top > MAX_PACKED_BYTE:
-        raise FormatError(f"{path}: byte value {top} exceeds {MAX_PACKED_BYTE}")
-    return PackedTernary(data=data, count=count)
+    try:
+        return PackedTernary(data=raw[_PACK_HEADER.size:], count=count)
+    except (FormatError, ValidationError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +105,18 @@ def load_packed(path) -> PackedTernary:
 class FlopsEntry:
     """One computation class: name, full-precision GFLOPs, and bit widths.
 
-    ``w_bits`` is an int in 1..8 or 32, or the string "ternary" for 1.58-bit
-    weights (whose cost scales with the activation bits alone).
+    ``w_bits`` is a width in 1..8 or 32, or the string "ternary" for
+    1.58-bit weights (whose cost scales with the activation bits alone).
+    Building an entry checks it as ``weighted_flops`` does.
     """
 
     name: str
     fp_gflops: float
-    w_bits: int | str = 32
-    a_bits: int = 32
+    w_bits: int | str = FP_BITS
+    a_bits: int = FP_BITS
 
     def __post_init__(self):
-        if self.fp_gflops < 0:
-            raise ValidationError(f"{self.name}: fp_gflops must be nonnegative")
+        weighted_flops(self.fp_gflops, self.w_bits, self.a_bits)
 
 
 @dataclass
@@ -119,35 +125,24 @@ class FlopsConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "FlopsConfig":
-        """Parse ``{"entries": [{"name", "fp_gflops", "w_bits", "a_bits"}, ...]}``;
-        raises FormatError on text of any other shape."""
+        """Parse ``{"entries": [{"name", "fp_gflops", "w_bits", "a_bits"}, ...]}``.
+
+        Each field has an exact JSON type and is not coerced: ``name`` a
+        string, ``fp_gflops`` a finite number >= 0, ``a_bits`` an integer
+        width and ``w_bits`` one or the string "ternary"; a missing width
+        is 32. Any other text raises ``FormatError``.
+        """
         try:
-            payload = json.loads(text)
-            entries = [
-                FlopsEntry(
-                    name=e["name"],
-                    fp_gflops=float(e["fp_gflops"]),
-                    w_bits=e.get("w_bits", 32),
-                    a_bits=int(e.get("a_bits", 32)),
-                )
-                for e in payload["entries"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
+            entries = []
+            for e in _field(json.loads(text), "entries", list):
+                e = {"w_bits": FP_BITS, "a_bits": FP_BITS, **e}
+                entries.append(FlopsEntry(name=_field(e, "name", str),
+                                          fp_gflops=_field(e, "fp_gflops", int, float),
+                                          w_bits=_field(e, "w_bits", int, str),
+                                          a_bits=_field(e, "a_bits", int)))
+        except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
             raise FormatError(f"malformed FLOPs config: {exc!r}") from exc
         return cls(entries=entries)
-
-    def to_json(self) -> str:
-        payload = {
-            "entries": [
-                {"name": e.name, "fp_gflops": e.fp_gflops, "w_bits": e.w_bits, "a_bits": e.a_bits}
-                for e in self.entries
-            ]
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _valid_bits(b) -> bool:
-    return isinstance(b, int) and (1 <= b <= 8 or b == 32)
 
 
 def weighted_flops(fp_gflops: float, w_bits, a_bits) -> float:
@@ -157,15 +152,12 @@ def weighted_flops(fp_gflops: float, w_bits, a_bits) -> float:
     2 * (N/32) FP (half of which the ternary chain then removes); W=A=32
     passes through. Anything else is an unsupported combination.
     """
-    if fp_gflops < 0:
-        raise ValidationError("fp_gflops must be nonnegative")
-    if not _valid_bits(a_bits):
-        raise ValidationError(f"a_bits must be in 1..8 or 32, got {a_bits!r}")
+    if not 0 <= fp_gflops <= sys.float_info.max:
+        raise ValidationError(f"fp_gflops must be a finite number >= 0, got {fp_gflops!r}")
+    a_fp = _check_bits(a_bits, full_precision=True, name="a_bits")
     if w_bits == TERNARY_BITS:
         return fp_gflops * a_bits / 32.0
-    if not _valid_bits(w_bits):
-        raise ValidationError(f"w_bits must be 'ternary', 1..8 or 32, got {w_bits!r}")
-    if w_bits == 32 and a_bits == 32:
+    if _check_bits(w_bits, full_precision=True, name="w_bits") and a_fp:
         return fp_gflops
     if w_bits == a_bits:
         return fp_gflops * 2.0 * a_bits / 32.0

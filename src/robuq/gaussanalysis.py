@@ -11,10 +11,9 @@ subsampling is seeded so reports are reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -273,8 +272,3 @@ def build_report(x: np.ndarray, bins: int = 16, seed: int = 0) -> tuple[GaussRep
     meta = {"T": arr.shape[0], "C": arr.shape[1], "seed": seed, "bins": bins,
             "K_BE": BERRY_ESSEEN_CONST}
     return report, meta
-
-
-def report_to_json(report: GaussReport, meta: dict) -> str:
-    payload = {"meta": meta, **asdict(report)}
-    return json.dumps(payload, indent=2, sort_keys=True)

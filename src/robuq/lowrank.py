@@ -60,12 +60,14 @@ from .quant import (
     _BLOCK_ENTRIES,
     GaussCodebook,
     TernaryWeights,
+    _check_bits,
     _is_int,
     lloyd_max,
     ternarize,
     token_codes,
     uniform_gauss_codebook,
 )
+from .tensorio import _field, load_matrix, save_matrix
 
 DEFAULT_RANK = 16
 # truncated_svd's sketch: r + _OVERSAMPLE columns, _POWER_STEPS rounds
@@ -357,8 +359,6 @@ _VALUES_FILE = "wq_values.rbqp"
 
 
 def save_layer(layer: QuantLinearLayer, dirpath) -> None:
-    from .tensorio import save_matrix
-
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     save_packed(pack_ternary(layer.wq.values), d / _VALUES_FILE)
@@ -380,19 +380,6 @@ def save_layer(layer: QuantLinearLayer, dirpath) -> None:
         fh.write("\n")
 
 
-_JSON_TYPES = {int: "integer", float: "number", bool: "boolean"}
-
-
-def _field(meta: dict, key: str, *kinds: type):
-    """``meta[key]`` if its type is exactly one of ``kinds``: JSON true is
-    a bool, not an integer, and 4.7 or 4.0 is a float."""
-    value = meta[key]
-    if type(value) not in kinds:
-        raise TypeError(f"{key} {value!r} is not a JSON "
-                        + " or ".join(_JSON_TYPES[k] for k in kinds))
-    return value
-
-
 def load_layer(dirpath) -> QuantLinearLayer:
     """Read a layer directory written by ``save_layer``.
 
@@ -402,8 +389,6 @@ def load_layer(dirpath) -> QuantLinearLayer:
     does not hold out_dim * in_dim ternary values, or factors whose shapes
     disagree with the sidecar raise ``FormatError`` naming the file.
     """
-    from .tensorio import load_matrix
-
     d = Path(dirpath)
     sidecar = d / "layer.json"
 
@@ -419,17 +404,16 @@ def load_layer(dirpath) -> QuantLinearLayer:
             _field(meta, key, int) for key in ("in_dim", "out_dim", "rank", "bits", "block_size"))
         uniform, center = (_field(meta, key, bool) for key in ("uniform", "center"))
         alpha = float(_field(meta, "alpha", int, float))
+        _check_bits(bits)
     except FileNotFoundError as exc:
         raise FormatError(f"{d}: missing layer.json sidecar") from exc
     # JSON and UTF-8 decoding errors are ValueErrors too
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise FormatError(f"{sidecar}: not a layer sidecar ({type(exc).__name__}: {exc})") from exc
     if not math.isfinite(alpha):
         raise FormatError(f"{sidecar}: alpha is not finite")
     if min(out_dim, in_dim) < 1:
         raise FormatError(f"{sidecar}: out_dim {out_dim} and in_dim {in_dim} must be >= 1")
-    if not 1 <= bits <= 8:
-        raise FormatError(f"{sidecar}: bits {bits} not in 1..8")
     derived = HadamardPlan(in_dim).block_size
     if block_size != derived:
         raise FormatError(f"{sidecar}: block_size {block_size} is not {derived}, the largest "

@@ -45,10 +45,9 @@ from .allocator import AllocationProblem, dp_allocate
 from .errors import DimensionError, ValidationError
 from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
 from .lowrank import QuantLinearLayer, forward_with_cache, init_layer
-from .quant import _is_int, dequantize_codes, ternarize, uniform_gauss_codebook
+from .quant import _check_bits, _is_int, dequantize_codes, ternarize, uniform_gauss_codebook
 from .tensorio import LayerSpec, SensitivityTable
 
-FP_BITS = 32
 _VAL_POOL = 1000  # validation tokens of every toy data set
 
 
@@ -105,7 +104,8 @@ class ToyLayer:
     def enable_quant(self, bits: int, rank: int = 0, seed: int = 0) -> None:
         """Switch this layer to the quantized path at ``bits`` activation bits.
 
-        bits >= 32 keeps the layer on the exact dense path. The low-rank
+        ``bits`` is a width in 1..8, or 32 to keep the layer on the exact
+        dense path; anything else raises ``ValidationError``. The low-rank
         branch is initialized from the transformed weight's top singular
         structure; its product at enable time anchors the residual, so the
         factors train freely without re-entering the weight quantizer.
@@ -113,10 +113,8 @@ class ToyLayer:
         fixed internal seed, so it is deterministic. It is still accepted
         because existing callers pass it.
         """
-        if bits >= FP_BITS:
+        if _check_bits(bits, full_precision=True, name="activation bits"):
             return
-        if not 1 <= bits <= 8:
-            raise ValidationError(f"activation bits must be in 1..8 or 32, got {bits}")
         self.qlayer = init_layer(self.weight, r=min(rank, min(self.weight.shape)),
                                  codebook=uniform_gauss_codebook(bits))
         self.anchor = self.qlayer.branch.matrix()
@@ -369,19 +367,21 @@ def profile_sensitivity(
     layer, freeze the rest, train briefly, evaluate on the fixed pool).
 
     Each (layer, bit) cell derives its own generator from (seed, layer, bit),
-    so the table is identical no matter how cells are scheduled. Bit width 32
-    means no quantization: the gap is exactly zero by construction.
+    so the table is identical no matter how cells are scheduled. Each width
+    is in 1..8, or 32 for no quantization, whose gap is exactly zero by
+    construction; any other width raises ``ValidationError`` before a cell
+    is trained.
     """
     if data.in_dim != model.layers[0].in_dim:
         raise DimensionError(
             f"data width {data.in_dim} is not the model's input width {model.layers[0].in_dim}")
+    full_precision = {b: _check_bits(b, full_precision=True) for b in bits}
     bits = tuple(sorted(bits))
     base_loss = model.loss(data.val_inputs)
     gaps = np.zeros((len(model.layers), len(bits)))
     for li in range(len(model.layers)):
         for bi, b in enumerate(bits):
-            if b >= FP_BITS:
-                gaps[li, bi] = 0.0
+            if full_precision[b]:
                 continue
             trial = model.copy()
             trial.layers[li].enable_quant(b, rank=rank)

@@ -31,6 +31,8 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 
 TERNARY_EPS = 1e-8
+# the activation width that means full precision: the layer has no quantizer
+FP_BITS = 32
 # ternarize and token_codes work through the rows in blocks of about this
 # many entries, so that a block's temporaries (256 KiB each) stay in cache:
 # at 256 x 4608 token_codes took 15 ms against 43 ms for whole-matrix passes
@@ -43,9 +45,15 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_bits(bits) -> None:
-    if not (_is_int(bits) and 1 <= bits <= 8):
-        raise ValidationError(f"bits must be in 1..8, got {bits}")
+def _check_bits(bits, full_precision: bool = False, name: str = "bits") -> bool:
+    """The package's one activation-width rule: ``bits`` is a non-bool
+    integer (numpy integers included) in 1..8, or exactly ``FP_BITS`` where
+    ``full_precision`` allows it. Raises ``ValidationError`` naming ``name``
+    otherwise; returns whether ``bits`` is ``FP_BITS``."""
+    if _is_int(bits) and (1 <= bits <= 8 or (full_precision and bits == FP_BITS)):
+        return bits == FP_BITS
+    allowed = f"1..8 or {FP_BITS}" if full_precision else "1..8"
+    raise ValidationError(f"{name} must be an integer in {allowed}, got {bits!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +162,8 @@ class GaussCodebook:
 
     def __post_init__(self):
         _check_bits(self.bits)
+        # a plain int, which layer.json can hold, even from a numpy width
+        object.__setattr__(self, "bits", int(self.bits))
         n = 1 << self.bits
         if self.levels.shape != (n,) or self.thresholds.shape != (n - 1,):
             raise ValidationError("codebook sizes do not match bit width")

@@ -1,9 +1,10 @@
-"""Bit-exact matrix files and sensitivity-table CSVs.
+"""Bit-exact matrix files, sensitivity-table CSVs and the JSON field reader.
 
 Matrices travel in a fixed little-endian binary layout (magic ``RBQ1``,
 uint32 rows, uint32 cols, float32 row-major payload) so fixtures round-trip
 bitwise across platforms. Sensitivity tables are small and meant to be
-human-auditable, so they travel as CSV.
+human-auditable, so they travel as CSV. The JSON inputs (a layer's
+``layer.json`` and the FLOPs config) read every field through ``_field``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .quant import _check_bits
 
 MATRIX_MAGIC = b"RBQ1"
 _HEADER = struct.Struct("<4sII")
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string", list: "array"}
+
+
+def _field(meta: dict, key: str, *kinds: type):
+    """``meta[key]`` if its type is exactly one of ``kinds``, with no
+    coercion: JSON true is a bool, not an integer, and 4.7 or 4.0 is a
+    float. A missing key raises ``KeyError`` and any other type
+    ``TypeError``; the readers turn both into ``FormatError``."""
+    value = meta[key]
+    if type(value) not in kinds:
+        raise TypeError(f"{key} {value!r} is not a JSON "
+                        + " or ".join(_JSON_TYPES[k] for k in kinds))
+    return value
 
 
 def save_matrix(m: np.ndarray, path) -> None:
@@ -65,7 +80,8 @@ class LayerSpec:
     """Static description of one linear layer for allocation purposes.
 
     ``flops_weight`` is the layer's relative FLOPs share (w_l); layers with
-    ``fixed_bits`` set are excluded from bit allocation and keep that width.
+    ``fixed_bits`` set (a width in 1..8, or 32 for full precision) are
+    excluded from bit allocation and keep that width.
     """
 
     name: str
@@ -75,8 +91,8 @@ class LayerSpec:
     def __post_init__(self):
         if not 0 <= self.flops_weight < math.inf:
             raise ValidationError(f"layer {self.name}: flops_weight must be finite and >= 0")
-        if self.fixed_bits is not None and not (1 <= self.fixed_bits <= 8 or self.fixed_bits == 32):
-            raise ValidationError(f"layer {self.name}: fixed_bits must be in 1..8 or 32")
+        if self.fixed_bits is not None:
+            _check_bits(self.fixed_bits, full_precision=True, name=f"layer {self.name}: fixed_bits")
 
 
 @dataclass
@@ -84,7 +100,8 @@ class SensitivityTable:
     """Per-layer, per-bit-width validation loss gaps.
 
     ``delta_loss[i, j]`` is the loss gap of ``layers[i]`` quantized to
-    ``bits[j]`` activation bits. Every cell must be populated.
+    ``bits[j]`` activation bits; ``bits`` rises strictly, each a width in
+    1..8 or 32 (full precision). Every cell must be populated.
     """
 
     layers: list[LayerSpec]
@@ -95,7 +112,9 @@ class SensitivityTable:
         self.delta_loss = np.asarray(self.delta_loss, dtype=np.float64)
         if not self.bits:
             raise ValidationError("bit set must be nonempty")
-        if any(b2 <= b1 for b1, b2 in zip(self.bits, self.bits[1:])):
+        for b in self.bits:
+            _check_bits(b, full_precision=True, name="bit set entry")
+        if list(self.bits) != sorted(set(self.bits)):
             raise ValidationError(f"bit set must be strictly increasing, got {self.bits}")
         if self.delta_loss.shape != (len(self.layers), len(self.bits)):
             raise ValidationError(

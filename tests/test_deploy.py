@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, replace
 from importlib import resources
 
 import numpy as np
@@ -81,6 +82,11 @@ def test_pack_rejects_nonternary():
 def test_unpack_rejects_bad_byte():
     with pytest.raises(FormatError):
         unpack_ternary(PackedTernary(data=bytes([243]), count=5))
+
+
+def test_packed_ternary_rejects_a_negative_count():
+    with pytest.raises(ValidationError):
+        PackedTernary(data=b"", count=-1)
 
 
 def test_packed_file_roundtrip(tmp_path):
@@ -177,9 +183,12 @@ def test_linearity_in_fp_and_bits():
     assert weighted_flops(10.0, "ternary", 4) == 2 * base
 
 
+def _fixture_text() -> str:
+    return resources.files("robuq.fixtures").joinpath("dit_xl2_flops.json").read_text()
+
+
 def _fixture_config() -> FlopsConfig:
-    text = resources.files("robuq.fixtures").joinpath("dit_xl2_flops.json").read_text()
-    return FlopsConfig.from_json(text)
+    return FlopsConfig.from_json(_fixture_text())
 
 
 def test_fixture_reproduces_quoted_classes():
@@ -203,10 +212,8 @@ def test_all_fp_config_sums_plainly():
 
 def test_halving_activation_bits_halves_only_that_class():
     cfg4 = _fixture_config()
-    cfg2 = FlopsConfig.from_json(cfg4.to_json())
-    for e in cfg2.entries:
-        if e.name == "weight_act_matmul":
-            e.a_bits = 2
+    cfg2 = FlopsConfig([replace(e, a_bits=2) if e.name == "weight_act_matmul" else e
+                        for e in cfg4.entries])
     r4, r2 = model_flops(cfg4), model_flops(cfg2)
     np.testing.assert_allclose(
         r2["classes"]["weight_act_matmul"], r4["classes"]["weight_act_matmul"] / 2
@@ -223,19 +230,35 @@ def test_total_permutation_invariant():
 
 
 def test_config_json_roundtrip():
+    # Every field of the fixture comes back with its JSON value and type.
     cfg = _fixture_config()
-    back = FlopsConfig.from_json(cfg.to_json())
-    assert [e.name for e in back.entries] == [e.name for e in cfg.entries]
-    assert model_flops(back) == model_flops(cfg)
-    payload = json.loads(cfg.to_json())
-    assert {e["name"] for e in payload["entries"]} == {e.name for e in cfg.entries}
+    assert [asdict(e) for e in cfg.entries] == json.loads(_fixture_text())["entries"]
+    assert [type(e.fp_gflops) for e in cfg.entries] == [float] * len(cfg.entries)
+
+
+def test_config_missing_widths_are_full_precision():
+    cfg = FlopsConfig.from_json('{"entries": [{"name": "x", "fp_gflops": 2}]}')
+    assert (cfg.entries[0].w_bits, cfg.entries[0].a_bits) == (32, 32)
+    assert model_flops(cfg)["total_gflops"] == 2.0
+
+
+def _entry(**fields) -> str:
+    return json.dumps({"entries": [{"name": "x", "fp_gflops": 1.0, "w_bits": "ternary",
+                                    "a_bits": 4, **fields}]})
 
 
 @pytest.mark.parametrize(
     "text",
     ['{"entries": [{"fp_gflops": 1}]}', "[1]",
-     '{"entries": [{"name": "x", "fp_gflops": 1, "a_bits": [4]}]}'],
-    ids=["missing_name", "not_an_object", "list_a_bits"],
+     '{"entries": [{"name": "x", "fp_gflops": 1, "a_bits": [4]}]}',
+     _entry(a_bits=4.7), _entry(a_bits=True), _entry(a_bits="4"),
+     _entry(fp_gflops=float("nan")), _entry(fp_gflops=float("inf")), _entry(fp_gflops=True),
+     _entry(fp_gflops=-1), _entry(fp_gflops=10**400, w_bits=32, a_bits=32),
+     _entry(name=5), _entry(w_bits=4.0), _entry(w_bits="binary")],
+    ids=["missing_name", "not_an_object", "list_a_bits",
+         "a_bits_fraction", "a_bits_true", "a_bits_text",
+         "fp_gflops_nan", "fp_gflops_infinity", "fp_gflops_true", "fp_gflops_negative",
+         "fp_gflops_beyond_float", "name_number", "w_bits_float", "w_bits_unknown_text"],
 )
 def test_malformed_config_is_format_error(text):
     with pytest.raises(FormatError):

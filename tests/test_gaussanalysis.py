@@ -1,6 +1,10 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from robuq import cli
 from robuq.errors import ValidationError
 from robuq.gaussanalysis import (
     build_report,
@@ -9,11 +13,11 @@ from robuq.gaussanalysis import (
     nmi_channels,
     normality,
     offdiag_cov_bound,
-    report_to_json,
     variance_identity,
 )
 from robuq.hadamard import HadamardPlan, hadamard_matrix
 from robuq.quant import quantize_tokens, uniform_gauss_codebook
+from robuq.tensorio import save_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +291,18 @@ def test_mse_preservation_nonpow2_dim():
 # report assembly
 # ---------------------------------------------------------------------------
 
-def test_build_report_roundtrips_to_json():
+def test_build_report_roundtrips_to_json(tmp_path):
     rng = np.random.default_rng(18)
-    x = rng.standard_normal((2000, 32))
+    # float32 values, so the matrix file holds exactly the analysed batch
+    x = rng.standard_normal((2000, 32)).astype(np.float32).astype(np.float64)
     report, meta = build_report(x, bins=16, seed=7)
     assert meta == {"T": 2000, "C": 32, "seed": 7, "bins": 16, "K_BE": 0.56}
     assert report.tv_bound >= 0.0
     assert len(report.per_coord_var) == 32
-    text = report_to_json(report, meta)
-    import json
-
-    payload = json.loads(text)
-    assert payload["meta"]["C"] == 32
-    assert payload["ks_distance"] == report.ks_distance
+    src, out = tmp_path / "x.rbq", tmp_path / "gauss.json"
+    save_matrix(x, src)
+    assert cli.main(["gauss-report", "--activations", str(src), "--bins", "16", "--seed", "7",
+                     "--out", str(out)]) == 0
+    payload = {"meta": meta, **asdict(report)}
+    assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert json.loads(out.read_text()) == payload

@@ -127,11 +127,13 @@ def test_sensitivity_missing_cell(tmp_path):
         ("layer,flops_weight,fixed_bits,dL@1\nfc0,nan,,0.5\n", r"bad\.csv.*fc0.*flops_weight"),
         ("layer,flops_weight,fixed_bits,dL@1\nfc0,inf,,0.5\n", r"bad\.csv.*fc0.*flops_weight"),
         ("layer,flops_weight,fixed_bits,dL@1\nfc0,-inf,,0.5\n", r"bad\.csv.*fc0.*flops_weight"),
+        ("layer,flops_weight,fixed_bits,dL@0,dL@1\nfc0,1.0,,0.9,0.5\n", r"bad\.csv.*got 0"),
+        ("layer,flops_weight,fixed_bits,dL@1,dL@9\nfc0,1.0,,0.9,0.5\n", r"bad\.csv.*got 9"),
         # one field above the csv module's 131,072-character limit
         ("layer,flops_weight,fixed_bits,dL@1\n" + "x" * 200_000 + ",1.0,,0.5\n", r"bad\.csv"),
     ],
     ids=["bits_header", "flops_weight", "fixed_bits", "nan_weight", "inf_weight", "neg_inf_weight",
-         "oversized_field"],
+         "bits_zero", "bits_above_8", "oversized_field"],
 )
 def test_sensitivity_unparsable_field_is_format_error(tmp_path, text, match):
     path = tmp_path / "bad.csv"
