@@ -8,7 +8,7 @@ allocate per-layer activation bit widths by dynamic programming under a
 FLOPs-weighted average-bit budget.
 """
 
-from .allocator import Allocation, AllocationProblem, achieved_average, brute_force_allocate, dp_allocate
+from .allocator import Allocation, AllocationProblem, achieved_average, dp_allocate
 from .deploy import (
     FlopsConfig,
     FlopsEntry,
@@ -26,7 +26,6 @@ from .errors import (
     FormatError,
     InfeasibleError,
     RobuqError,
-    SizeError,
     ValidationError,
 )
 from .gaussanalysis import (

@@ -1,34 +1,31 @@
 """Activation bit-width allocation under a FLOPs-weighted average-bit budget.
 
 ``dp_allocate`` is exact on the continuous budget sum(w_l * b_l) <= target *
-W_dp, up to the relative 1e-12 that the brute-force oracle also allows. It
-is the dominance DP for the multiple-choice knapsack (Kellerer, Pferschy &
-Pisinger, *Knapsack Problems*, 2004, ch. 11); the paper's DP rounds each
-cost to units of W_dp / beta and so solves a looser budget. Layers with
-``fixed_bits`` set are excluded from the optimization and from its budget;
-they re-enter only in the whole-network average.
+W_dp, up to a relative 1e-12. It is the dominance DP for the multiple-choice
+knapsack (Kellerer, Pferschy & Pisinger, *Knapsack Problems*, 2004, ch. 11);
+the paper's DP rounds each cost to units of W_dp / beta and so solves a
+looser budget. Layers with ``fixed_bits`` set are excluded from the
+optimization and from its budget; they re-enter only in the whole-network
+average.
 
 Ties: each layer's candidates are ordered by (cost, loss, index), index =
 parent position * len(bit_set) + width position, and one survives only if
 its loss is strictly below every earlier one's. So of two assignments with
 equal loss the cheaper is returned; at equal cost too, the one whose prefix
 sat earlier (cheaper) on the previous frontier, then the lower last width.
-The oracle breaks ties toward lower widths, then lower layer indices.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, SizeError, ValidationError
+from .errors import InfeasibleError, ValidationError
 from .tensorio import SensitivityTable
 
 DEFAULT_BIT_SET = (1, 2, 3, 4)
-BRUTE_FORCE_MAX_LAYERS = 12
 
 
 @dataclass
@@ -65,54 +62,23 @@ class Allocation:
     predicted_loss: float
 
 
-def _split_layers(table: SensitivityTable):
-    dp = [i for i, l in enumerate(table.layers) if l.fixed_bits is None]
-    fixed = [i for i, l in enumerate(table.layers) if l.fixed_bits is not None]
-    return dp, fixed
-
-
-def _gap(table: SensitivityTable, layer_idx: int, bits: int) -> float:
-    return float(table.delta_loss[layer_idx, table.bits.index(bits)])
-
-
-def _finish(problem: AllocationProblem, chosen: dict[int, int]) -> Allocation:
-    table = problem.table
-    dp_idx, fixed_idx = _split_layers(table)
-    w_dp = sum(table.layers[i].flops_weight for i in dp_idx)
-    achieved = (
-        sum(table.layers[i].flops_weight * chosen[i] for i in dp_idx) / w_dp if w_dp else 0.0
-    )
-    loss = sum(_gap(table, i, chosen[i]) for i in dp_idx)
-    bits_per_layer = {table.layers[i].name: chosen[i] for i in dp_idx}
-    for i in fixed_idx:
-        bits_per_layer[table.layers[i].name] = table.layers[i].fixed_bits
-    return Allocation(bits_per_layer, achieved_avg_bits=achieved, predicted_loss=loss)
-
-
-def _infeasible(problem: AllocationProblem) -> InfeasibleError:
-    least = problem.bit_set[0]
-    return InfeasibleError(
-        f"budget {problem.target_avg_bits} infeasible; minimum achievable average is {least} bits",
-        min_achievable=float(least),
-    )
-
-
 def dp_allocate(problem: AllocationProblem) -> Allocation:
     """Minimize the summed loss gaps under the exact budget.
 
     The frontier holds the surviving (cost, loss) pairs of partial
     assignments, by rising cost and strictly falling loss. A candidate is
     also dropped when the minimum width on the remaining layers would not
-    fit. The last pair of the final frontier is the optimum.
+    fit. The last pair of the final frontier is the optimum; its cost and
+    loss are the sums along the chosen path, added in layer order.
     """
-    table = problem.table
-    dp_idx, _ = _split_layers(table)
+    table, bit_set = problem.table, problem.bit_set
+    dp_idx = [i for i, l in enumerate(table.layers) if l.fixed_bits is None]
+    fixed = {l.name: l.fixed_bits for l in table.layers if l.fixed_bits is not None}
     if not dp_idx:
-        return _finish(problem, {})
-    bit_set = problem.bit_set
+        return Allocation(fixed, achieved_avg_bits=0.0, predicted_loss=0.0)
     widths = np.array(bit_set, dtype=np.float64)
     weights = np.array([table.layers[i].flops_weight for i in dp_idx])
-    w_dp = sum(weights.tolist())  # in the oracle's order, so both see one budget
+    w_dp = sum(weights.tolist())
     if w_dp <= 0:
         raise ValidationError("total FLOPs weight of optimized layers must be positive")
     gaps = table.delta_loss[np.ix_(dp_idx, [table.bits.index(b) for b in bit_set])]
@@ -126,7 +92,11 @@ def dp_allocate(problem: AllocationProblem) -> Allocation:
         cand_loss = (loss[:, None] + gaps[step]).ravel()
         fits = np.flatnonzero(cand_cost + rest[step] <= budget)
         if not fits.size:
-            raise _infeasible(problem)
+            raise InfeasibleError(
+                f"budget {problem.target_avg_bits} infeasible; "
+                f"minimum achievable average is {bit_set[0]} bits",
+                min_achievable=float(bit_set[0]),
+            )
         # The stable sort keeps equal costs in index order; of the pairs that beat all
         # before them, the last of an equal-cost run is the (cost, loss, index) survivor.
         order = fits[np.argsort(cand_cost[fits], kind="stable")]
@@ -138,46 +108,13 @@ def dp_allocate(problem: AllocationProblem) -> Allocation:
         cost, loss = cand_cost[kept], cand_loss[kept]
         parents.append(kept)
 
-    chosen: dict[int, int] = {}
+    picks = [0] * len(dp_idx)
     pos = len(cost) - 1
     for step in range(len(dp_idx) - 1, -1, -1):
-        pos, k = divmod(int(parents[step][pos]), len(bit_set))
-        chosen[dp_idx[step]] = bit_set[k]
-    return _finish(problem, chosen)
-
-
-def brute_force_allocate(problem: AllocationProblem) -> Allocation:
-    """Exact optimum of the continuous-budget problem by full enumeration.
-
-    The test oracle for ``dp_allocate``: all |bit_set|^L assignments are
-    scored against the same constraint sum(w_l * b_l) <= target * W_dp,
-    up to a relative 1e-12. Bounded to 12 optimized layers.
-    """
-    table = problem.table
-    dp_idx, _ = _split_layers(table)
-    if len(dp_idx) > BRUTE_FORCE_MAX_LAYERS:
-        raise SizeError(
-            f"{len(dp_idx)} layers exceed the enumeration bound of {BRUTE_FORCE_MAX_LAYERS}"
-        )
-    if not dp_idx:
-        return _finish(problem, {})
-    weights = [table.layers[i].flops_weight for i in dp_idx]
-    w_dp = sum(weights)
-    if w_dp <= 0:
-        raise ValidationError("total FLOPs weight of optimized layers must be positive")
-    budget = problem.target_avg_bits * w_dp * (1.0 + 1e-12)
-    best_loss, best = np.inf, None
-    # Lexicographic order over ascending bit_set: the first strict minimum
-    # is the tie-break toward lower widths and lower layer indices.
-    for assign in itertools.product(problem.bit_set, repeat=len(dp_idx)):
-        if sum(w * b for w, b in zip(weights, assign)) > budget:
-            continue
-        loss = sum(_gap(table, i, b) for i, b in zip(dp_idx, assign))
-        if loss < best_loss:
-            best_loss, best = loss, assign
-    if best is None:
-        raise _infeasible(problem)
-    return _finish(problem, dict(zip(dp_idx, best)))
+        pos, picks[step] = divmod(int(parents[step][pos]), len(bit_set))
+    chosen = {table.layers[i].name: bit_set[k] for i, k in zip(dp_idx, picks)}
+    return Allocation({**chosen, **fixed}, achieved_avg_bits=float(cost[-1]) / w_dp,
+                      predicted_loss=float(loss[-1]))
 
 
 def achieved_average(alloc: Allocation, table: SensitivityTable) -> float:

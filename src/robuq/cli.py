@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import allocator, deploy, gaussanalysis, hadamard, lowrank, profiler, quant, tensorio
-from .errors import RobuqError, ValidationError
+from .errors import RobuqError
 
 DEFAULT_SEED = 42
 
@@ -44,14 +44,14 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
-    """Parse a comma-separated integer list given to ``flag``."""
-    items = []
-    for item in text.split(","):
-        try:
-            items.append(int(item))
-        except ValueError:
-            raise ValidationError(f"{flag}: {item!r} is not an integer") from None
-    return tuple(items)
+    """Parse a comma-separated list of decimal integers given to ``flag``."""
+    return tuple(tensorio._decimal(item, f"{flag}:") for item in text.split(","))
+
+
+def _int_flag(flag: str):
+    """``type=`` for an integer flag. Its ``ValidationError`` passes through
+    ``parse_args``, which ``main`` reports as bad input (exit 2)."""
+    return lambda text: tensorio._decimal(text, f"{flag}:")
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", help="build a quantized layer from weights")
     p.add_argument("--weights", required=True)
-    p.add_argument("--rank", type=int, default=lowrank.DEFAULT_RANK)
-    p.add_argument("--bits", type=int, default=4)
+    p.add_argument("--rank", type=_int_flag("--rank"), default=lowrank.DEFAULT_RANK)
+    p.add_argument("--bits", type=_int_flag("--bits"), default=4)
     p.add_argument("--lloyd", action="store_true", help="Lloyd-Max instead of the uniform codebook")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--summary", default=None)
@@ -243,19 +243,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gauss-report", help="normality and independence statistics")
     p.add_argument("--activations", required=True)
-    p.add_argument("--bins", type=int, default=16)
+    p.add_argument("--bins", type=_int_flag("--bins"), default=16)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_flag("--seed"), default=DEFAULT_SEED)
     p.set_defaults(func=cmd_gauss_report)
 
     p = sub.add_parser("profile", help="QAT sensitivity profiling on a toy model")
     p.add_argument("--widths", default="64,64,64,64")
     p.add_argument("--bits", default="1,2,3,4")
-    p.add_argument("--steps", type=int, default=0)
+    p.add_argument("--steps", type=_int_flag("--steps"), default=0)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--batch", type=_int_flag("--batch"), default=32)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_flag("--seed"), default=DEFAULT_SEED)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("allocate", help="DP bit allocation from a sensitivity CSV")
@@ -274,9 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InvariantFailure as exc:
         print(f"robuq: invariant check failed: {exc}", file=sys.stderr)

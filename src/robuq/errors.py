@@ -40,6 +40,3 @@ class InfeasibleError(RobuqError):
         super().__init__(message)
         self.min_achievable = min_achievable
 
-
-class SizeError(RobuqError):
-    """Problem size exceeds a documented enumeration bound."""

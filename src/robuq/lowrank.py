@@ -323,7 +323,7 @@ def forward_with_cache(layer: QuantLinearLayer, x: np.ndarray) -> tuple[np.ndarr
     else:
         v, row_sums = wq.operand_f64
         g, step, offset = cb.levels[codes] @ v.T, 1.0, 0.0
-    shift = (mu if layer.center else 0.0) + sigma * offset
+    shift = mu + sigma * offset
     y = (np.column_stack((xh @ layer.branch.B.T, shift))
          @ np.column_stack((layer.branch.A, wq.alpha * row_sums)).T)
     scale = sigma * step

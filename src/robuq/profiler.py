@@ -51,6 +51,11 @@ from .tensorio import LayerSpec, SensitivityTable
 _VAL_POOL = 1000  # validation tokens of every toy data set
 
 
+def _check_count(value, name: str, least: int = 1) -> None:
+    if not _is_int(value) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     """Short-QAT hyperparameters for Adam; steps = 0 degenerates to pure PTQ."""
@@ -61,10 +66,8 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not _is_int(self.steps) or self.steps < 0:
-            raise ValidationError(f"steps must be an integer >= 0, got {self.steps!r}")
-        if not _is_int(self.batch) or self.batch < 1:
-            raise ValidationError(f"batch must be an integer >= 1, got {self.batch!r}")
+        _check_count(self.steps, "steps", least=0)
+        _check_count(self.batch, "batch")
         if not (isinstance(self.learning_rate, numbers.Real)
                 and math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(
@@ -260,10 +263,12 @@ def make_toy_model(widths: tuple[int, ...], seed: int = 0) -> ToyModel:
     """Random teacher of len(widths)-1 linear layers; student starts equal.
 
     Widths should be powers of two in 32..128 for the fast-transform path,
-    though any positive sizes work.
+    though any integer sizes >= 1 work.
     """
     if len(widths) < 2:
         raise ValidationError("need at least one layer (two widths)")
+    for width in widths:
+        _check_count(width, "widths entry")
     rng = np.random.default_rng(seed)
     teacher = [
         rng.standard_normal((widths[i + 1], widths[i])) / np.sqrt(widths[i])
@@ -273,6 +278,7 @@ def make_toy_model(widths: tuple[int, ...], seed: int = 0) -> ToyModel:
 
 
 def make_toy_data(in_dim: int, seed: int = 0) -> ToyData:
+    _check_count(in_dim, "in_dim")
     rng = np.random.default_rng([seed, 0xDA7A])
     return ToyData(val_inputs=rng.standard_normal((_VAL_POOL, in_dim)))
 
@@ -369,14 +375,17 @@ def profile_sensitivity(
     Each (layer, bit) cell derives its own generator from (seed, layer, bit),
     so the table is identical no matter how cells are scheduled. Each width
     is in 1..8, or 32 for no quantization, whose gap is exactly zero by
-    construction; any other width raises ``ValidationError`` before a cell
-    is trained.
+    construction; any other width, or one given twice, raises
+    ``ValidationError`` before a cell is trained.
     """
     if data.in_dim != model.layers[0].in_dim:
         raise DimensionError(
             f"data width {data.in_dim} is not the model's input width {model.layers[0].in_dim}")
     full_precision = {b: _check_bits(b, full_precision=True) for b in bits}
     bits = tuple(sorted(bits))
+    repeated = sorted({a for a, b in zip(bits, bits[1:]) if a == b})
+    if repeated:
+        raise ValidationError(f"bits must not repeat a width, got {repeated} more than once")
     base_loss = model.loss(data.val_inputs)
     gaps = np.zeros((len(model.layers), len(bits)))
     for li in range(len(model.layers)):

@@ -1,10 +1,12 @@
-"""Bit-exact matrix files, sensitivity-table CSVs and the JSON field reader.
+"""Bit-exact matrix files, sensitivity-table CSVs and the field readers.
 
 Matrices travel in a fixed little-endian binary layout (magic ``RBQ1``,
 uint32 rows, uint32 cols, float32 row-major payload) so fixtures round-trip
 bitwise across platforms. Sensitivity tables are small and meant to be
 human-auditable, so they travel as CSV. The JSON inputs (a layer's
-``layer.json`` and the FLOPs config) read every field through ``_field``.
+``layer.json`` and the FLOPs config) read every field through ``_field``,
+and every integer given as text (``dL@<b>`` headers, ``fixed_bits``, CLI
+flags) goes through ``_decimal``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,15 @@ def _field(meta: dict, key: str, *kinds: type):
         raise TypeError(f"{key} {value!r} is not a JSON "
                         + " or ".join(_JSON_TYPES[k] for k in kinds))
     return value
+
+
+def _decimal(text: str, name: str) -> int:
+    """The integer spelled by ``text``, which must be ASCII digits only:
+    no sign, space, underscore or other script's digits, which ``int()``
+    would accept. Raises ``ValidationError`` naming ``name`` otherwise."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValidationError(f"{name} {text!r} is not a decimal integer (digits 0-9 only)")
+    return int(text)
 
 
 def save_matrix(m: np.ndarray, path) -> None:
@@ -129,10 +140,6 @@ class SensitivityTable:
                 raise ValidationError(f"duplicate layer name {layer.name!r}")
             seen.add(layer.name)
 
-    def gap(self, layer_name: str, bits: int) -> float:
-        i = next(i for i, l in enumerate(self.layers) if l.name == layer_name)
-        return float(self.delta_loss[i, self.bits.index(bits)])
-
 
 def save_sensitivity(table: SensitivityTable, path) -> None:
     """Write a sensitivity table as CSV, one row per layer in table order."""
@@ -168,8 +175,8 @@ def load_sensitivity(path) -> SensitivityTable:
     bit_cols = []
     for j, name in enumerate(header[3:], start=3):
         try:
-            bit_cols.append((int(name[3:] if name.startswith("dL@") else ""), j))
-        except ValueError as exc:
+            bit_cols.append((_decimal(name[3:] if name.startswith("dL@") else "", "width"), j))
+        except ValidationError as exc:
             raise FormatError(f"{path}: column {name!r} is not of the form dL@<bits>") from exc
     if not bit_cols:
         raise FormatError(f"{path}: no dL@<bits> columns")
@@ -186,8 +193,8 @@ def load_sensitivity(path) -> SensitivityTable:
         except (IndexError, ValueError) as exc:
             raise FormatError(f"{path}: layer {name!r} has missing or unparsable flops_weight") from exc
         try:
-            fixed = None if len(row) < 3 or row[2].strip() == "" else int(row[2])
-        except ValueError as exc:
+            fixed = None if len(row) < 3 or row[2].strip() == "" else _decimal(row[2], "fixed_bits")
+        except ValidationError as exc:
             raise FormatError(f"{path}: layer {name!r} has unparsable fixed_bits: {row[2]!r}") from exc
         try:
             layers.append(LayerSpec(name=name, flops_weight=weight, fixed_bits=fixed))

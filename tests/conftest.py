@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from robuq.allocator import Allocation
+from robuq.errors import InfeasibleError
 from robuq.tensorio import LayerSpec, SensitivityTable
 
 
@@ -19,6 +23,46 @@ def dit_like_table():
         return SensitivityTable(layers, list(bits), np.array(gaps))
 
     return make
+
+
+@pytest.fixture(scope="session")
+def enumerate_allocation():
+    """``enumerate_allocation(problem)`` is the exact optimum of an
+    ``AllocationProblem`` by scoring all |bit_set|^L width assignments of
+    its optimized layers, the oracle for ``dp_allocate``. It shares no code
+    with the allocator: it forms the budget as ``dp_allocate`` states it,
+    target * W_dp * (1 + 1e-12) with W_dp the sum of the optimized layers'
+    weights in layer order, and sums each assignment's cost, loss and
+    average itself. Ties go to lower widths, then lower layer indices: the
+    assignments run in lexicographic order over the ascending bit set and
+    the first strict minimum wins. Layers with ``fixed_bits`` keep them."""
+
+    def solve(problem):
+        table, bit_set = problem.table, sorted(problem.bit_set)
+        free = [(layer, row) for layer, row in zip(table.layers, table.delta_loss)
+                if layer.fixed_bits is None]
+        assert len(free) <= 12, "enumeration is meant for small instances"
+        weights = [layer.flops_weight for layer, _ in free]
+        w_dp = sum(weights)
+        budget = problem.target_avg_bits * w_dp * (1.0 + 1e-12)
+        column = {b: table.bits.index(b) for b in bit_set}
+        best = None
+        for assign in itertools.product(bit_set, repeat=len(free)):
+            if sum(w * b for w, b in zip(weights, assign)) > budget:
+                continue
+            loss = sum(float(row[column[b]]) for (_, row), b in zip(free, assign))
+            if best is None or loss < best[0]:
+                best = (loss, assign)
+        if best is None:
+            raise InfeasibleError(f"no assignment fits {problem.target_avg_bits} bits",
+                                  min_achievable=float(bit_set[0]))
+        loss, assign = best
+        bits = {layer.name: b for (layer, _), b in zip(free, assign)}
+        bits.update((l.name, l.fixed_bits) for l in table.layers if l.fixed_bits is not None)
+        average = sum(w * b for w, b in zip(weights, assign)) / w_dp if free else 0.0
+        return Allocation(bits, achieved_avg_bits=average, predicted_loss=loss)
+
+    return solve
 
 
 @pytest.fixture()

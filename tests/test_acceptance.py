@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from robuq.allocator import AllocationProblem, brute_force_allocate, dp_allocate
+from robuq.allocator import AllocationProblem, dp_allocate
 from robuq.deploy import (
     PackedTernary,
     model_flops,
@@ -114,7 +114,7 @@ def test_05_lloyd_max():
     _report(5, "b=1 levels +-0.797885; non-uniform MSE <= uniform for b in 2..4", t0, 30.0)
 
 
-def test_06_dp_allocator_optimality():
+def test_06_dp_allocator_optimality(enumerate_allocation):
     t0 = time.time()
     rng = np.random.default_rng(6)
     beta, target = 1000, 2.5
@@ -130,7 +130,7 @@ def test_06_dp_allocator_optimality():
         )
         problem = AllocationProblem(table, target_avg_bits=target, beta=beta)
         dp = dp_allocate(problem)
-        bf = brute_force_allocate(problem)
+        bf = enumerate_allocation(problem)
         assert abs(dp.predicted_loss - bf.predicted_loss) < 1e-12
         assert dp.achieved_avg_bits <= target + 4.0 / beta
     _report(6, "DP objective == 4^6 brute force on 20 instances; budget slack <= 4/beta", t0, 10.0)

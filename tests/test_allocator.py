@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robuq.allocator import (
-    AllocationProblem,
-    achieved_average,
-    brute_force_allocate,
-    dp_allocate,
-)
-from robuq.errors import InfeasibleError, SizeError, ValidationError
+from robuq.allocator import AllocationProblem, achieved_average, dp_allocate
+from robuq.errors import InfeasibleError, ValidationError
 from robuq.tensorio import LayerSpec, SensitivityTable
 
 
@@ -37,17 +32,17 @@ def test_single_layer_budget_permits_maximum():
     assert alloc.predicted_loss == 0.1
 
 
-def test_two_layer_tradeoff_against_brute_force():
+def test_two_layer_tradeoff_against_brute_force(enumerate_allocation):
     # dL1(1)+dL2(3) = 9.6 vs dL1(2)+dL2(2) = 9 -> both layers get 2 bits.
     t = _table([[9, 1, 0.5], [9, 8, 0.6]], bits=(1, 2, 3))
     problem = AllocationProblem(t, target_avg_bits=2.0, bit_set=(1, 2, 3))
     dp = dp_allocate(problem)
-    bf = brute_force_allocate(problem)
+    bf = enumerate_allocation(problem)
     assert dp.predicted_loss == bf.predicted_loss == 9.0
     assert dp.bits_per_layer == bf.bits_per_layer == {"l0": 2, "l1": 2}
 
 
-def test_dp_matches_brute_force_on_permille_instances():
+def test_dp_matches_brute_force_on_permille_instances(enumerate_allocation):
     rng = np.random.default_rng(2024)
     for _ in range(20):
         w = permille_shares(rng, 6)
@@ -55,12 +50,12 @@ def test_dp_matches_brute_force_on_permille_instances():
         t = _table(gaps, weights=list(w))
         problem = AllocationProblem(t, target_avg_bits=2.5, beta=1000)
         dp = dp_allocate(problem)
-        bf = brute_force_allocate(problem)
+        bf = enumerate_allocation(problem)
         assert abs(dp.predicted_loss - bf.predicted_loss) < 1e-12
         assert dp.achieved_avg_bits <= 2.5 + 4 / 1000
 
 
-def test_dp_never_beats_continuous_budget_unfairly():
+def test_dp_never_beats_continuous_budget_unfairly(enumerate_allocation):
     # beta no longer changes the solve: the DP is exact on the continuous
     # budget, so every gap is 0 and the three totals are equal.
     rng = np.random.default_rng(5)
@@ -73,7 +68,7 @@ def test_dp_never_beats_continuous_budget_unfairly():
             gaps = np.sort(rng2.uniform(0, 1, size=(4, 4)))[:, ::-1]
             t = _table(gaps, weights=w)
             problem = AllocationProblem(t, 2.5, beta=beta)
-            dp, bf = dp_allocate(problem), brute_force_allocate(problem)
+            dp, bf = dp_allocate(problem), enumerate_allocation(problem)
             assert dp.predicted_loss <= bf.predicted_loss + 1e-12
             total += bf.predicted_loss - dp.predicted_loss
         gap_by_beta[beta] = total
@@ -138,28 +133,25 @@ def test_achieved_average_accepts_paper_style_weights():
     np.testing.assert_allclose(achieved_average(alloc, t), expected, rtol=1e-12)
 
 
-def test_infeasible_target_below_min_bits():
+def test_infeasible_target_below_min_bits(enumerate_allocation):
     t = _table([[1, 0.5, 0.2, 0.1]])
     with pytest.raises(InfeasibleError) as err:
         dp_allocate(AllocationProblem(t, target_avg_bits=0.5))
     assert err.value.min_achievable == 1.0
     with pytest.raises(InfeasibleError):
-        brute_force_allocate(AllocationProblem(t, target_avg_bits=0.5))
+        enumerate_allocation(AllocationProblem(t, target_avg_bits=0.5))
 
 
-def test_brute_force_single_layer_and_size_bound():
+def test_brute_force_single_layer(enumerate_allocation):
     t = _table([[1, 0.5, 0.2, 0.1]])
     problem = AllocationProblem(t, target_avg_bits=4.0)
-    assert brute_force_allocate(problem).bits_per_layer == dp_allocate(problem).bits_per_layer
-    big = _table(np.ones((13, 4)))
-    with pytest.raises(SizeError):
-        brute_force_allocate(AllocationProblem(big, 4.0))
+    assert enumerate_allocation(problem).bits_per_layer == dp_allocate(problem).bits_per_layer
 
 
-def test_brute_force_infeasible():
+def test_brute_force_infeasible(enumerate_allocation):
     t = _table([[1, 0.5], [1, 0.5]], weights=[1.0, 1.0], bits=(2, 4))
     with pytest.raises(InfeasibleError):
-        brute_force_allocate(AllocationProblem(t, target_avg_bits=3.0, bit_set=(4,)))
+        enumerate_allocation(AllocationProblem(t, target_avg_bits=3.0, bit_set=(4,)))
 
 
 def test_missing_layer_in_achieved_average():
@@ -185,7 +177,7 @@ def test_non_finite_target_rejected(target):
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.data())
-def test_dp_matches_brute_force_property(data):
+def test_dp_matches_brute_force_property(enumerate_allocation, data):
     bit_set = data.draw(st.sampled_from([(1, 2, 3, 4), (2, 4), (1, 3), (2, 3, 4), (4,)]))
     n = data.draw(st.integers(1, 6))
     weights = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
@@ -197,7 +189,7 @@ def test_dp_matches_brute_force_property(data):
     target = data.draw(st.floats(min(bit_set), max(bit_set)))
     problem = AllocationProblem(_table(gaps, weights, fixed, bits=bit_set), target,
                                 bit_set=bit_set)
-    dp, bf = dp_allocate(problem), brute_force_allocate(problem)
+    dp, bf = dp_allocate(problem), enumerate_allocation(problem)
     assert abs(dp.predicted_loss - bf.predicted_loss) <= 1e-12
     assert dp.achieved_avg_bits <= target * (1.0 + 1e-12)
 

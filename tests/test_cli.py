@@ -293,14 +293,53 @@ def test_profile_bad_training_setting_is_a_usage_error(tmp_path, capsys, flags, 
     "command,flag,value,item",
     [("profile", "--widths", "16,a", "'a'"),
      ("profile", "--bits", "1,,2", "''"),
-     ("allocate", "--bits", "1,x", "'x'")],
-    ids=["profile_widths", "profile_bits", "allocate_bits"],
+     ("allocate", "--bits", "1,x", "'x'"),
+     # int() reads each of these; all but --seed -1 ran to exit 0 before the
+     # decimal rule, and that one failed inside numpy
+     ("quantize", "--bits", "0_4", "'0_4'"),
+     ("quantize", "--rank", " 2", "' 2'"),
+     ("quantize", "--rank", "+2", "'+2'"),
+     ("gauss-report", "--seed", "1_0", "'1_0'"),
+     ("gauss-report", "--bins", "\u0661\u0666", "'\u0661\u0666'"),
+     ("profile", "--seed", "-1", "'-1'"),
+     ("profile", "--steps", "+2", "'+2'"),
+     ("profile", "--batch", "3_2", "'3_2'"),
+     ("profile", "--widths", "16,+16", "'+16'"),
+     ("allocate", "--bits", "1, 2", "' 2'")],
+    ids=["profile_widths", "profile_bits", "allocate_bits", "quantize_bits_underscore",
+         "quantize_rank_space", "quantize_rank_plus", "gauss_seed_underscore",
+         "gauss_bins_arabic_indic", "profile_seed_negative", "profile_steps_plus",
+         "profile_batch_underscore", "profile_widths_plus", "allocate_bits_space"],
 )
-def test_integer_list_flags_name_the_flag_and_the_item(tmp_path, capsys, command, flag, value, item):
-    csv = tmp_path / "s.csv"
-    csv.write_text("layer,flops_weight,fixed_bits,dL@1\nfc0,1.0,,0.5\n")
-    args = {"profile": ["profile", "--out", str(tmp_path / "out.csv")],
-            "allocate": ["allocate", "--sensitivity", str(csv), "--target", "1"]}[command]
+def test_integer_list_flags_name_the_flag_and_the_item(tmp_path, rbq, capsys, command, flag,
+                                                       value, item):
+    src = rbq("a.rbq", np.random.default_rng(3).standard_normal((64, 16)))
+    csv, out = tmp_path / "s.csv", tmp_path / "out"
+    csv.write_text("layer,flops_weight,fixed_bits,dL@1,dL@2\nfc0,1.0,,0.9,0.5\n")
+    args = {"quantize": ["quantize", "--weights", src, "--out-dir", str(out)],
+            "gauss-report": ["gauss-report", "--activations", src, "--out", str(out)],
+            "profile": ["profile", "--widths", "16,16", "--bits", "2", "--out", str(out)],
+            "allocate": ["allocate", "--sensitivity", str(csv), "--target", "2",
+                         "--out", str(out)]}[command]
     assert cli.main(args + [flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("robuq: error:") and flag in err and item in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "header,fixed,bits",
+    [("dL@+1,dL@0_2", "0_8", "1,2"), ("dL@\u0663,dL@4", "", "3,4")],
+    ids=["sign_underscore", "arabic_indic"],
+)
+def test_allocate_reads_csv_integers_as_ascii_digits_only(tmp_path, capsys, header, fixed, bits):
+    # Both ran to exit 0 before the decimal rule, reading the headers as
+    # widths 1 and 2 with 0_8 as fc0 fixed at 8 bits, and as widths 3 and 4.
+    csv, out = tmp_path / "s.csv", tmp_path / "alloc.json"
+    csv.write_text(f"layer,flops_weight,fixed_bits,{header}\n"
+                   f"fc0,1.0,{fixed},0.9,0.5\nfc1,1.0,,0.8,0.4\n", encoding="utf-8")
+    assert cli.main(["allocate", "--sensitivity", str(csv), "--target", "4",
+                     "--bits", bits, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("robuq: error:") and "s.csv" in err, err
+    assert not out.exists()

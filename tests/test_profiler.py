@@ -461,6 +461,21 @@ def test_toy_data_width_is_the_pool_width():
         ToyData(in_dim=16, val_inputs=np.zeros((50, 32)))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_toy_model((16, -1)), lambda: make_toy_model((16, 0)),
+     lambda: make_toy_model((16.5, 8)), lambda: make_toy_model((True, 8)),
+     lambda: make_toy_model((16, np.int64(-2))), lambda: make_toy_data(-3),
+     lambda: make_toy_data(2.5)],
+    ids=["negative", "zero", "float", "bool", "numpy_negative", "data_negative", "data_float"],
+)
+def test_toy_widths_must_be_integers_of_at_least_one(build):
+    # Before the check these raised numpy's ValueError or a TypeError, or
+    # built a 0 x 16 layer (and a 1-wide one from True) that failed later.
+    with pytest.raises(ValidationError, match="integer >= 1"):
+        build()
+
+
 @pytest.mark.parametrize("shape", [(50,), (50, 0), (2, 50, 32), ()],
                          ids=["1d", "no_columns", "3d", "scalar"])
 def test_toy_data_rejects_a_pool_that_is_not_a_matrix(shape):

@@ -5,6 +5,7 @@ from robuq.errors import FormatError, ValidationError
 from robuq.tensorio import (
     LayerSpec,
     SensitivityTable,
+    _decimal,
     load_matrix,
     load_sensitivity,
     save_matrix,
@@ -95,8 +96,8 @@ def test_sensitivity_minimal(tmp_path):
     save_sensitivity(table, path)
     back = load_sensitivity(path)
     assert back.delta_loss.shape == (1, 2)
-    assert back.gap("only", 1) == 0.5
-    assert back.gap("only", 2) == 0.1
+    assert back.delta_loss[0, back.bits.index(1)] == 0.5
+    assert back.delta_loss[0, back.bits.index(2)] == 0.1
 
 
 def test_sensitivity_roundtrip(tmp_path):
@@ -131,15 +132,37 @@ def test_sensitivity_missing_cell(tmp_path):
         ("layer,flops_weight,fixed_bits,dL@1,dL@9\nfc0,1.0,,0.9,0.5\n", r"bad\.csv.*got 9"),
         # one field above the csv module's 131,072-character limit
         ("layer,flops_weight,fixed_bits,dL@1\n" + "x" * 200_000 + ",1.0,,0.5\n", r"bad\.csv"),
+        # int() reads each of these; before the decimal rule they loaded as
+        # widths 1, 2, 3 and 1, and as fc0 fixed at 8 bits
+        ("layer,flops_weight,fixed_bits,dL@+1,dL@2\nfc0,1.0,,0.9,0.5\n", r"bad\.csv.*'dL@\+1'"),
+        ("layer,flops_weight,fixed_bits,dL@1,dL@0_2\nfc0,1.0,,0.9,0.5\n", r"bad\.csv.*'dL@0_2'"),
+        ("layer,flops_weight,fixed_bits,dL@\u0663\nfc0,1.0,,0.5\n", r"bad\.csv.*'dL@\u0663'"),
+        ("layer,flops_weight,fixed_bits,dL@ 1\nfc0,1.0,,0.5\n", r"bad\.csv.*'dL@ 1'"),
+        ("layer,flops_weight,fixed_bits,dL@1\nfc0,1.0,0_8,0.5\n", r"bad\.csv.*'fc0'.*fixed_bits.*'0_8'"),
+        ("layer,flops_weight,fixed_bits,dL@1\nfc0,1.0,+8,0.5\n", r"bad\.csv.*'fc0'.*fixed_bits.*'\+8'"),
+        ("layer,flops_weight,fixed_bits,dL@1\nfc0,1.0, 8,0.5\n", r"bad\.csv.*'fc0'.*fixed_bits.*' 8'"),
     ],
     ids=["bits_header", "flops_weight", "fixed_bits", "nan_weight", "inf_weight", "neg_inf_weight",
-         "bits_zero", "bits_above_8", "oversized_field"],
+         "bits_zero", "bits_above_8", "oversized_field", "plus_sign_header", "underscore_header",
+         "arabic_indic_header", "space_header", "underscore_fixed_bits", "plus_sign_fixed_bits",
+         "space_fixed_bits"],
 )
 def test_sensitivity_unparsable_field_is_format_error(tmp_path, text, match):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError, match=match):
         load_sensitivity(path)
+
+
+@pytest.mark.parametrize("text", ["", "+1", "-1", " 1", "1 ", "0_2", "1.0", "\u0663", "\u00b2", "0x1"])
+def test_decimal_rejects_what_int_would_read(text):
+    with pytest.raises(ValidationError, match="width"):
+        _decimal(text, "width")
+
+
+def test_decimal_reads_ascii_digits():
+    assert [_decimal(t, "n") for t in ("0", "7", "08", "32", "123456789012")] == [
+        0, 7, 8, 32, 123456789012]
 
 
 def test_sensitivity_non_utf8_is_format_error(tmp_path):

@@ -83,17 +83,28 @@ def test_profile_rejects_a_bad_width_before_training_any_cell(monkeypatch):
     assert trained == []
 
 
+def test_profile_rejects_a_repeated_width_before_training_any_cell(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cell was trained")
+
+    monkeypatch.setattr(profiler, "_train", refuse)
+    model, data = make_toy_model((8, 8), seed=1), make_toy_data(8, seed=1)
+    with pytest.raises(ValidationError, match=r"repeat.*\[2\]"):
+        profile_sensitivity(model, data, (2, 1, 2), TrainConfig(steps=1))
+
+
 def test_cli_rejects_a_width_outside_the_rule(tmp_path, capsys):
-    # Each of these ran to exit 0 before the rule was shared: every layer
+    # The first three ran to exit 0 before the rule was shared: every layer
     # allocated 0 bits, a FLOPs total computed at 4 bits, and a dL@64
-    # column of zeros.
+    # column of zeros. The last repeats a width.
     csv, cfg, out = tmp_path / "s.csv", tmp_path / "cfg.json", tmp_path / "p.csv"
     csv.write_text("layer,flops_weight,fixed_bits,dL@0,dL@1\nfc0,1.0,,0.9,0.5\n")
     cfg.write_text(json.dumps({"entries": [
         {"name": "only", "fp_gflops": 10.0, "w_bits": "ternary", "a_bits": 4.7}]}))
     for argv in (["allocate", "--sensitivity", str(csv), "--target", "0.5", "--bits", "0,1"],
                  ["flops", "--config", str(cfg)],
-                 ["profile", "--widths", "8,8", "--bits", "1,64", "--steps", "1", "--out", str(out)]):
+                 ["profile", "--widths", "8,8", "--bits", "1,64", "--steps", "1", "--out", str(out)],
+                 ["profile", "--widths", "8,8", "--bits", "2,2", "--steps", "1", "--out", str(out)]):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("robuq: error:")
     assert not out.exists()
