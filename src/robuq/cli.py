@@ -54,6 +54,12 @@ def _int_flag(flag: str):
     return lambda text: tensorio._decimal(text, f"{flag}:")
 
 
+def _real_flag(flag: str):
+    """``type=`` for a real-valued flag, read like ``_int_flag``; ``flag``
+    is the label its error names."""
+    return lambda text: tensorio._real(text, f"{flag}:")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -75,11 +81,11 @@ def _oracle_transform(rows: np.ndarray, block: int) -> np.ndarray:
 
 
 def cmd_hadamard(args) -> int:
-    x = tensorio.load_matrix(args.infile)
+    x = tensorio.load_matrix(args.infile).astype(np.float64)
     plan = hadamard.HadamardPlan(x.shape[1])
     y = hadamard.transform_tokens(x, plan)
 
-    in_norms = np.linalg.norm(x.astype(np.float64), axis=1)
+    in_norms = np.linalg.norm(x, axis=1)
     out_norms = np.linalg.norm(y, axis=1)
     denom = np.maximum(in_norms, 1e-30)
     norm_drift = float(np.max(np.abs(out_norms - in_norms) / denom))
@@ -88,7 +94,7 @@ def cmd_hadamard(args) -> int:
     # Check the fast kernel's output on a few probe rows against the dense
     # oracle applied block by block.
     probe = np.linspace(0, x.shape[0] - 1, min(8, x.shape[0])).astype(int)
-    expected = _oracle_transform(x[probe].astype(np.float64), plan.block_size)
+    expected = _oracle_transform(x[probe], plan.block_size)
     scale = max(float(np.max(in_norms[probe])), 1e-30)
     oracle_residual = float(np.max(np.abs(y[probe] - expected))) / scale
     _check(oracle_residual < 1e-5, f"oracle residual {oracle_residual:.3e} exceeds 1e-5")
@@ -252,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--widths", default="64,64,64,64")
     p.add_argument("--bits", default="1,2,3,4")
     p.add_argument("--steps", type=_int_flag("--steps"), default=0)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_real_flag("--lr (learning_rate)"), default=1e-3)
     p.add_argument("--batch", type=_int_flag("--batch"), default=32)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_int_flag("--seed"), default=DEFAULT_SEED)
@@ -260,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", help="DP bit allocation from a sensitivity CSV")
     p.add_argument("--sensitivity", required=True)
-    p.add_argument("--target", type=float, required=True)
+    p.add_argument("--target", type=_real_flag("--target"), required=True)
     p.add_argument("--bits", default="1,2,3,4")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_allocate)

@@ -12,7 +12,13 @@ The fast path is dense matrix multiplication. A block of order b <= 128 is
 one product with the dense H_b. A larger block, read row-major as an
 n1 x n2 matrix X with n1 = 2^floor(log2(b) / 2) and n2 = b / n1, maps to
 H_{n1} X H_{n2}: two small products costing n1 + n2 multiply-adds per
-element. The factors are built once per order and cached read-only.
+element. The factors are built once per order and dtype and cached
+read-only.
+
+The dtype rule: ``transform_tokens`` keeps a float32 input in float32,
+with float32 factors (the quantized forward's activation path), and
+computes every other input in float64. ``fold_into_weights`` always
+computes in float64.
 
 Channel counts that are not powers of two use a block-diagonal transform
 whose block size is the largest power-of-two divisor of the dim. Each block
@@ -56,27 +62,29 @@ class HadamardPlan:
 
 
 @functools.cache
-def _factor(order: int) -> np.ndarray:
-    """Read-only dense H_order, shared by every transform that uses it.
+def _factor(order: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only dense H_order in ``dtype``, shared by every transform that
+    uses it.
 
-    Orders are powers of two of at most 128 or sqrt(2 b), so the cache
-    stays a few small entries.
+    Orders are powers of two of at most 128 or sqrt(2 b), and the dtypes
+    float32 and float64, so the cache stays a few small entries.
     """
-    h = hadamard_matrix(order)
+    h = hadamard_matrix(order).astype(dtype)
     h.flags.writeable = False
     return h
 
 
 def _apply(x: np.ndarray, block: int) -> np.ndarray:
-    # x: (rows, dim) float64. Returns a new array holding every length-`block`
-    # segment of every row multiplied by H_block (H is symmetric, so x H = H x).
+    # x: (rows, dim) float32 or float64. Returns a new array of x's dtype
+    # holding every length-`block` segment of every row multiplied by
+    # H_block (H is symmetric, so x H = H x).
     rows, dim = x.shape
     if block <= _DENSE_MAX:
-        return (x.reshape(-1, block) @ _factor(block)).reshape(rows, dim)
+        return (x.reshape(-1, block) @ _factor(block, x.dtype)).reshape(rows, dim)
     n1 = 1 << ((block.bit_length() - 1) // 2)
     n2 = block // n1
-    z = (x.reshape(-1, n2) @ _factor(n2)).reshape(-1, n1, n2)
-    return (_factor(n1) @ z).reshape(rows, dim)
+    z = (x.reshape(-1, n2) @ _factor(n2, x.dtype)).reshape(-1, n1, n2)
+    return (_factor(n1, x.dtype) @ z).reshape(rows, dim)
 
 
 def hadamard_matrix(dim: int) -> np.ndarray:
@@ -96,8 +104,13 @@ def hadamard_matrix(dim: int) -> np.ndarray:
 
 
 def transform_tokens(x: np.ndarray, plan: HadamardPlan | None = None) -> np.ndarray:
-    """Apply the transform to every row (token) of a T x C matrix: Y_t = H x_t."""
-    arr = np.asarray(x, dtype=np.float64)
+    """Apply the transform to every row (token) of a T x C matrix: Y_t = H x_t.
+
+    A float32 input is transformed in float32; any other in float64.
+    """
+    arr = np.asarray(x)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2:
         raise DimensionError(f"expected a T x C matrix, got shape {arr.shape}")
     if plan is None:

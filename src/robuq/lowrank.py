@@ -16,22 +16,29 @@ the low-rank branch consumes the unquantized transformed activations:
 Because H is orthogonal, the dense reconstruction error equals the residual
 approximation error in the transformed domain exactly.
 
+The quantizer input runs in float32: the tokens are cast once, and H x and
+the per-token codes are computed in float32 (``quant.token_codes`` states
+the codes' contract against the float64 reference). The low-rank branch
+stays float64 and reads x through the folded factor, B (H x) = (B H) x as
+H is symmetric, so no float64 H x is formed.
+
 The ternary branch never dequantizes. A token t of H x with codes q_t,
 mean mu_t (0 when centering is off) and scale sigma_t dequantizes to
 sigma_t * levels[q_t] + mu_t, so with levels[c] = o + s * c the branch is
 
     y_tern[t] = alpha . (sigma_t * s * (Q V^T)[t] + (mu_t + sigma_t * o) * rowsum(V))
 
-For a uniform grid (Q, s, o) = (codes as float32, step, levels[0]): the
-GEMM of codes 0..n-1 against {-1, 0, +1} is exact in float32 while
-(n - 1) * in_dim < 2^24. Otherwise (a Lloyd-Max codebook, or a grid too
-wide for that bound) (Q, s, o) = (levels[codes] as float64, 1, 0). The
-one per-tensor alpha scales the whole ternary branch.
+For a uniform grid (Q, s, o) = (codes, step, levels[0]), where the coder
+writes the codes 0..n-1 as float32: their GEMM against {-1, 0, +1} is
+exact in float32 while (n - 1) * in_dim < 2^24, and in float64 for a grid
+too wide for that bound. For a Lloyd-Max codebook (Q, s, o) =
+(levels[codes] as float64, 1, 0). The one per-tensor alpha scales the
+whole ternary branch.
 
 The mean/offset term is an outer product, so it joins the low-rank branch
 as one more rank, and the whole layer is
 
-    y = [xh B^T | mu + sigma * o] @ [A | alpha . rowsum(V)]^T
+    y = [x (B H)^T | mu + sigma * o] @ [A | alpha . rowsum(V)]^T
         + (sigma * s) . (Q V^T) . alpha
 
 The first term is one float64 GEMM that writes y. The code product Q V^T
@@ -305,26 +312,39 @@ _FLOAT32_EXACT = 1 << 24
 def forward_with_cache(layer: QuantLinearLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Apply the layer to a T x in_dim activation batch; returns (y, cache).
 
-    The low-rank branch reads the transformed tokens, the ternary branch
-    their per-token Gauss codes; see the module docstring for the formula.
-    The cache keeps ``xh``, ``codes``, ``mu`` and ``sigma``.
+    The tokens are cast to float32 once, and the transform and the token
+    coder run in float32 (see the module docstring for the formula). The
+    codes keep the contract that ``quant.token_codes`` states against the
+    float64 reference ``quantize_tokens(transform_tokens(x))``, with m_t
+    the largest magnitude of the transformed token. The low-rank branch
+    and the epilogue stay float64 and read x through B H, so no float64
+    transformed input is formed. A token with a NaN or Inf, or whose
+    float32 image or transform overflows, raises ``ValidationError``
+    naming it. The cache keeps ``xh`` (the float32
+    transformed tokens, at the input's scale), ``codes`` (float32 on a
+    uniform grid, int64 for Lloyd-Max), ``mu`` and ``sigma``.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != layer.in_dim:
         raise DimensionError(f"expected T x {layer.in_dim} input, got shape {arr.shape}")
-    xh = transform_tokens(arr, layer.plan)
+    with np.errstate(over="ignore"):  # an overflow is an Inf, which token_codes rejects
+        xh = transform_tokens(arr.astype(np.float32), layer.plan)
     cb, wq = layer.codebook, layer.wq
     codes, mu, sigma = token_codes(xh, cb, center=layer.center)
-    if cb.is_uniform and (len(cb.levels) - 1) * layer.in_dim < _FLOAT32_EXACT:
+    if cb.is_uniform:
         # levels[c] = levels[0] + step * c, and codes @ V^T is an exact
-        # float32 GEMM: every partial sum is an integer below 2^24.
-        v, row_sums = wq.operand_f32
-        g, step, offset = codes.astype(np.float32) @ v.T, cb.step, cb.levels[0]
+        # float32 GEMM while every partial sum is an integer below 2^24.
+        exact32 = (len(cb.levels) - 1) * layer.in_dim < _FLOAT32_EXACT
+        v, row_sums = wq.operand_f32 if exact32 else wq.operand_f64
+        g, step, offset = codes @ v.T, cb.step, cb.levels[0]
     else:
         v, row_sums = wq.operand_f64
         g, step, offset = cb.levels[codes] @ v.T, 1.0, 0.0
     shift = mu + sigma * offset
-    y = (np.column_stack((xh @ layer.branch.B.T, shift))
+    # x (B H)^T = (x H) B^T as H is symmetric; B is folded on every call
+    # because QAT updates it in place.
+    bh = fold_into_weights(layer.branch.B, layer.plan)
+    y = (np.column_stack((arr @ bh.T, shift))
          @ np.column_stack((layer.branch.A, wq.alpha * row_sums)).T)
     scale = sigma * step
     rows = max(1, _BLOCK_ENTRIES // layer.out_dim)
@@ -410,8 +430,6 @@ def load_layer(dirpath) -> QuantLinearLayer:
     # JSON and UTF-8 decoding errors are ValueErrors too
     except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise FormatError(f"{sidecar}: not a layer sidecar ({type(exc).__name__}: {exc})") from exc
-    if not math.isfinite(alpha):
-        raise FormatError(f"{sidecar}: alpha is not finite")
     if min(out_dim, in_dim) < 1:
         raise FormatError(f"{sidecar}: out_dim {out_dim} and in_dim {in_dim} must be >= 1")
     derived = HadamardPlan(in_dim).block_size
@@ -422,7 +440,10 @@ def load_layer(dirpath) -> QuantLinearLayer:
     if packed.count != out_dim * in_dim:
         raise FormatError(f"{d / _VALUES_FILE}: {packed.count} values do not fill "
                           f"out_dim {out_dim} x in_dim {in_dim} from layer.json")
-    wq = TernaryWeights(values=unpack_ternary(packed).reshape(out_dim, in_dim), alpha=alpha)
+    try:
+        wq = TernaryWeights(values=unpack_ternary(packed).reshape(out_dim, in_dim), alpha=alpha)
+    except ValidationError as exc:  # the unpacked values are ternary: alpha is at fault
+        raise FormatError(f"{sidecar}: {exc}") from exc
     if rank:
         branch = LowRankBranch(A=read(load_matrix, "A.rbq").astype(np.float64),
                                B=read(load_matrix, "B.rbq").astype(np.float64))

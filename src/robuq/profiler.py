@@ -154,8 +154,10 @@ class ToyLayer:
             return y, cache
         q = self.qlayer
         # The straight-through backward needs the dequantized activations
-        # and the dense ternary weight, which the forward never forms.
-        deq = dequantize_codes(cache["codes"], q.codebook, cache["mu"], cache["sigma"], q.center)
+        # and the dense ternary weight, which the forward never forms; the
+        # forward's codes are float32 on a uniform grid.
+        codes = cache["codes"].astype(np.int64, copy=False)
+        deq = dequantize_codes(codes, q.codebook, cache["mu"], cache["sigma"], q.center)
         cache.update(x=x, deq=deq, wq=q.wq.dequantize())
         return y, cache
 

@@ -9,7 +9,10 @@ directly, so beyond the int8 output it holds only the one |W| temporary
 that the mean reduces. The activation quantizer is per-token:
 ``token_codes`` normalizes each (Hadamard-transformed) token by its own
 statistics and codes it against a codebook precomputed for N(0, 1);
-``dequantize_codes`` maps the codes back.
+``dequantize_codes`` maps the codes back. The coder's precision follows
+its input: float64 codes equal a threshold search bit for bit, and the
+float32 coder of the quantized forward keeps a stated contract against
+them, with one constant K = 64 (see ``token_codes``).
 
 Codebooks are solved once per bit width from the closed-form moments of
 N(0, 1) over each cell, which need only ``math.erfc``: Lloyd-Max levels by
@@ -38,6 +41,15 @@ FP_BITS = 32
 # at 256 x 4608 token_codes took 15 ms against 43 ms for whole-matrix passes
 # on a 2-vCPU Xeon.
 _BLOCK_ENTRIES = 1 << 15
+# The float32 token coder's blocks: its three block arrays (1.5 MiB) still
+# fit a 2 MiB L2, and fewer blocks save per-call overhead: 2.0 against
+# 2.7 ms at 256 x 4608 on a 2-vCPU Xeon.
+_BLOCK_ENTRIES32 = 1 << 17
+_EPS32 = float(np.finfo(np.float32).eps)
+# K of the float32 token coder's contract (see token_codes)
+_CODES_K = 64
+# the float32 coder squares in float32 only rows with sigma in [this, 1 / this]
+_SIGMA_MIN32 = 2.0**-63
 
 
 def _is_int(value) -> bool:
@@ -71,7 +83,8 @@ def is_ternary(values) -> bool:
 
 @dataclass
 class TernaryWeights:
-    """{-1, 0, +1} values plus the one real scale ``alpha`` of the tensor.
+    """{-1, 0, +1} values plus the one real scale ``alpha`` of the tensor,
+    finite and >= 0 (``ValidationError`` otherwise).
 
     The quantized forward multiplies activation codes by ``values`` as a
     float GEMM operand, ``operand_f32`` or ``operand_f64``: the values in
@@ -88,6 +101,8 @@ class TernaryWeights:
         self.values = np.asarray(self.values)
         if not is_ternary(self.values):
             raise ValidationError("ternary values must lie in {-1, 0, +1}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha!r}")
 
     @functools.cached_property
     def operand_f32(self) -> tuple[np.ndarray, np.ndarray]:
@@ -329,10 +344,18 @@ def uniform_gauss_codebook(bits: int) -> GaussCodebook:
 # ---------------------------------------------------------------------------
 
 
+def _check_spread(sigma, first):
+    """Raise ``ValidationError`` naming the first token of a block (whose
+    first row is row ``first``) with a non-finite sigma."""
+    if not np.isfinite(sigma).all():
+        bad = first + int(np.argmin(np.isfinite(sigma)))
+        raise ValidationError(f"token {bad} is not finite (NaN, Inf or overflowing spread)")
+
+
 def _code_rows(arr, cb, center, first, codes, mu, sigma):
-    """``token_codes`` on a block of rows whose first row is row ``first``,
-    written into the block's slices ``codes``, ``mu`` and ``sigma`` of the
-    outputs."""
+    """``token_codes`` on a block of float64 rows whose first row is row
+    ``first``, written into the block's slices ``codes``, ``mu`` and
+    ``sigma`` of the outputs."""
     # The reductions of arr.mean(axis=1) and arr.std(axis=1), bit for bit,
     # keeping the deviations for z. sigma is non-finite exactly when its row
     # holds a NaN or Inf (or its spread overflows), so one O(T) test covers
@@ -341,9 +364,7 @@ def _code_rows(arr, cb, center, first, codes, mu, sigma):
         mean = arr.sum(axis=1) / arr.shape[1]
         dev = arr - mean[:, None]
         sigma[:] = np.sqrt(np.square(dev).sum(axis=1) / arr.shape[1])
-    if not np.isfinite(sigma).all():
-        bad = first + int(np.argmin(np.isfinite(sigma)))
-        raise ValidationError(f"token {bad} is not finite (NaN, Inf or overflowing spread)")
+    _check_spread(sigma, first)
     degenerate = (arr == arr[:, :1]).all(axis=1) | (sigma == 0.0)
     sigma[degenerate] = 0.0
     # z overwrites the deviations, which are not needed after it.
@@ -353,6 +374,52 @@ def _code_rows(arr, cb, center, first, codes, mu, sigma):
     mu[:] = mean if center else 0.0
 
 
+def _code_rows32(arr, cb, center, first, codes, mu, sigma):
+    """``_code_rows`` on a block of float32 rows: the float32 coder whose
+    contract ``token_codes`` states."""
+    c, n = arr.shape[1], len(cb.levels)
+    # The deviations, then z / unit + offset, go straight into the float32
+    # codes, which are the forward's GEMM operand, on a uniform grid.
+    work = codes if codes.dtype == np.float32 else np.empty(arr.shape, dtype=np.float32)
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = arr.sum(axis=1) / np.float32(c)
+        np.subtract(arr, mean[:, None], out=work)
+        sigma[:] = np.sqrt(np.square(work).sum(axis=1) / np.float32(c))
+        mu[:] = mean
+        # Outside [2^-63, 2^63] float32 squares may lose digits to underflow
+        # or overflow (as may the sum of a row near float32's range): such
+        # rows, and those with sigma 0 or NaN, are standardized in float64.
+        odd = np.flatnonzero(~((sigma >= _SIGMA_MIN32) & (sigma <= 1.0 / _SIGMA_MIN32)))
+        if odd.size:
+            rows = arr[odd].astype(np.float64)
+            mu[odd] = rows.sum(axis=1) / c
+            dev = rows - mu[odd, None]
+            sigma[odd] = np.sqrt(np.square(dev).sum(axis=1) / c)
+        _check_spread(sigma, first)
+        # A constant row's float32 mean is within c * eps32 / 2 of its value,
+        # so only rows with sigma that small can be constant.
+        degenerate = np.flatnonzero(sigma <= c * _EPS32 * np.abs(mu))
+        if degenerate.size:
+            degenerate = degenerate[(arr[degenerate] == arr[degenerate, :1]).all(axis=1)]
+            sigma[degenerate] = 0.0
+        unit, offset = (cb.step, (n - 1) / 2) if cb.is_uniform else (1.0, 0.0)
+        inv = 1.0 / (np.where(sigma > 0.0, sigma, 1.0) * unit)
+        if odd.size:
+            odd_z = (dev if center else rows) * inv[odd, None]
+        np.multiply(work if center else arr, inv.astype(np.float32)[:, None], out=work)
+        if odd.size:
+            work[odd] = odd_z
+    if cb.is_uniform:  # the nearest level: rint(z / step + (n - 1) / 2), clipped
+        work += np.float32(offset)
+        np.rint(work, out=work)
+        np.clip(work, 0, n - 1, out=work)
+    else:
+        codes[...] = np.searchsorted(cb.thresholds, work)
+    codes[degenerate] = n // 2
+    if not center:
+        mu[:] = 0.0
+
+
 def token_codes(
     x: np.ndarray,
     cb: GaussCodebook,
@@ -360,23 +427,55 @@ def token_codes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-token Gauss codes for a T x C matrix: returns (codes, mu, sigma).
 
-    Row t is standardized as z = (x_t - mu_t) / sigma_t and encoded by
-    ``cb.encode``. sigma_t is the row's population standard deviation;
-    mu_t is the row mean when ``center`` is set, else 0. A constant row is
-    degenerate: its sigma_t is 0, so dequantization reproduces the constant
-    (centered) or zero exactly, and its codes sit at the middle level.
-    Raises ``ValidationError`` on a row with a NaN or Inf or whose spread
-    overflows.
+    Row t is standardized as z = (x_t - mu_t) / sigma_t and encoded against
+    ``cb``. sigma_t is the row's population standard deviation; mu_t is the
+    row mean when ``center`` is set, else 0. A constant row is degenerate:
+    its sigma_t is 0, so dequantization reproduces the constant (centered)
+    or zero exactly, and its codes sit at the middle level. Raises
+    ``ValidationError`` naming the first row with a NaN or Inf or whose
+    float64 spread overflows. mu and sigma are float64.
+
+    The precision follows the input. Any input but float32 is coded in
+    float64, exactly as ``cb.encode`` codes x.mean / x.std standardized
+    rows: int64 codes equal to ``searchsorted(thresholds, z)``, bit for
+    bit. A float32 input is coded in float32: mu_t and sigma_t come from
+    float32 pairwise sums of the row and of its squared deviations, and z is
+    the deviations times a float32 1 / sigma_t. A row whose float32 sigma_t
+    falls outside [2^-63, 2^63], where float32 squares or sums could
+    underflow or overflow, is standardized in float64 instead, so every
+    finite float32 row is coded. On a uniform grid the code is the nearest
+    level, clip(rint(z / step + (n - 1)/2), 0, n - 1), returned as float32,
+    the quantized forward's GEMM operand; a Lloyd-Max codebook takes
+    ``searchsorted`` on z and returns int64. Against the float64 coder on
+    the same values the float32 coder keeps this contract, with
+    m_t = max|x_t| and K = 64 (``_CODES_K``; the largest factor measured on
+    random tokens from 1 to 8192 wide, and on the quantized forward, was
+    about 14):
+
+    * mu_t and sigma_t differ by at most K * (eps32 * m_t + tiny32);
+    * codes differ only where the float64 z lies within
+      delta_t = K * (eps32 * m_t + tiny32) / sigma_t of a threshold, and by
+      at most the number of thresholds within delta_t of it: one level
+      wherever delta_t is below half the smallest gap between thresholds.
+
+    ``lowrank.forward_with_cache`` holds its codes to the same contract
+    against ``quantize_tokens(transform_tokens(x))`` in float64, with x_t
+    the transformed token.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = np.asarray(x)
+    single = arr.dtype == np.float32
+    if not single:
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValidationError(f"expected a T x C matrix with C >= 1, got shape {arr.shape}")
-    codes = np.empty(arr.shape, dtype=np.int64)
+    operand = single and cb.is_uniform
+    codes = np.empty(arr.shape, dtype=np.float32 if operand else np.int64)
     mu, sigma = np.empty(arr.shape[0]), np.empty(arr.shape[0])
-    rows = max(1, _BLOCK_ENTRIES // arr.shape[1])
+    code_rows = _code_rows32 if single else _code_rows
+    rows = max(1, (_BLOCK_ENTRIES32 if single else _BLOCK_ENTRIES) // arr.shape[1])
     for first in range(0, arr.shape[0], rows):
         part = slice(first, first + rows)
-        _code_rows(arr[part], cb, center, first, codes[part], mu[part], sigma[part])
+        code_rows(arr[part], cb, center, first, codes[part], mu[part], sigma[part])
     return codes, mu, sigma
 
 
@@ -409,8 +508,10 @@ def quantize_tokens(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-token quantize + dequantize for a T x C matrix: returns
     (dequantized, codes, mu, sigma), ``token_codes`` followed by
-    ``dequantize_codes``. The quantized forward needs only the codes and
+    ``dequantize_codes`` (on the codes as integers, where a float32 input
+    gave float32 codes). The quantized forward needs only the codes and
     calls ``token_codes`` directly.
     """
     codes, mu, sigma = token_codes(x, cb, center)
-    return dequantize_codes(codes, cb, mu, sigma, center), codes, mu, sigma
+    deq = dequantize_codes(codes.astype(np.int64, copy=False), cb, mu, sigma, center)
+    return deq, codes, mu, sigma

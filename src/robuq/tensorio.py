@@ -5,14 +5,17 @@ uint32 rows, uint32 cols, float32 row-major payload) so fixtures round-trip
 bitwise across platforms. Sensitivity tables are small and meant to be
 human-auditable, so they travel as CSV. The JSON inputs (a layer's
 ``layer.json`` and the FLOPs config) read every field through ``_field``,
-and every integer given as text (``dL@<b>`` headers, ``fixed_bits``, CLI
-flags) goes through ``_decimal``.
+every integer given as text (``dL@<b>`` headers, ``fixed_bits``, CLI
+flags) goes through ``_decimal``, and every real number given as text
+(``flops_weight`` and ``dL@<b>`` cells, ``--target``, ``--lr``) through
+``_real``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -45,6 +48,23 @@ def _decimal(text: str, name: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValidationError(f"{name} {text!r} is not a decimal integer (digits 0-9 only)")
     return int(text)
+
+
+# optional sign, ASCII digits with at most one point, optional exponent
+_REAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _real(text: str, name: str) -> float:
+    """The finite number spelled by ``text`` under ``_decimal``'s ASCII
+    rule: an optional sign, digits with at most one ``.``, and an optional
+    exponent. No space, underscore, other script's digits, ``nan`` or
+    ``inf``, all of which ``float()`` would accept, and no value that
+    overflows. Raises ``ValidationError`` naming ``name`` otherwise."""
+    value = float(text) if _REAL.fullmatch(text) else math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} {text!r} is not a finite decimal number "
+                              "(sign, digits 0-9, '.', exponent)")
+    return value
 
 
 def save_matrix(m: np.ndarray, path) -> None:
@@ -149,7 +169,7 @@ def save_sensitivity(table: SensitivityTable, path) -> None:
         for i, layer in enumerate(table.layers):
             fixed = "" if layer.fixed_bits is None else str(layer.fixed_bits)
             writer.writerow(
-                [layer.name, repr(layer.flops_weight), fixed]
+                [layer.name, repr(float(layer.flops_weight)), fixed]
                 + [repr(float(v)) for v in table.delta_loss[i]]
             )
 
@@ -189,8 +209,8 @@ def load_sensitivity(path) -> SensitivityTable:
             continue
         name = row[0]
         try:
-            weight = float(row[1])
-        except (IndexError, ValueError) as exc:
+            weight = _real(row[1], "flops_weight")
+        except (IndexError, ValidationError) as exc:
             raise FormatError(f"{path}: layer {name!r} has missing or unparsable flops_weight") from exc
         try:
             fixed = None if len(row) < 3 or row[2].strip() == "" else _decimal(row[2], "fixed_bits")
@@ -205,8 +225,8 @@ def load_sensitivity(path) -> SensitivityTable:
             if j >= len(row) or row[j].strip() == "":
                 raise FormatError(f"{path}: layer {name!r} is missing dL@{b}")
             try:
-                cells.append(float(row[j]))
-            except ValueError as exc:
+                cells.append(_real(row[j], f"dL@{b}"))
+            except ValidationError as exc:
                 raise FormatError(f"{path}: layer {name!r} has unparsable dL@{b}: {row[j]!r}") from exc
         gaps.append(cells)
     try:

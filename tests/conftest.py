@@ -5,6 +5,7 @@ import pytest
 
 from robuq.allocator import Allocation
 from robuq.errors import InfeasibleError
+from robuq.quant import _CODES_K, token_codes
 from robuq.tensorio import LayerSpec, SensitivityTable
 
 
@@ -103,3 +104,36 @@ def backward():
         return layer._param_grads(gy, cache), layer._input_grad(gy, cache)
 
     return run
+
+
+@pytest.fixture(scope="session")
+def codes_contract():
+    """``check(x, cb, center, codes, mu, sigma)`` asserts the float32 token
+    coder's contract (``quant.token_codes``) for ``codes``, ``mu`` and
+    ``sigma`` against the float64 coder on the float64 tokens ``x``: with
+    u_t = K * (eps32 * max|x_t| + tiny32), mu and sigma lie within u_t of
+    the reference, and each code differs from the reference code by at
+    most the number of thresholds within delta_t = u_t / sigma_t of the
+    reference z (a degenerate reference row has delta_t = inf). Returns
+    the number of codes that differ."""
+    eps32, tiny32 = float(np.finfo(np.float32).eps), float(np.finfo(np.float32).tiny)
+
+    def check(x, cb, center, codes, mu, sigma):
+        x = np.asarray(x, dtype=np.float64)
+        ref_codes, ref_mu, ref_sigma = token_codes(x, cb, center)
+        unit = _CODES_K * (eps32 * np.abs(x).max(axis=1) + tiny32)
+        assert (np.abs(mu - ref_mu) <= unit).all()
+        assert (np.abs(sigma - ref_sigma) <= unit).all()
+        live = ref_sigma > 0
+        z = np.zeros_like(x)
+        z[live] = (x[live] - (ref_mu[live, None] if center else 0.0)) / ref_sigma[live, None]
+        delta = np.full(len(x), np.inf)
+        delta[live] = unit[live] / ref_sigma[live]
+        near = (np.searchsorted(cb.thresholds, z + delta[:, None], side="right")
+                - np.searchsorted(cb.thresholds, z - delta[:, None], side="left"))
+        moved = np.abs(codes.astype(np.int64) - ref_codes)
+        assert (moved <= near).all()
+        assert codes.min() >= 0 and codes.max() < len(cb.levels)
+        return int(np.count_nonzero(moved))
+
+    return check

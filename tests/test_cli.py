@@ -327,6 +327,33 @@ def test_integer_list_flags_name_the_flag_and_the_item(tmp_path, rbq, capsys, co
     assert not out.exists()
 
 
+def test_allocate_reads_csv_floats_and_target_as_ascii_decimals(tmp_path, capsys):
+    # This ran to exit 0 before the float rule, with a target of 15 bits, 1_0
+    # read as 10 and a predicted loss of 5.4.
+    csv, out = tmp_path / "s.csv", tmp_path / "alloc.json"
+    csv.write_text("layer,flops_weight,fixed_bits,dL@1,dL@2\n"
+                   "fc0,1_0,,0_9,0_5\nfc1, 2.0 ,,0.8,0.4\n", encoding="utf-8")
+    args = ["allocate", "--sensitivity", str(csv), "--bits", "1,2", "--out", str(out)]
+    assert cli.main(args + ["--target", "1_5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("robuq: error:") and "--target" in err and "'1_5'" in err, err
+    assert cli.main(args + ["--target", "1.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("robuq: error:") and "s.csv" in err and "'fc0'" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", [" 1e-3", "1e-3 ", "1_0e-3", "\u0661e-3"])
+def test_profile_reads_lr_as_an_ascii_decimal(tmp_path, capsys, lr):
+    out = tmp_path / "s.csv"
+    rc = cli.main(["profile", "--widths", "16,16", "--bits", "2", "--steps", "2",
+                   "--out", str(out), "--lr", lr])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("robuq: error:") and "--lr" in err and repr(lr) in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "header,fixed,bits",
     [("dL@+1,dL@0_2", "0_8", "1,2"), ("dL@\u0663,dL@4", "", "3,4")],

@@ -135,13 +135,44 @@ def test_transform_tokens_matches_blockwise_dense_oracle(dim):
 
 
 def test_cached_factors_are_read_only():
-    x = np.random.default_rng(11).standard_normal((3, 512))  # factored as 16 x 32
-    before = transform_tokens(x)
-    for order in (16, 32):
-        factor = hadamard._factor(order)
-        with pytest.raises(ValueError):
-            factor[0, 0] = 0.0
-    np.testing.assert_array_equal(transform_tokens(x), before)
+    # factored as 16 x 32, with factors of the input's dtype
+    for dtype in (np.float64, np.float32):
+        x = np.random.default_rng(11).standard_normal((3, 512)).astype(dtype)
+        before = transform_tokens(x)
+        assert before.dtype == dtype
+        for order in (16, 32):
+            factor = hadamard._factor(order, np.dtype(dtype))
+            assert factor.dtype == dtype
+            with pytest.raises(ValueError):
+                factor[0, 0] = 0.0
+        np.testing.assert_array_equal(transform_tokens(x), before)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int64, np.int8, np.bool_, np.longdouble])
+@pytest.mark.parametrize("dim", [96, 512])
+def test_every_dtype_but_float32_is_transformed_in_float64(dtype, dim):
+    x = np.random.default_rng(dim).integers(-3, 4, size=(4, dim)).astype(dtype)
+    y = transform_tokens(x)
+    assert y.dtype == np.float64
+    np.testing.assert_array_equal(y, transform_tokens(x.astype(np.float64)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64])
+def test_fold_into_weights_stays_float64(dtype):
+    w = np.random.default_rng(12).integers(-3, 4, size=(5, 512)).astype(dtype)
+    folded = fold_into_weights(w)
+    assert folded.dtype == np.float64
+    np.testing.assert_array_equal(folded, fold_into_weights(w.astype(np.float64)))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8, 96, 1152, 4608])
+def test_float32_transform_is_the_float64_one_to_float32_accuracy(dim):
+    x = np.random.default_rng(dim).standard_normal((5, dim)).astype(np.float32)
+    y = transform_tokens(x)
+    assert y.dtype == np.float32
+    ref = transform_tokens(x.astype(np.float64))
+    scale = np.linalg.norm(x.astype(np.float64), axis=1, keepdims=True)
+    assert np.abs(y - ref).max() <= 16 * np.finfo(np.float32).eps * scale.max()
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,8 @@ from robuq.lowrank import (
 )
 from robuq.quant import (
     _BLOCK_ENTRIES,
+    dequantize_codes,
     lloyd_max,
-    quantize_tokens,
     ternarize,
     uniform_gauss_codebook,
 )
@@ -642,6 +644,19 @@ def test_load_layer_bad_field_is_format_error(tmp_path, key, value):
         load_layer(d)
 
 
+@pytest.mark.parametrize("alpha", ["-0.5", "-1e-300", "Infinity", "-Infinity", "NaN"])
+def test_load_layer_rejects_a_negative_or_non_finite_alpha(tmp_path, alpha):
+    # An alpha of -0.5 loaded and ran forward before TernaryWeights checked it.
+    import json
+
+    d = _saved_layer(tmp_path)
+    meta = json.loads((d / "layer.json").read_text())
+    text = json.dumps({**meta, "alpha": "A"}).replace('"A"', alpha)
+    (d / "layer.json").write_text(text)
+    with pytest.raises(FormatError, match="layer.json.*alpha"):
+        load_layer(d)
+
+
 def test_load_layer_non_utf8_sidecar_is_format_error(tmp_path):
     d = _saved_layer(tmp_path)
     (d / "layer.json").write_bytes(b'{"alpha": "caf\xe9"}')
@@ -664,11 +679,13 @@ def test_load_layer_missing_matrix_is_format_error(tmp_path, name):
 _OPERANDS = {"operand_f32", "operand_f64"}
 
 
-def _oracle(layer, x):
-    """deq @ (alpha V)^T + xh B^T A^T with deq formed explicitly, and the
+def _oracle(layer, x, cache):
+    """deq @ (alpha V)^T + xh B^T A^T with xh the float64 transform and deq
+    formed explicitly from the forward's own codes, mu and sigma, and the
     same sum over absolute values, the scale of its rounding error."""
     xh = transform_tokens(x, layer.plan)
-    deq = quantize_tokens(xh, layer.codebook, center=layer.center)[0]
+    deq = dequantize_codes(cache["codes"].astype(np.int64), layer.codebook, cache["mu"],
+                           cache["sigma"], center=layer.center)
     wq, a, b = layer.wq.dequantize(), layer.branch.A, layer.branch.B
     ref = deq @ wq.T + xh @ b.T @ a.T
     scale = np.abs(deq) @ np.abs(wq).T + np.abs(xh) @ np.abs(b).T @ np.abs(a).T
@@ -677,7 +694,7 @@ def _oracle(layer, x):
 
 def _assert_matches_oracle(layer, x):
     y, cache = forward_with_cache(layer, x)
-    ref, scale = _oracle(layer, x)
+    ref, scale = _oracle(layer, x, cache)
     assert np.linalg.norm(y - ref) <= 1e-12 * scale
     return y, cache
 
@@ -740,8 +757,9 @@ def _random_layer(rng, in_dim, out_dim, rank, cb, center=True):
 @pytest.mark.parametrize("cb", [uniform_gauss_codebook(4), lloyd_max(3)], ids=["u4", "lm3"])
 def test_forward_over_several_row_blocks_matches_the_oracle(cb, center):
     t, in_dim, out_dim = 48, 1024, 2048
-    # token_codes runs 32-row blocks here and the epilogue 16-row blocks
-    assert _BLOCK_ENTRIES // in_dim == 32 and _BLOCK_ENTRIES // out_dim == 16
+    # the epilogue runs 16-row blocks here (the float32 coder's 128-row
+    # blocks are covered in test_quant.py)
+    assert _BLOCK_ENTRIES // out_dim == 16
     rng = np.random.default_rng(35)
     layer = _random_layer(rng, in_dim, out_dim, 3, cb, center)
     x = _tokens(rng, t, in_dim)
@@ -749,14 +767,25 @@ def test_forward_over_several_row_blocks_matches_the_oracle(cb, center):
     x[40, 0] = 20.0
     y, cache = _assert_matches_oracle(layer, x)
     xh, codes, sigma = cache["xh"], cache["codes"], cache["sigma"]
+    assert xh.dtype == np.float32
     assert np.ptp(xh[40]) == 0.0 and sigma[40] == 0.0
     live = sigma > 0
     assert live.sum() == t - 3
-    mean, std = xh.mean(axis=1), xh.std(axis=1)
+    # In float32 terms: the row means and standard deviations from float32
+    # sums, and codes that are the threshold search on z except within
+    # float32 rounding of a threshold, where they move one level.
+    mean = xh.sum(axis=1) / np.float32(in_dim)
+    dev = xh - mean[:, None]
+    std = np.sqrt(np.square(dev).sum(axis=1) / np.float32(in_dim))
     np.testing.assert_array_equal(sigma[live], std[live])
     np.testing.assert_array_equal(cache["mu"], mean if center else 0.0)
-    z = (xh - mean[:, None] if center else xh)[live] / std[live, None]
-    np.testing.assert_array_equal(codes[live], np.searchsorted(cb.thresholds, z))
+    z = (dev if center else xh)[live] / std[live, None]
+    expect = np.searchsorted(cb.thresholds, z)
+    differ = codes[live] != expect
+    assert differ.sum() <= 2
+    assert (np.abs(codes[live][differ] - expect[differ]) == 1).all()
+    tol = 4 * np.finfo(np.float32).eps * (np.abs(z[differ]) + cb.levels[-1])
+    assert (np.abs(z[differ, None] - cb.thresholds).min(axis=1) <= tol).all()
     assert (codes[~live] == len(cb.levels) // 2).all()
     assert not y[2].any()
 
@@ -809,6 +838,80 @@ def _layers_and_tokens(draw):
 def test_property_forward_matches_dequantized_oracle(case):
     layer, x = case
     _assert_matches_oracle(layer, x)
+
+
+@st.composite
+def _random_layers_and_tokens(draw):
+    in_dim = draw(st.sampled_from([1, 3, 8, 12, 40, 96, 512, 1152]))
+    cb = draw(st.sampled_from([uniform_gauss_codebook(b) for b in (1, 2, 4, 8)]
+                              + [lloyd_max(3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layer = _random_layer(rng, in_dim, draw(st.integers(1, 24)), draw(st.integers(0, 4)), cb,
+                          center=draw(st.booleans()))
+    t = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.integers(-30, 25))
+    x = rng.standard_normal((t, in_dim)) + draw(st.sampled_from([0.0, 3.0, 1e3])) * (
+        rng.standard_normal((t, 1)))
+    if draw(st.booleans()):
+        x[rng.integers(t)] = 1.0  # constant: its transform is a spike per block
+    if draw(st.booleans()):
+        x[rng.integers(t)] = 0.0
+        x[rng.integers(t), 0] = 1.0  # a constant transform in every block
+    return layer, scale * x
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_random_layers_and_tokens())
+def test_property_forward_codes_keep_the_contract(codes_contract, case):
+    # The float32 quantizer input against the float64 reference
+    # quantize_tokens(transform_tokens(x)), with m_t from the float64
+    # transformed token.
+    layer, x = case
+    y, cache = forward_with_cache(layer, x)
+    assert cache["xh"].dtype == np.float32
+    assert cache["codes"].dtype == (np.float32 if layer.codebook.is_uniform else np.int64)
+    codes_contract(transform_tokens(x, layer.plan), layer.codebook, layer.center,
+                   cache["codes"], cache["mu"], cache["sigma"])
+    ref, scale = _oracle(layer, x, cache)
+    assert np.linalg.norm(y - ref) <= 1e-12 * scale
+
+
+def test_forward_caches_the_float32_transform_at_the_input_scale():
+    rng = np.random.default_rng(37)
+    layer = _random_layer(rng, 96, 10, 2, uniform_gauss_codebook(4))
+    x = 1e-20 * rng.standard_normal((5, 96))
+    _, cache = forward_with_cache(layer, x)
+    np.testing.assert_array_equal(cache["xh"], transform_tokens(x.astype(np.float32), layer.plan))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.floats(3.5e38, 1e300), st.integers(0, 3), st.integers(0, 63), st.booleans())
+def test_forward_rejects_a_token_whose_float32_image_overflows(value, row, col, negative):
+    rng = np.random.default_rng(38)
+    layer = _random_layer(rng, 64, 8, 2, uniform_gauss_codebook(4))
+    x = rng.standard_normal((4, 64))
+    x[row, col] = -value if negative else value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"token {row}"):
+            forward(layer, x)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.floats(float(np.finfo(np.float32).max) / 7.9, float(np.finfo(np.float32).max)),
+       st.integers(0, 3))
+def test_forward_rejects_a_token_whose_float32_transform_overflows(value, row):
+    # Every entry fits float32, but H of a constant 64-block is 8 times it
+    # in one entry.
+    rng = np.random.default_rng(39)
+    layer = _random_layer(rng, 64, 8, 2, uniform_gauss_codebook(4))
+    x = rng.standard_normal((4, 64))
+    x[row] = value
+    assert np.isfinite(x.astype(np.float32)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"token {row}"):
+            forward(layer, x)
 
 
 @pytest.mark.parametrize("in_dim,operand", [(65_793, "operand_f32"), (65_794, "operand_f64")])

@@ -201,6 +201,17 @@ def test_ternary_weights_accept_ternary(dtype):
     TernaryWeights(values=values.astype(dtype), alpha=1.0)
 
 
+@pytest.mark.parametrize("alpha", [-0.5, -1e-300, -1.0, math.nan, math.inf, -math.inf])
+def test_ternary_weights_reject_a_negative_or_non_finite_alpha(alpha):
+    with pytest.raises(ValidationError, match="alpha"):
+        TernaryWeights(values=np.eye(3, dtype=np.int8), alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 5e-324, 0.5, np.float64(2.0), 3])
+def test_ternary_weights_accept_a_finite_alpha_of_at_least_zero(alpha):
+    assert TernaryWeights(values=np.eye(3, dtype=np.int8), alpha=alpha).alpha == alpha
+
+
 # ---------------------------------------------------------------------------
 # Codebooks
 # ---------------------------------------------------------------------------
@@ -464,6 +475,132 @@ def test_token_codes_match_rowwise_reference(cb, center, shape):
         np.testing.assert_array_equal(a, b)
     assert got[0].dtype == np.int64
     assert got[2][3] == got[2][7] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The float32 token coder
+# ---------------------------------------------------------------------------
+
+_CODEBOOKS = ([uniform_gauss_codebook(b) for b in range(1, 9)]
+              + [lloyd_max(b) for b in (2, 3, 4)])
+_float32_property = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def _float32_tokens(draw):
+    """Float32 token batches from subnormal to large magnitudes, with mean
+    offsets, outlier channels and one constant, spike or near-constant row."""
+    t = draw(st.integers(1, 8))
+    c = draw(st.sampled_from([1, 2, 3, 8, 40, 96, 512, 1152]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-44, 30))
+    x = rng.standard_normal((t, c)) * np.exp(rng.standard_normal((t, 1)))
+    x += draw(st.sampled_from([0.0, 3.0, 1e4])) * rng.standard_normal((t, 1))
+    x[:, rng.integers(c)] *= draw(st.sampled_from([1.0, 30.0, 1e6]))
+    row = rng.integers(t)
+    kind = draw(st.sampled_from(["plain", "constant", "spike", "near_constant"]))
+    if kind == "constant":
+        x[row] = x[row, 0]
+    elif kind == "spike":
+        x[row] = 0.0
+        x[row, rng.integers(c)] = 1.0
+    elif kind == "near_constant":
+        x[row] = 1.0 + 1e-7 * rng.standard_normal(c)
+    return (scale * x).astype(np.float32)
+
+
+@_float32_property
+@given(_float32_tokens(), st.sampled_from(_CODEBOOKS), st.booleans())
+def test_float32_coder_keeps_its_contract(codes_contract, x, cb, center):
+    codes, mu, sigma = token_codes(x, cb, center)
+    assert codes.dtype == (np.float32 if cb.is_uniform else np.int64)
+    assert mu.dtype == sigma.dtype == np.float64
+    codes_contract(x, cb, center, codes, mu, sigma)
+
+
+def test_float32_coder_moves_few_codes_and_only_by_one_level(codes_contract):
+    rng = np.random.default_rng(23)
+    x = (rng.standard_normal((256, 1152)) * np.exp(rng.standard_normal((256, 1)))
+         + 3.0 * rng.standard_normal((256, 1))).astype(np.float32)
+    for cb in (uniform_gauss_codebook(4), uniform_gauss_codebook(8), lloyd_max(3)):
+        codes, mu, sigma = token_codes(x, cb)
+        moved = codes_contract(x, cb, True, codes, mu, sigma)
+        ref = token_codes(x.astype(np.float64), cb)[0]
+        assert moved <= 1e-4 * x.size
+        assert np.abs(codes - ref).max() <= 1
+
+
+@_float32_property
+@given(st.floats(width=32, allow_nan=False, allow_infinity=False), st.integers(1, 1200),
+       st.sampled_from(_CODEBOOKS), st.booleans())
+def test_float32_constant_token_is_degenerate(value, c, cb, center):
+    x = np.random.default_rng(c).standard_normal((3, c)).astype(np.float32)
+    x[1] = value
+    codes, mu, sigma = token_codes(x, cb, center)
+    assert sigma[1] == 0.0 and (codes[1] == len(cb.levels) // 2).all()
+    if center:
+        assert abs(mu[1] - value) <= c * np.finfo(np.float32).eps * abs(value)
+    else:
+        assert mu[1] == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_float32_coder_rejects_a_non_finite_token(bad):
+    cb = uniform_gauss_codebook(4)
+    x = np.ones((300, 1152), dtype=np.float32)
+    x[250, 3] = bad  # in a later block of rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="token 250"):
+            token_codes(x, cb)
+
+
+def test_float32_coder_codes_rows_near_the_float32_range():
+    # The float32 sums of these rows overflow, or their squares underflow;
+    # they are standardized in float64 and coded like the float64 rows.
+    cb = uniform_gauss_codebook(4)
+    big = np.float32(3e38)
+    x = np.array([[big, big, -big, 0.0], [big, big, big, big], [1e-40, -1e-40, 2e-40, 0.0]],
+                 dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes, mu, sigma = token_codes(x, cb)
+        ref = token_codes(x.astype(np.float64), cb)
+    np.testing.assert_array_equal(codes, ref[0])
+    np.testing.assert_array_equal(mu, ref[1])
+    np.testing.assert_array_equal(sigma, ref[2])
+
+
+def test_float32_coder_forms_no_int64_code_array():
+    import tracemalloc
+
+    from robuq.quant import _BLOCK_ENTRIES32
+
+    x = np.random.default_rng(24).standard_normal((256, 4096)).astype(np.float32)
+    cb = uniform_gauss_codebook(4)
+    token_codes(x, cb)
+    tracemalloc.start()
+    try:
+        codes, mu, sigma = token_codes(x, cb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.dtype == np.float32
+    transient = peak - codes.nbytes - mu.nbytes - sigma.nbytes
+    # the squares of one block of rows and row-sized vectors, far below the
+    # 8 MiB of an int64 code array
+    assert transient <= 4 * _BLOCK_ENTRIES32 + 64 * 1024
+    assert transient < 8 * x.size // 10
+
+
+def test_quantize_tokens_on_float32_dequantizes_the_float32_codes():
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((20, 96)).astype(np.float32)
+    for cb in (uniform_gauss_codebook(3), lloyd_max(3)):
+        deq, codes, mu, sigma = quantize_tokens(x, cb)
+        np.testing.assert_array_equal(codes, token_codes(x, cb)[0])
+        np.testing.assert_array_equal(
+            deq, dequantize_codes(codes.astype(np.int64), cb, mu, sigma))
 
 
 @pytest.mark.parametrize("bits", range(1, 9))

@@ -6,6 +6,7 @@ from robuq.tensorio import (
     LayerSpec,
     SensitivityTable,
     _decimal,
+    _real,
     load_matrix,
     load_sensitivity,
     save_matrix,
@@ -163,6 +164,47 @@ def test_decimal_rejects_what_int_would_read(text):
 def test_decimal_reads_ascii_digits():
     assert [_decimal(t, "n") for t in ("0", "7", "08", "32", "123456789012")] == [
         0, 7, 8, 32, 123456789012]
+
+
+@pytest.mark.parametrize("text", ["", " 1", "1 ", "1_0", "0_9", "\u0663", "1.\u0663", "\u00b2",
+                                  "nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e400",
+                                  ".", "e3", "1e", "1e+", "--1", "+-1", "1.2.3", "0x10", "1,5"])
+def test_real_rejects_what_float_would_read(text):
+    with pytest.raises(ValidationError, match="target"):
+        _real(text, "target")
+
+
+def test_real_reads_sign_digits_point_and_exponent():
+    texts = ("0", "7", "-1.5", "+2", ".5", "5.", "1e-3", "+2E+3", "-0.0", "1.7976931348623157e308")
+    assert [_real(t, "x") for t in texts] == [float(t) for t in texts]
+
+
+def test_sensitivity_roundtrip_of_numpy_weights(tmp_path):
+    # repr(np.float64(3.0)) is "np.float64(3.0)", which no float reader takes
+    table = SensitivityTable([LayerSpec("fc0", flops_weight=np.float64(3.0)),
+                              LayerSpec("fc1", flops_weight=np.float32(0.5))],
+                             [1, 2], np.array([[0.5, 0.2], [0.4, 0.1]]))
+    save_sensitivity(table, tmp_path / "s.csv")
+    back = load_sensitivity(tmp_path / "s.csv")
+    assert [layer.flops_weight for layer in back.layers] == [3.0, 0.5]
+
+
+@pytest.mark.parametrize("weight,cell,bad", [("1_0", "0.5", "flops_weight"),
+                                              (" 2.0 ", "0.5", "flops_weight"),
+                                              ("\u0663", "0.5", "flops_weight"),
+                                              ("1e999", "0.5", "flops_weight"),
+                                              ("1.0", "0_9", "dL@2"),
+                                              ("1.0", " 0.5", "dL@2"),
+                                              ("1.0", "nan", "dL@2"),
+                                              ("1.0", "-inf", "dL@2")])
+def test_sensitivity_reads_csv_floats_under_the_ascii_rule(tmp_path, weight, cell, bad):
+    # float() reads each of these but the last three; 1_0 loaded as 10 and
+    # 0_9 as 9
+    path = tmp_path / "bad.csv"
+    path.write_text(f"layer,flops_weight,fixed_bits,dL@1,dL@2\nfc0,1.0,,0.9,0.5\n"
+                    f"fc1,{weight},,0.8,{cell}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=rf"bad\.csv.*'fc1'.*{bad}"):
+        load_sensitivity(path)
 
 
 def test_sensitivity_non_utf8_is_format_error(tmp_path):
