@@ -170,8 +170,11 @@ class ToyLayer:
         plan, branch = self.qlayer.plan, self.qlayer.branch
         grads = {"weight": fold_into_weights(gy.T @ cache["deq"], plan)}
         if branch.rank:
-            grads["A"] = gy.T @ (cache["xh"] @ branch.B.T)
-            grads["B"] = branch.A.T @ gy.T @ cache["xh"]
+            # one float64 copy of the float32 xh for both products, the cast
+            # each mixed-dtype matmul would make
+            xh = cache["xh"].astype(np.float64)
+            grads["A"] = gy.T @ (xh @ branch.B.T)
+            grads["B"] = branch.A.T @ gy.T @ xh
         return grads
 
     def _input_grad(self, gy: np.ndarray, cache: dict) -> np.ndarray:

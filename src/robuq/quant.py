@@ -2,17 +2,17 @@
 standard-normal codebooks (uniform grid and Lloyd-Max).
 
 The weight quantizer maps a tensor W to alpha * RoundClip(W / (gamma + eps), -1, 1)
-with gamma = alpha = mean(|W|); eps = 1e-8 guards the all-zero tensor. It
-divides, rounds and clips a row block of about 2^15 entries at a time
-through one reused float64 scratch block and writes the int8 values
-directly, so beyond the int8 output it holds only the one |W| temporary
-that the mean reduces. The activation quantizer is per-token:
-``token_codes`` normalizes each (Hadamard-transformed) token by its own
-statistics and codes it against a codebook precomputed for N(0, 1);
-``dequantize_codes`` maps the codes back. The coder's precision follows
-its input: float64 codes equal a threshold search bit for bit, and the
-float32 coder of the quantized forward keeps a stated contract against
-them, with one constant K = 64 (see ``token_codes``).
+with gamma = alpha = mean(|W|); eps = 1e-8 guards the all-zero tensor. With
+d = gamma + eps it is the threshold rule: +1 where w > d/2, -1 where
+w < -d/2, else 0, which equals the rounded quotient bit for bit because
+fl(w / d) > 1/2 exactly when w > d/2 (and rint takes 1/2 to 0). The
+activation quantizer is per-token: ``token_codes`` normalizes each
+(Hadamard-transformed) token by its own statistics and codes it against a
+codebook precomputed for N(0, 1); ``dequantize_codes`` maps the codes back.
+The coder's precision follows its input: float64 codes are
+``searchsorted(thresholds, z)`` on z standardized by numpy's row mean and
+std, and the float32 coder of the quantized forward keeps a stated
+contract against them, with one constant K = 64 (see ``token_codes``).
 
 Codebooks are solved once per bit width from the closed-form moments of
 N(0, 1) over each cell, which need only ``math.erfc``: Lloyd-Max levels by
@@ -36,10 +36,10 @@ from .errors import ConvergenceError, ValidationError
 TERNARY_EPS = 1e-8
 # the activation width that means full precision: the layer has no quantizer
 FP_BITS = 32
-# ternarize and token_codes work through the rows in blocks of about this
-# many entries, so that a block's temporaries (256 KiB each) stay in cache:
-# at 256 x 4608 token_codes took 15 ms against 43 ms for whole-matrix passes
-# on a 2-vCPU Xeon.
+# The float64 token_codes (and the quantized forward's epilogue) work
+# through the rows in blocks of about this many entries, so that a block's
+# temporaries (256 KiB each) stay in cache: at 256 x 4608 token_codes took
+# 15 ms against 43 ms for whole-matrix passes on a 2-vCPU Xeon.
 _BLOCK_ENTRIES = 1 << 15
 # The float32 token coder's blocks: its three block arrays (1.5 MiB) still
 # fit a 2 MiB L2, and fewer blocks save per-call overhead: 2.0 against
@@ -48,7 +48,7 @@ _BLOCK_ENTRIES32 = 1 << 17
 _EPS32 = float(np.finfo(np.float32).eps)
 # K of the float32 token coder's contract (see token_codes)
 _CODES_K = 64
-# the float32 coder squares in float32 only rows with sigma in [this, 1 / this]
+# the float32 coder codes in float32 only rows with sigma in [this, 1 / this]
 _SIGMA_MIN32 = 2.0**-63
 
 
@@ -140,16 +140,11 @@ def ternarize(w: np.ndarray) -> TernaryWeights:
         if not np.isfinite(arr).all():
             raise ValidationError("weights contain NaN or Inf")
         raise ValidationError("mean |W| overflows float64: the sum of |W| is not representable")
-    values = np.empty_like(arr, dtype=np.int8)  # in the memory order of w, as arr / d is
-    rows = max(1, _BLOCK_ENTRIES // arr.shape[1])
-    scratch = np.empty((min(rows, arr.shape[0]), arr.shape[1]))
-    for first in range(0, arr.shape[0], rows):
-        part = slice(first, first + rows)
-        block = scratch[: len(values[part])]
-        np.divide(arr[part], gamma + TERNARY_EPS, out=block)
-        np.rint(block, out=block)
-        np.clip(block, -1, 1, out=block)
-        values[part] = block
+    # clip(rint(w / d), -1, 1) as two comparisons with d / 2, which is exact
+    # as d >= eps (see the module docstring); the values keep w's memory order.
+    half = 0.5 * (gamma + TERNARY_EPS)
+    values = np.greater(arr, half).view(np.int8)
+    values -= np.less(arr, -half)
     return TernaryWeights(values=values, alpha=gamma)
 
 
@@ -166,7 +161,7 @@ class GaussCodebook:
     ``expected_mse`` is the mean squared error against N(0, 1). A uniform
     codebook's levels are the symmetric grid step * (i - (2^b - 1)/2) and
     its thresholds the grid's midpoints, each within 4 ulps of the largest
-    level; ``encode`` and the quantized forward rely on it.
+    level; the float32 coder's nearest-level rounding relies on it.
     """
 
     bits: int
@@ -202,35 +197,6 @@ class GaussCodebook:
     def step(self) -> float:
         """Spacing of the levels' grid (meaningful for a uniform codebook)."""
         return float(self.levels[-1] - self.levels[0]) / (len(self.levels) - 1)
-
-    def encode(self, z: np.ndarray) -> np.ndarray:
-        """Codes of standardized values: ``searchsorted(thresholds, z)``, so a
-        value on a threshold takes the lower code.
-
-        On a uniform grid z is first placed between two levels:
-        j = floor(z / step + (n - 1)/2) clipped to [0, n - 2]. The code is j
-        or j + 1, decided by one comparison with threshold j. Rounding can
-        shift j by one only when z is within a few ulps of a level, and
-        every threshold is half a step from the levels, so the result is
-        still exact.
-        """
-        z = np.asarray(z)
-        if z.ndim == 0:  # arithmetic on a 0-d array yields scalars, which out= rejects
-            return self._encode_into(z.reshape(1), np.empty(1, dtype=np.intp)).reshape(())
-        return self._encode_into(z, np.empty(z.shape, dtype=np.intp))
-
-    def _encode_into(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``encode(z)`` written into the integer array ``out``; returns ``out``."""
-        if not self.is_uniform:
-            out[...] = np.searchsorted(self.thresholds, z)
-            return out
-        n = len(self.levels)
-        guess = z * (1.0 / self.step)
-        guess += (n - 1) / 2
-        np.clip(guess, 0, n - 2, out=guess)
-        np.copyto(out, guess, casting="unsafe")  # truncation is floor on [0, n - 2]
-        out += z > self.thresholds[out]
-        return out
 
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -344,39 +310,25 @@ def uniform_gauss_codebook(bits: int) -> GaussCodebook:
 # ---------------------------------------------------------------------------
 
 
-def _check_spread(sigma, first):
-    """Raise ``ValidationError`` naming the first token of a block (whose
-    first row is row ``first``) with a non-finite sigma."""
-    if not np.isfinite(sigma).all():
-        bad = first + int(np.argmin(np.isfinite(sigma)))
-        raise ValidationError(f"token {bad} is not finite (NaN, Inf or overflowing spread)")
+def _code_rows(arr, cb, center):
+    """``token_codes`` on a block of float64 rows, the reference coder:
+    returns the block's (codes, mu, sigma). sigma is non-finite exactly
+    when its row holds a NaN or Inf or its spread overflows."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mu, sigma = arr.mean(axis=1), arr.std(axis=1)
+        z = ((arr - mu[:, None]) if center else arr) / sigma[:, None]
+    codes = np.searchsorted(cb.thresholds, z)
+    # a constant row of Infs, or one whose sum overflows, keeps its
+    # non-finite sigma for token_codes to reject
+    degenerate = ((arr == arr[:, :1]).all(axis=1) | (sigma == 0.0)) & np.isfinite(sigma)
+    codes[degenerate], sigma[degenerate] = len(cb.levels) // 2, 0.0
+    return codes, (mu if center else np.zeros_like(mu)), sigma
 
 
-def _code_rows(arr, cb, center, first, codes, mu, sigma):
-    """``token_codes`` on a block of float64 rows whose first row is row
-    ``first``, written into the block's slices ``codes``, ``mu`` and
-    ``sigma`` of the outputs."""
-    # The reductions of arr.mean(axis=1) and arr.std(axis=1), bit for bit,
-    # keeping the deviations for z. sigma is non-finite exactly when its row
-    # holds a NaN or Inf (or its spread overflows), so one O(T) test covers
-    # the whole block.
-    with np.errstate(invalid="ignore", over="ignore"):
-        mean = arr.sum(axis=1) / arr.shape[1]
-        dev = arr - mean[:, None]
-        sigma[:] = np.sqrt(np.square(dev).sum(axis=1) / arr.shape[1])
-    _check_spread(sigma, first)
-    degenerate = (arr == arr[:, :1]).all(axis=1) | (sigma == 0.0)
-    sigma[degenerate] = 0.0
-    # z overwrites the deviations, which are not needed after it.
-    z = np.divide(dev if center else arr, np.where(degenerate, 1.0, sigma)[:, None], out=dev)
-    cb._encode_into(z, codes)
-    codes[degenerate] = len(cb.levels) // 2
-    mu[:] = mean if center else 0.0
-
-
-def _code_rows32(arr, cb, center, first, codes, mu, sigma):
-    """``_code_rows`` on a block of float32 rows: the float32 coder whose
-    contract ``token_codes`` states."""
+def _code_rows32(arr, cb, center, codes, mu, sigma):
+    """``token_codes`` on a block of float32 rows, written into the block's
+    slices ``codes``, ``mu`` and ``sigma`` of the outputs: the float32 coder
+    whose contract ``token_codes`` states."""
     c, n = arr.shape[1], len(cb.levels)
     # The deviations, then z / unit + offset, go straight into the float32
     # codes, which are the forward's GEMM operand, on a uniform grid.
@@ -388,14 +340,9 @@ def _code_rows32(arr, cb, center, first, codes, mu, sigma):
         mu[:] = mean
         # Outside [2^-63, 2^63] float32 squares may lose digits to underflow
         # or overflow (as may the sum of a row near float32's range): such
-        # rows, and those with sigma 0 or NaN, are standardized in float64.
+        # rows, and those with sigma 0 or NaN, take the float64 reference's
+        # codes, mu and sigma below.
         odd = np.flatnonzero(~((sigma >= _SIGMA_MIN32) & (sigma <= 1.0 / _SIGMA_MIN32)))
-        if odd.size:
-            rows = arr[odd].astype(np.float64)
-            mu[odd] = rows.sum(axis=1) / c
-            dev = rows - mu[odd, None]
-            sigma[odd] = np.sqrt(np.square(dev).sum(axis=1) / c)
-        _check_spread(sigma, first)
         # A constant row's float32 mean is within c * eps32 / 2 of its value,
         # so only rows with sigma that small can be constant.
         degenerate = np.flatnonzero(sigma <= c * _EPS32 * np.abs(mu))
@@ -404,20 +351,18 @@ def _code_rows32(arr, cb, center, first, codes, mu, sigma):
             sigma[degenerate] = 0.0
         unit, offset = (cb.step, (n - 1) / 2) if cb.is_uniform else (1.0, 0.0)
         inv = 1.0 / (np.where(sigma > 0.0, sigma, 1.0) * unit)
-        if odd.size:
-            odd_z = (dev if center else rows) * inv[odd, None]
         np.multiply(work if center else arr, inv.astype(np.float32)[:, None], out=work)
-        if odd.size:
-            work[odd] = odd_z
-    if cb.is_uniform:  # the nearest level: rint(z / step + (n - 1) / 2), clipped
-        work += np.float32(offset)
-        np.rint(work, out=work)
-        np.clip(work, 0, n - 1, out=work)
-    else:
-        codes[...] = np.searchsorted(cb.thresholds, work)
+        if cb.is_uniform:  # the nearest level: rint(z / step + (n - 1) / 2), clipped
+            work += np.float32(offset)
+            np.rint(work, out=work)
+            np.clip(work, 0, n - 1, out=work)
+        else:
+            codes[...] = np.searchsorted(cb.thresholds, work)
     codes[degenerate] = n // 2
     if not center:
         mu[:] = 0.0
+    if odd.size:
+        codes[odd], mu[odd], sigma[odd] = _code_rows(arr[odd].astype(np.float64), cb, center)
 
 
 def token_codes(
@@ -436,21 +381,21 @@ def token_codes(
     float64 spread overflows. mu and sigma are float64.
 
     The precision follows the input. Any input but float32 is coded in
-    float64, exactly as ``cb.encode`` codes x.mean / x.std standardized
-    rows: int64 codes equal to ``searchsorted(thresholds, z)``, bit for
-    bit. A float32 input is coded in float32: mu_t and sigma_t come from
-    float32 pairwise sums of the row and of its squared deviations, and z is
-    the deviations times a float32 1 / sigma_t. A row whose float32 sigma_t
+    float64 by the reference rule: mu_t and sigma_t are numpy's row mean
+    and std, and the int64 codes are ``searchsorted(thresholds, z)``. A
+    float32 input is coded in float32: mu_t and sigma_t come from float32
+    pairwise sums of the row and of its squared deviations, and z is the
+    deviations times a float32 1 / sigma_t. A row whose float32 sigma_t
     falls outside [2^-63, 2^63], where float32 squares or sums could
-    underflow or overflow, is standardized in float64 instead, so every
-    finite float32 row is coded. On a uniform grid the code is the nearest
-    level, clip(rint(z / step + (n - 1)/2), 0, n - 1), returned as float32,
-    the quantized forward's GEMM operand; a Lloyd-Max codebook takes
-    ``searchsorted`` on z and returns int64. Against the float64 coder on
-    the same values the float32 coder keeps this contract, with
-    m_t = max|x_t| and K = 64 (``_CODES_K``; the largest factor measured on
-    random tokens from 1 to 8192 wide, and on the quantized forward, was
-    about 14):
+    underflow or overflow, takes the float64 reference's codes, mu_t and
+    sigma_t instead, so every finite float32 row is coded. On a uniform
+    grid the code is the nearest level, clip(rint(z / step + (n - 1)/2), 0,
+    n - 1), returned as float32, the quantized forward's GEMM operand; a
+    Lloyd-Max codebook takes ``searchsorted`` on z and returns int64.
+    Against the float64 coder on the same values the float32 coder keeps
+    this contract, with m_t = max|x_t| and K = 64 (``_CODES_K``; the
+    largest factor measured on random tokens from 1 to 8192 wide, and on
+    the quantized forward, was about 14):
 
     * mu_t and sigma_t differ by at most K * (eps32 * m_t + tiny32);
     * codes differ only where the float64 z lies within
@@ -471,11 +416,16 @@ def token_codes(
     operand = single and cb.is_uniform
     codes = np.empty(arr.shape, dtype=np.float32 if operand else np.int64)
     mu, sigma = np.empty(arr.shape[0]), np.empty(arr.shape[0])
-    code_rows = _code_rows32 if single else _code_rows
     rows = max(1, (_BLOCK_ENTRIES32 if single else _BLOCK_ENTRIES) // arr.shape[1])
     for first in range(0, arr.shape[0], rows):
         part = slice(first, first + rows)
-        code_rows(arr[part], cb, center, first, codes[part], mu[part], sigma[part])
+        if single:
+            _code_rows32(arr[part], cb, center, codes[part], mu[part], sigma[part])
+        else:
+            codes[part], mu[part], sigma[part] = _code_rows(arr[part], cb, center)
+        if not np.isfinite(sigma[part]).all():
+            bad = first + int(np.argmin(np.isfinite(sigma[part])))
+            raise ValidationError(f"token {bad} is not finite (NaN, Inf or overflowing spread)")
     return codes, mu, sigma
 
 

@@ -111,6 +111,45 @@ def test_ternarize_rounds_exact_half_ties_to_even():
     np.testing.assert_array_equal(t.values, np.where(half, 0, np.sign(w)))
 
 
+@st.composite
+def _ternarize_inputs(draw):
+    """Weight matrices from 1e-300 to 1e300 in C and F order, some with one
+    spike that carries most of the mass, and with entries planted at
+    +-(gamma + eps)/2 and one ulp either side for the matrix's own gamma:
+    they are re-planted until gamma stops moving."""
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = 10.0 ** draw(st.integers(-300, 300)) * rng.standard_normal(shape)
+    if draw(st.booleans()):
+        spike = rng.integers(w.size)
+        w.flat[spike] = min(abs(w.flat[spike]), 1e298) * 1e8
+    planted = rng.permutation(w.size)[: draw(st.integers(1, min(w.size, 12)))]
+    signs = rng.choice([-1.0, 1.0], planted.size)
+    ulps = rng.integers(-1, 2, planted.size)
+    # the fixed point gamma = (S + k (gamma + eps) / 2) / n of the k planted
+    # entries among n, where S sums the others' |w|
+    w.flat[planted] = 0.0
+    k, n = planted.size, w.size
+    gamma = (2.0 * float(np.sum(np.abs(w))) + k * TERNARY_EPS) / (2 * n - k)
+    for _ in range(100):
+        half = 0.5 * (gamma + TERNARY_EPS)
+        at = np.where(ulps < 0, np.nextafter(half, 0.0),
+                      np.where(ulps > 0, np.nextafter(half, np.inf), half))
+        w.flat[planted] = signs * at
+        planted_for, gamma = gamma, float(np.mean(np.abs(w)))
+        if gamma == planted_for:
+            break
+    else:
+        raise AssertionError("gamma did not settle")
+    return np.asarray(w, order=draw(st.sampled_from("CF")))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_ternarize_inputs())
+def test_ternarize_matches_the_whole_matrix_formula_at_every_scale(w):
+    _assert_matches_whole_matrix_formula(w)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_ternarize_rejects_a_non_finite_last_entry(bad):
     w = np.random.default_rng(62).standard_normal((300, 1152))
@@ -441,6 +480,10 @@ def test_gauss_quantize_token_rejects_overflowing_spread():
         x[47, 3] = np.nan  # in a later block of rows
         with pytest.raises(ValidationError, match="token 47"):
             token_codes(x, cb)
+        # constant rows, which are not degenerate when their spread is not finite
+        for row in ([np.inf] * 3, [-np.inf] * 3, [1.5e308] * 3):
+            with pytest.raises(ValidationError, match="token 1"):
+                token_codes(np.array([[1.0, 2.0, 3.0], row]), cb)
 
 
 def _reference_codes(x, cb, center):
@@ -458,6 +501,18 @@ def _reference_codes(x, cb, center):
     return codes, mu, sigma
 
 
+def _near_threshold_row(cb, width):
+    """A row of mean 0 and population std 1 up to rounding that holds the
+    thresholds nearest 0, so that its z lie within a few ulps of them."""
+    t = cb.thresholds[np.argsort(np.abs(cb.thresholds), kind="stable")]
+    k = min(len(t), width // 2)
+    k -= 1 - k % 2  # odd: 0 and pairs +-t_i, so the row stays symmetric
+    pairs = (width - k) // 2
+    c = math.sqrt((width - t[:k] @ t[:k]) / (2 * pairs))
+    return np.concatenate([t[:k], np.full(pairs, c), np.full(pairs, -c),
+                           np.zeros(width - k - 2 * pairs)])
+
+
 @pytest.mark.parametrize("shape", [(24, 40), (50, 1500)])  # one block, several blocks
 @pytest.mark.parametrize("center", [True, False])
 @pytest.mark.parametrize("cb", [uniform_gauss_codebook(b) for b in (1, 2, 4, 8)]
@@ -470,6 +525,7 @@ def test_token_codes_match_rowwise_reference(cb, center, shape):
     # inexact, so only the constant-row test catches that one.
     x[3] = 0.3
     x[7] = 0.0
+    x[11] = _near_threshold_row(cb, shape[1])
     got = token_codes(x, cb, center=center)
     for a, b in zip(got, _reference_codes(x, cb, center)):
         np.testing.assert_array_equal(a, b)
@@ -553,22 +609,34 @@ def test_float32_coder_rejects_a_non_finite_token(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="token 250"):
             token_codes(x, cb)
+        x[250] = bad  # a constant row
+        with pytest.raises(ValidationError, match="token 250"):
+            token_codes(x, cb)
 
 
-def test_float32_coder_codes_rows_near_the_float32_range():
-    # The float32 sums of these rows overflow, or their squares underflow;
-    # they are standardized in float64 and coded like the float64 rows.
-    cb = uniform_gauss_codebook(4)
+@pytest.mark.parametrize("center", [True, False])
+@pytest.mark.parametrize("cb", [uniform_gauss_codebook(4), lloyd_max(3)], ids=["u4", "lm3"])
+def test_float32_coder_codes_rows_near_the_float32_range(cb, center):
+    # The float32 sums of the near-range rows overflow, their squares
+    # underflow, or their sigma lies above 2^63; they take the float64
+    # reference's codes, mu and sigma. The ordinary rows between them keep
+    # the float32 coder's own codes.
     big = np.float32(3e38)
-    x = np.array([[big, big, -big, 0.0], [big, big, big, big], [1e-40, -1e-40, 2e-40, 0.0]],
-                 dtype=np.float32)
+    near = [[big, big, -big, 0.0], [big, big, big, big], [1e-40, -1e-40, 2e-40, 0.0],
+            [3e19, -3e19, 1e19, 0.0]]
+    ordinary = [[1.0, 2.0, 3.0, 4.0], [-1.0, 0.5, 2.0, 7.0], [1e3, 1e3 + 1.0, 999.0, 1e3],
+                [0.25, -3.0, 0.0, 0.125]]
+    x = np.array([row for pair in zip(near, ordinary) for row in pair], dtype=np.float32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        codes, mu, sigma = token_codes(x, cb)
-        ref = token_codes(x.astype(np.float64), cb)
-    np.testing.assert_array_equal(codes, ref[0])
-    np.testing.assert_array_equal(mu, ref[1])
-    np.testing.assert_array_equal(sigma, ref[2])
+        got = token_codes(x, cb, center)
+        ref = token_codes(x[0::2].astype(np.float64), cb, center)
+        own = token_codes(x[1::2], cb, center)
+    assert got[0].dtype == (np.float32 if cb.is_uniform else np.int64)
+    for a, b in zip(got, ref):
+        np.testing.assert_array_equal(a[0::2], b)
+    for a, b in zip(got, own):
+        np.testing.assert_array_equal(a[1::2], b, strict=True)
 
 
 def test_float32_coder_forms_no_int64_code_array():
@@ -601,28 +669,6 @@ def test_quantize_tokens_on_float32_dequantizes_the_float32_codes():
         np.testing.assert_array_equal(codes, token_codes(x, cb)[0])
         np.testing.assert_array_equal(
             deq, dequantize_codes(codes.astype(np.int64), cb, mu, sigma))
-
-
-@pytest.mark.parametrize("bits", range(1, 9))
-def test_uniform_encode_is_searchsorted_on_thresholds(bits):
-    cb = uniform_gauss_codebook(bits)
-    t, lev = cb.thresholds, cb.levels
-    z = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), lev,
-                        np.nextafter(lev, -np.inf), np.nextafter(lev, np.inf),
-                        [-1e300, -40.0, 0.0, 40.0, 1e300]])
-    np.testing.assert_array_equal(cb.encode(z), np.searchsorted(t, z))
-    grid = np.linspace(1.2 * cb.levels[0], 1.2 * cb.levels[-1], 20001)
-    np.testing.assert_array_equal(cb.encode(grid), np.searchsorted(t, grid))
-
-
-def test_uniform_encode_with_thresholds_ulps_off_the_midpoints():
-    ref = uniform_gauss_codebook(3)
-    t = ref.thresholds + np.array([-3, 2, -1, 0, 1, -2, 3]) * np.spacing(ref.levels[-1])
-    cb = GaussCodebook(bits=3, levels=ref.levels, thresholds=t, is_uniform=True,
-                       expected_mse=ref.expected_mse)
-    z = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), ref.levels,
-                        np.random.default_rng(23).uniform(-3.0, 3.0, 5000)])
-    np.testing.assert_array_equal(cb.encode(z), np.searchsorted(t, z))
 
 
 def test_middle_codes_dequantize_to_middle_level():
@@ -692,12 +738,3 @@ def test_uniform_codebooks_are_grids(bits):
     cb = uniform_gauss_codebook(bits)
     c = np.arange(1 << bits) - ((1 << bits) - 1) / 2
     assert np.max(np.abs(cb.levels - cb.step * c)) <= 4 * np.spacing(cb.levels[-1])
-
-
-@pytest.mark.parametrize("maker", [uniform_gauss_codebook, lloyd_max])
-@pytest.mark.parametrize("z", [0.3, -5.0, 0.0, np.float64(1.7), np.array(-0.2)])
-def test_encode_scalar_is_searchsorted(maker, z):
-    cb = maker(4)
-    code = cb.encode(z)
-    assert np.shape(code) == ()
-    assert int(code) == int(np.searchsorted(cb.thresholds, z))
