@@ -18,15 +18,7 @@ class DimensionError(RobuqError):
 
 
 class ConvergenceError(RobuqError):
-    """An iterative solver ran out of iterations.
-
-    ``last_iterate`` carries whatever state the solver had when it gave up,
-    so callers can inspect or restart.
-    """
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """An iterative solver ran out of iterations."""
 
 
 class InfeasibleError(RobuqError):

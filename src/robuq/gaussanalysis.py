@@ -76,8 +76,16 @@ def offdiag_cov_bound(
 ) -> tuple[float, float]:
     """Largest sample off-diagonal covariance vs its theoretical bound.
 
-    Off-diagonals are signed averages of per-channel variance deviations
-    delta_j = sigma_j^2 - sigma_t^2, so |Cov| <= ||delta||_2 / sqrt(C).
+    The transform mixes channels only within blocks of b = ``block_size``
+    (b = C at a power-of-two width). For independent channels the
+    covariance of two transformed coordinates is 0 across blocks and,
+    within a block, a signed average (1/b) sum_j s_j delta_j of the
+    deviations delta_j = sigma_j^2 - mean(sigma_blk^2) from the block's
+    mean channel variance. Hence |Cov| <= max over blocks of
+    ||delta_blk||_2 / sqrt(b). The bound holds whatever the block means;
+    the premise that every block has the same mean channel variance
+    enters only where the diagonal is compared with one sigma_t^2
+    (``variance_identity``, ``normality`` and the KL of ``build_report``).
     All pairs are measured up to C = 128; larger dims use a seeded random
     pair subsample.
     """
@@ -96,9 +104,10 @@ def offdiag_cov_bound(
         jj = (ii + rng.integers(1, c, size=n_pairs)) % c  # distinct by construction
         covs = np.einsum("ti,ti->i", yc[:, ii], yc[:, jj]) / t
         max_off = float(np.max(np.abs(covs)))
-    channel_var = arr.var(axis=0)
-    delta = channel_var - channel_var.mean()
-    bound = float(np.linalg.norm(delta) / np.sqrt(c))
+    block = HadamardPlan(c).block_size
+    blocks = arr.var(axis=0).reshape(-1, block)
+    delta = blocks - blocks.mean(axis=1, keepdims=True)
+    bound = float(np.linalg.norm(delta, axis=1).max() / np.sqrt(block))
     return max_off, bound
 
 
@@ -108,8 +117,14 @@ def normality(
     token: int | None = None,
 ) -> tuple[float, float]:
     """Kolmogorov distance of transformed coordinates to N(0, sigma_t^2),
-    next to the computed Berry-Esseen bound K * M3 / (sigma_t^3 sqrt(C))
+    next to the computed Berry-Esseen bound K * M3 / (sigma_t^3 sqrt(b))
     with K = ``BERRY_ESSEEN_CONST``.
+
+    A transformed coordinate sums the b = ``block_size`` channels of its
+    block (b = C at a power-of-two width), so b, not C, is the number of
+    summands in the bound. sigma_t^2 is the mean variance over all C
+    channels, which is each coordinate's variance only when every block
+    has the same mean channel variance; the bound assumes that.
 
     The empirical CDF pools all transformed coordinates (of one token row
     when ``token`` is given, else of every row — valid when tokens share
@@ -118,14 +133,14 @@ def normality(
     """
     arr = _as_batch(x)
     y = transform_tokens(arr, plan)
-    c = arr.shape[1]
+    block = HadamardPlan(arr.shape[1]).block_size
     channel_var = arr.var(axis=0)
     sigma_t = float(np.sqrt(channel_var.mean()))
     if sigma_t == 0.0:
         raise ValidationError("all channels are constant; normality is undefined")
     centered = arr - arr.mean(axis=0)
     m3 = float(np.max(np.mean(np.abs(centered) ** 3, axis=0)))
-    be_bound = BERRY_ESSEEN_CONST * m3 / (sigma_t**3 * np.sqrt(c))
+    be_bound = BERRY_ESSEEN_CONST * m3 / (sigma_t**3 * np.sqrt(block))
 
     pooled = np.sort((y[token] if token is not None else y).ravel())
     grid = np.linspace(-8.0 * sigma_t, 8.0 * sigma_t, _KS_GRID_POINTS)

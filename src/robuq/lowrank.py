@@ -67,7 +67,6 @@ from .quant import (
     _BLOCK_ENTRIES,
     GaussCodebook,
     TernaryWeights,
-    _check_bits,
     _is_int,
     lloyd_max,
     ternarize,
@@ -424,7 +423,7 @@ def load_layer(dirpath) -> QuantLinearLayer:
             _field(meta, key, int) for key in ("in_dim", "out_dim", "rank", "bits", "block_size"))
         uniform, center = (_field(meta, key, bool) for key in ("uniform", "center"))
         alpha = float(_field(meta, "alpha", int, float))
-        _check_bits(bits)
+        codebook = (uniform_gauss_codebook if uniform else lloyd_max)(bits)
     except FileNotFoundError as exc:
         raise FormatError(f"{d}: missing layer.json sidecar") from exc
     # JSON and UTF-8 decoding errors are ValueErrors too
@@ -452,5 +451,4 @@ def load_layer(dirpath) -> QuantLinearLayer:
                               f"match rank {rank} in layer.json")
     else:
         branch = LowRankBranch(A=np.zeros((out_dim, 0)), B=np.zeros((0, in_dim)))
-    maker = uniform_gauss_codebook if uniform else lloyd_max
-    return QuantLinearLayer(wq=wq, branch=branch, codebook=maker(bits), center=center)
+    return QuantLinearLayer(wq=wq, branch=branch, codebook=codebook, center=center)

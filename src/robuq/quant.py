@@ -14,11 +14,14 @@ The coder's precision follows its input: float64 codes are
 std, and the float32 coder of the quantized forward keeps a stated
 contract against them, with one constant K = 64 (see ``token_codes``).
 
-Codebooks are solved once per bit width from the closed-form moments of
-N(0, 1) over each cell, which need only ``math.erfc``: Lloyd-Max levels by
-Newton's method on the centroid condition, and the step of a symmetric
-uniform grid by bisection on its stationarity condition. Both are exact to
-about 1e-13, which plain fixed-point iteration does not reach at 8 bits.
+A codebook is its bit width and its family, uniform grid or Lloyd-Max
+(``GaussCodebook(bits, is_uniform)``), so no invalid one can be built; the
+factories share one per (bits, family). Its levels are solved from the
+closed-form moments of N(0, 1) over each cell, which need only
+``math.erfc``: Lloyd-Max levels by Newton's method on the centroid
+condition, and the step of a symmetric uniform grid by bisection on its
+stationarity condition. Both are exact to about 1e-13, which plain
+fixed-point iteration does not reach at 8 bits.
 """
 
 from __future__ import annotations
@@ -154,44 +157,36 @@ def ternarize(w: np.ndarray) -> TernaryWeights:
 
 @dataclass(frozen=True)
 class GaussCodebook:
-    """Quantization levels and decision thresholds for the standard normal.
+    """The codebook for N(0, 1) of width ``bits`` in one family: the
+    uniform grid (``is_uniform``) or Lloyd-Max.
 
-    Levels are strictly increasing and antisymmetric about 0; thresholds sit
-    between consecutive levels (at midpoints for both variants here).
-    ``expected_mse`` is the mean squared error against N(0, 1). A uniform
-    codebook's levels are the symmetric grid step * (i - (2^b - 1)/2) and
-    its thresholds the grid's midpoints, each within 4 ulps of the largest
-    level; the float32 coder's nearest-level rounding relies on it.
+    These two fields are the whole codebook: they alone set equality and
+    the hash, and they are what ``layer.json`` stores. The rest is derived
+    once, when the codebook is built: ``levels``, strictly increasing and
+    antisymmetric about 0, ``thresholds`` at their midpoints, and
+    ``expected_mse``, the closed-form mean squared error against N(0, 1).
+    A uniform codebook's levels are the grid step * (i - (2^b - 1)/2) by
+    construction, which the float32 coder's nearest-level rounding relies
+    on. ``levels`` and ``thresholds`` are built read-only.
     """
 
     bits: int
-    levels: np.ndarray
-    thresholds: np.ndarray
     is_uniform: bool
-    expected_mse: float
 
     def __post_init__(self):
         _check_bits(self.bits)
+        if not isinstance(self.is_uniform, bool):
+            raise ValidationError(f"is_uniform must be a bool, got {self.is_uniform!r}")
         # a plain int, which layer.json can hold, even from a numpy width
         object.__setattr__(self, "bits", int(self.bits))
-        n = 1 << self.bits
-        if self.levels.shape != (n,) or self.thresholds.shape != (n - 1,):
-            raise ValidationError("codebook sizes do not match bit width")
-        if not (np.isfinite(self.levels).all() and np.isfinite(self.thresholds).all()):
-            raise ValidationError("levels and thresholds must be finite")
-        if np.any(np.diff(self.levels) <= 0):
-            raise ValidationError("levels must be strictly increasing")
-        if np.any(self.thresholds <= self.levels[:-1]) or np.any(self.thresholds >= self.levels[1:]):
-            raise ValidationError("thresholds must interleave levels")
-        if not 0.0 <= self.expected_mse < math.inf:
-            raise ValidationError(f"expected_mse must be finite and >= 0, got {self.expected_mse}")
-        if self.is_uniform:
-            grid = self.step * (np.arange(n) - (n - 1) / 2.0)
-            tol = 4 * np.spacing(np.max(np.abs(self.levels)))
-            if (np.max(np.abs(self.levels - grid)) > tol
-                    or np.max(np.abs(self.thresholds - 0.5 * (grid[:-1] + grid[1:]))) > tol):
-                raise ValidationError(
-                    "uniform levels must be a symmetric arithmetic grid with midpoint thresholds")
+        levels = (_uniform_levels if self.is_uniform else _lloyd_max_levels)(self.bits)
+        thresholds = 0.5 * (levels[:-1] + levels[1:])
+        p, m1, m2, _, _ = _cell_moments(thresholds)
+        levels.flags.writeable = thresholds.flags.writeable = False
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "expected_mse",
+                           float(np.sum(m2 - 2.0 * levels * m1 + levels * levels * p)))
 
     @functools.cached_property
     def step(self) -> float:
@@ -227,20 +222,8 @@ def _cell_moments(thresholds: np.ndarray):
     return p, m1, m2, phi, xphi
 
 
-def _codebook(bits: int, levels: np.ndarray, uniform: bool) -> GaussCodebook:
-    """Midpoint thresholds and the closed-form expected MSE for ``levels``."""
-    thresholds = 0.5 * (levels[:-1] + levels[1:])
-    p, m1, m2, _, _ = _cell_moments(thresholds)
-    mse = float(np.sum(m2 - 2.0 * levels * m1 + levels * levels * p))
-    return GaussCodebook(bits=bits, levels=levels, thresholds=thresholds,
-                         is_uniform=uniform, expected_mse=mse)
-
-
-_CODEBOOK_CACHE: dict[tuple[int, bool], GaussCodebook] = {}
-
-
-def lloyd_max(bits: int) -> GaussCodebook:
-    """Lloyd-Max codebook for N(0, 1): the MSE-optimal scalar quantizer.
+def _lloyd_max_levels(bits: int) -> np.ndarray:
+    """The Lloyd-Max levels for N(0, 1): the MSE-optimal scalar quantizer.
 
     Solves F(y) = y - G(y) = 0 by Newton's method, where G maps the levels
     to the centroids m1/p of their midpoint cells (Max 1960; Lloyd 1982).
@@ -248,12 +231,8 @@ def lloyd_max(bits: int) -> GaussCodebook:
     dG_i/da_i = phi(a_i)(G_i - a_i)/p_i at the cell edges, each halved
     through the midpoint thresholds. Starts from the equal-probability
     levels and stops at max|F| < 1e-12; raises ``ConvergenceError`` if that
-    takes more than a fixed small number of steps. Codebooks are immutable,
-    so every solution is cached and shared.
+    takes more than a fixed small number of steps.
     """
-    _check_bits(bits)
-    if (bits, False) in _CODEBOOK_CACHE:
-        return _CODEBOOK_CACHE[(bits, False)]
     n = 1 << bits
     levels = np.array([NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)])
     for _ in range(_NEWTON_STEPS):
@@ -262,32 +241,24 @@ def lloyd_max(bits: int) -> GaussCodebook:
         g = m1 / p
         f = levels - g
         if np.max(np.abs(f)) < 1e-12:
-            break
+            return levels
         d_hi = (xphi[1:] - g * phi[1:]) / p  # dG_i/db_i; 0 on the open outer edge
         d_lo = (g * phi[:-1] - xphi[:-1]) / p  # dG_i/da_i
         jac = np.eye(n) - 0.5 * (np.diag(d_lo + d_hi) + np.diag(d_lo[1:], -1)
                                  + np.diag(d_hi[:-1], 1))
         levels = levels - np.linalg.solve(jac, f)
-    else:
-        raise ConvergenceError(
-            f"Lloyd-Max for b={bits} did not converge in {_NEWTON_STEPS} Newton steps",
-            last_iterate=levels,
-        )
-    cb = _CODEBOOK_CACHE[(bits, False)] = _codebook(bits, levels, uniform=False)
-    return cb
+    raise ConvergenceError(
+        f"Lloyd-Max for b={bits} did not converge in {_NEWTON_STEPS} Newton steps")
 
 
-def uniform_gauss_codebook(bits: int) -> GaussCodebook:
-    """Symmetric arithmetic-grid codebook with the MSE-optimal step for N(0, 1).
+def _uniform_levels(bits: int) -> np.ndarray:
+    """The symmetric arithmetic grid with the MSE-optimal step for N(0, 1).
 
     With levels step * c_i (c_i = i - (2^b - 1)/2) and midpoint thresholds,
     the MSE is stationary where step * sum(c_i^2 p_i) = sum(c_i m1_i). That
     difference is negative at step 0 and positive at step 4, and bisection
     narrows the bracket until no float lies strictly inside it.
     """
-    _check_bits(bits)
-    if (bits, True) in _CODEBOOK_CACHE:
-        return _CODEBOOK_CACHE[(bits, True)]
     c = np.arange(1 << bits) - ((1 << bits) - 1) / 2.0
 
     def stationarity(step: float) -> float:
@@ -301,8 +272,25 @@ def uniform_gauss_codebook(bits: int) -> GaussCodebook:
         else:
             hi = mid
     step = min((lo, hi), key=lambda s: abs(stationarity(s)))
-    cb = _CODEBOOK_CACHE[(bits, True)] = _codebook(bits, step * c, uniform=True)
-    return cb
+    return step * c
+
+
+# Codebooks are immutable, so the factories hand out one per (bits, family).
+_shared_codebook = functools.cache(GaussCodebook)
+
+
+def lloyd_max(bits: int) -> GaussCodebook:
+    """The shared Lloyd-Max codebook of width ``bits`` (see
+    ``_lloyd_max_levels``)."""
+    _check_bits(bits)  # before the cache, where 4.0 would find 4
+    return _shared_codebook(int(bits), False)
+
+
+def uniform_gauss_codebook(bits: int) -> GaussCodebook:
+    """The shared uniform-grid codebook of width ``bits`` (see
+    ``_uniform_levels``)."""
+    _check_bits(bits)  # before the cache, where 4.0 would find 4
+    return _shared_codebook(int(bits), True)
 
 
 # ---------------------------------------------------------------------------

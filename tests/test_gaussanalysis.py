@@ -107,6 +107,19 @@ def test_offdiag_bound_scaling_in_c():
         assert abs(bound - 0.5) < 0.05
 
 
+def test_offdiag_bound_uses_the_block_at_a_block_diagonal_width():
+    # C = 96 mixes blocks of 32. Channels 32-47 at variance 9 make the middle
+    # block's deviations +-4 from its mean 5, so the bound is 4 * sqrt(32) /
+    # sqrt(32) = 4, and the coordinate pair whose sign product is sixteen
+    # +1 then sixteen -1 reaches it.
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((20000, 96))
+    x[:, 32:48] *= 3.0
+    max_off, bound = offdiag_cov_bound(x)
+    np.testing.assert_allclose(bound, 4.0, rtol=0.05)
+    np.testing.assert_allclose(max_off, bound, rtol=0.05)
+
+
 # ---------------------------------------------------------------------------
 # normality
 # ---------------------------------------------------------------------------
@@ -135,6 +148,14 @@ def test_normality_bimodal_rate():
         assert ks < be
         ks_values.append(ks)
     assert all(a > b for a, b in zip(ks_values, ks_values[1:]))
+
+
+@pytest.mark.parametrize("c", [96, 1152])
+def test_normality_bound_counts_the_block_at_a_block_diagonal_width(c):
+    # a transformed coordinate sums b = 32 or 128 channels, not C
+    x = np.random.default_rng(4).choice([-1.0, 1.0], size=(4096, c))
+    ks, be = normality(x)
+    assert ks < be, f"C={c}: KS {ks:.4f} above the computed bound {be:.4f}"
 
 
 def test_normality_single_token_mode():

@@ -693,44 +693,28 @@ def test_solvers_reject_non_integer_bits(maker):
 
 @pytest.mark.parametrize("bits", [0, 9, -1])
 def test_codebook_rejects_bits_out_of_range(bits):
-    n = 1 << bits if bits >= 0 else 2
-    levels = np.arange(n) - (n - 1) / 2
     with pytest.raises(ValidationError):
-        GaussCodebook(bits=bits, levels=levels, thresholds=0.5 * (levels[:-1] + levels[1:]),
-                      is_uniform=True, expected_mse=0.1)
+        GaussCodebook(bits, True)
 
 
-@pytest.mark.parametrize("where", ["level", "threshold"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_codebook_rejects_non_finite(where, bad):
-    levels = np.array([-1.5, -0.5, 0.5, 1.5])
-    thresholds = np.array([-1.0, 0.0, 1.0])
-    if where == "level":
-        levels[-1] = bad
-    else:
-        thresholds[-1] = bad
-    with pytest.raises(ValidationError):
-        GaussCodebook(bits=2, levels=levels, thresholds=thresholds,
-                      is_uniform=True, expected_mse=0.1)
+def test_codebook_is_its_width_and_family():
+    cb = GaussCodebook(4, True)
+    assert cb == uniform_gauss_codebook(4)
+    assert hash(cb) == hash(uniform_gauss_codebook(4))
+    assert cb != GaussCodebook(4, False)
+    assert len({cb, uniform_gauss_codebook(4), lloyd_max(4)}) == 2
+    with pytest.raises(ValidationError, match="is_uniform"):
+        GaussCodebook(4, 1)
 
 
-@pytest.mark.parametrize("levels", [[-2.0, -0.3, 0.3, 2.0], [-1.0, 0.0, 1.0, 2.0],
-                                    [-1.5, -0.5, 0.5, 1.5 + 1e-9], lloyd_max(2).levels],
-                         ids=["not_arithmetic", "not_symmetric", "off_by_1e-9", "lloyd_max"])
-def test_uniform_codebook_rejects_a_non_grid(levels):
-    levels = np.array(levels)
-    with pytest.raises(ValidationError, match="grid"):
-        GaussCodebook(bits=2, levels=levels, thresholds=0.5 * (levels[:-1] + levels[1:]),
-                      is_uniform=True, expected_mse=0.1)
-
-
-def test_uniform_codebook_rejects_thresholds_off_the_midpoints():
-    cb = uniform_gauss_codebook(2)
-    thresholds = cb.thresholds.copy()
-    thresholds[0] = np.nextafter(cb.levels[1], -np.inf)  # between the levels, not midway
-    with pytest.raises(ValidationError, match="midpoint"):
-        GaussCodebook(bits=2, levels=cb.levels, thresholds=thresholds,
-                      is_uniform=True, expected_mse=cb.expected_mse)
+def test_factories_share_one_read_only_codebook_per_width():
+    cb = uniform_gauss_codebook(4)
+    assert uniform_gauss_codebook(np.int64(4)) is cb
+    assert type(cb.bits) is int
+    for arr in (cb.levels, cb.thresholds):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 @pytest.mark.parametrize("bits", range(1, 9))
