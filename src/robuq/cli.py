@@ -122,8 +122,7 @@ def cmd_hadamard(args) -> int:
 
 def cmd_quantize(args) -> int:
     w = tensorio.load_matrix(args.weights).astype(np.float64)
-    maker = quant.lloyd_max if args.lloyd else quant.uniform_gauss_codebook
-    cb = maker(args.bits)
+    cb = quant.uniform_gauss_codebook(args.bits)
     layer = lowrank.init_layer(w, r=args.rank, codebook=cb)
     lowrank.save_layer(layer, args.out_dir)
 
@@ -146,7 +145,6 @@ def cmd_quantize(args) -> int:
         {
             "rank": layer.branch.rank,
             "bits": args.bits,
-            "uniform": not args.lloyd,
             "reconstruction_rel_error": err,
             "branch_energy_share": share,
         },
@@ -242,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--rank", type=_int_flag("--rank"), default=lowrank.DEFAULT_RANK)
     p.add_argument("--bits", type=_int_flag("--bits"), default=4)
-    p.add_argument("--lloyd", action="store_true", help="Lloyd-Max instead of the uniform codebook")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--summary", default=None)
     p.set_defaults(func=cmd_quantize)

@@ -22,18 +22,21 @@ the codes' contract against the float64 reference). The low-rank branch
 stays float64 and reads x through the folded factor, B (H x) = (B H) x as
 H is symmetric, so no float64 H x is formed.
 
-The ternary branch never dequantizes. A token t of H x with codes q_t,
-mean mu_t (0 when centering is off) and scale sigma_t dequantizes to
-sigma_t * levels[q_t] + mu_t, so with levels[c] = o + s * c the branch is
+The ternary branch never dequantizes. A layer codes its activations on
+the uniform grid, levels[c] = o + s * c with (s, o) = (step, levels[0]),
+so a token t of H x with codes q_t, mean mu_t (0 when centering is off)
+and scale sigma_t dequantizes to sigma_t * (o + s * q_t) + mu_t, and the
+branch is
 
     y_tern[t] = alpha . (sigma_t * s * (Q V^T)[t] + (mu_t + sigma_t * o) * rowsum(V))
 
-For a uniform grid (Q, s, o) = (codes, step, levels[0]), where the coder
-writes the codes 0..n-1 as float32: their GEMM against {-1, 0, +1} is
-exact in float32 while (n - 1) * in_dim < 2^24, and in float64 for a grid
-too wide for that bound. For a Lloyd-Max codebook (Q, s, o) =
-(levels[codes] as float64, 1, 0). The one per-tensor alpha scales the
-whole ternary branch.
+The coder writes the codes Q, 0..n-1, as float32. Their GEMM against
+{-1, 0, +1} runs over column chunks of at most (2^24 - 1) // (n - 1)
+inputs, so every partial sum is an integer below 2^24 and each chunk's
+float32 product is exact; the chunk products add exactly in float64. Below
+8 bits, and at 8 bits up to in_dim 65,793, there is one chunk. The one
+per-tensor alpha scales the whole ternary branch. Lloyd-Max codebooks
+(``quant.lloyd_max``) are for analysis only: a layer rejects one.
 
 The mean/offset term is an outer product, so it joins the low-rank branch
 as one more rank, and the whole layer is
@@ -68,7 +71,6 @@ from .quant import (
     GaussCodebook,
     TernaryWeights,
     _is_int,
-    lloyd_max,
     ternarize,
     token_codes,
     uniform_gauss_codebook,
@@ -107,8 +109,9 @@ class QuantLinearLayer:
 
     ``wq`` quantizes the transformed residual; ``branch`` holds the factors
     of the transformed weight's dominant singular structure; ``codebook``
-    quantizes the transformed activations per token. The dims and the
-    transform plan follow from the shape of ``wq.values``.
+    quantizes the transformed activations per token and must be a uniform
+    grid (``ValidationError`` otherwise). The dims and the transform plan
+    follow from the shape of ``wq.values``.
     """
 
     wq: TernaryWeights
@@ -117,6 +120,8 @@ class QuantLinearLayer:
     center: bool = True
 
     def __post_init__(self):
+        if not self.codebook.is_uniform:
+            raise ValidationError(f"a layer codes on the uniform grid, got {self.codebook}")
         if self.wq.values.ndim != 2:
             raise DimensionError(f"ternary values must be 2-D, got shape {self.wq.values.shape}")
         r = self.branch.rank
@@ -320,8 +325,8 @@ def forward_with_cache(layer: QuantLinearLayer, x: np.ndarray) -> tuple[np.ndarr
     transformed input is formed. A token with a NaN or Inf, or whose
     float32 image or transform overflows, raises ``ValidationError``
     naming it. The cache keeps ``xh`` (the float32
-    transformed tokens, at the input's scale), ``codes`` (float32 on a
-    uniform grid, int64 for Lloyd-Max), ``mu`` and ``sigma``.
+    transformed tokens, at the input's scale), ``codes`` (always float32),
+    ``mu`` and ``sigma``.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != layer.in_dim:
@@ -330,22 +335,20 @@ def forward_with_cache(layer: QuantLinearLayer, x: np.ndarray) -> tuple[np.ndarr
         xh = transform_tokens(arr.astype(np.float32), layer.plan)
     cb, wq = layer.codebook, layer.wq
     codes, mu, sigma = token_codes(xh, cb, center=layer.center)
-    if cb.is_uniform:
-        # levels[c] = levels[0] + step * c, and codes @ V^T is an exact
-        # float32 GEMM while every partial sum is an integer below 2^24.
-        exact32 = (len(cb.levels) - 1) * layer.in_dim < _FLOAT32_EXACT
-        v, row_sums = wq.operand_f32 if exact32 else wq.operand_f64
-        g, step, offset = codes @ v.T, cb.step, cb.levels[0]
-    else:
-        v, row_sums = wq.operand_f64
-        g, step, offset = cb.levels[codes] @ v.T, 1.0, 0.0
-    shift = mu + sigma * offset
+    # codes @ V^T over column chunks whose partial sums are integers below
+    # 2^24, each an exact float32 GEMM, added exactly in float64.
+    v, row_sums = wq.operand_f32
+    width = (_FLOAT32_EXACT - 1) // (len(cb.levels) - 1)
+    g = codes[:, :width] @ v[:, :width].T
+    for first in range(width, layer.in_dim, width):
+        g = np.add(g, codes[:, first:first + width] @ v[:, first:first + width].T, dtype=np.float64)
+    shift = mu + sigma * cb.levels[0]
     # x (B H)^T = (x H) B^T as H is symmetric; B is folded on every call
     # because QAT updates it in place.
     bh = fold_into_weights(layer.branch.B, layer.plan)
     y = (np.column_stack((arr @ bh.T, shift))
          @ np.column_stack((layer.branch.A, wq.alpha * row_sums)).T)
-    scale = sigma * step
+    scale = sigma * cb.step
     rows = max(1, _BLOCK_ENTRIES // layer.out_dim)
     scratch = np.empty((min(rows, len(y)), layer.out_dim))
     for first in range(0, len(y), rows):
@@ -388,7 +391,6 @@ def save_layer(layer: QuantLinearLayer, dirpath) -> None:
         "alpha": layer.wq.alpha,
         "rank": layer.branch.rank,
         "bits": layer.codebook.bits,
-        "uniform": layer.codebook.is_uniform,
         "center": layer.center,
         "block_size": layer.plan.block_size,
         "in_dim": layer.in_dim,
@@ -404,7 +406,8 @@ def load_layer(dirpath) -> QuantLinearLayer:
 
     A missing file, a sidecar that is not UTF-8 JSON with every field of
     its JSON type and range (dims >= 1, bits in 1..8, ``block_size`` the
-    largest power of two dividing ``in_dim``), a packed value file that
+    largest power of two dividing ``in_dim``), a ``uniform`` field other
+    than true (which older sidecars held), a packed value file that
     does not hold out_dim * in_dim ternary values, or factors whose shapes
     disagree with the sidecar raise ``FormatError`` naming the file.
     """
@@ -421,14 +424,17 @@ def load_layer(dirpath) -> QuantLinearLayer:
         meta = json.loads(sidecar.read_bytes().decode("utf-8"))
         in_dim, out_dim, rank, bits, block_size = (
             _field(meta, key, int) for key in ("in_dim", "out_dim", "rank", "bits", "block_size"))
-        uniform, center = (_field(meta, key, bool) for key in ("uniform", "center"))
+        center = _field(meta, "center", bool)
         alpha = float(_field(meta, "alpha", int, float))
-        codebook = (uniform_gauss_codebook if uniform else lloyd_max)(bits)
+        codebook = uniform_gauss_codebook(bits)
     except FileNotFoundError as exc:
         raise FormatError(f"{d}: missing layer.json sidecar") from exc
     # JSON and UTF-8 decoding errors are ValueErrors too
     except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise FormatError(f"{sidecar}: not a layer sidecar ({type(exc).__name__}: {exc})") from exc
+    if meta.get("uniform", True) is not True:  # written by an older save_layer
+        raise FormatError(f"{sidecar}: uniform {meta['uniform']!r}: a layer codes on the "
+                          "uniform grid only")
     if min(out_dim, in_dim) < 1:
         raise FormatError(f"{sidecar}: out_dim {out_dim} and in_dim {in_dim} must be >= 1")
     derived = HadamardPlan(in_dim).block_size

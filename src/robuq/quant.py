@@ -9,10 +9,12 @@ fl(w / d) > 1/2 exactly when w > d/2 (and rint takes 1/2 to 0). The
 activation quantizer is per-token: ``token_codes`` normalizes each
 (Hadamard-transformed) token by its own statistics and codes it against a
 codebook precomputed for N(0, 1); ``dequantize_codes`` maps the codes back.
-The coder's precision follows its input: float64 codes are
+The reference coder runs in float64: its codes are
 ``searchsorted(thresholds, z)`` on z standardized by numpy's row mean and
-std, and the float32 coder of the quantized forward keeps a stated
-contract against them, with one constant K = 64 (see ``token_codes``).
+std. A float32 input on a uniform grid, the quantized forward's, takes the
+float32 coder, which keeps a stated contract against the reference with
+one constant K = 64 (see ``token_codes``); every other input takes the
+reference.
 
 A codebook is its bit width and its family, uniform grid or Lloyd-Max
 (``GaussCodebook(bits, is_uniform)``), so no invalid one can be built; the
@@ -21,7 +23,9 @@ closed-form moments of N(0, 1) over each cell, which need only
 ``math.erfc``: Lloyd-Max levels by Newton's method on the centroid
 condition, and the step of a symmetric uniform grid by bisection on its
 stationarity condition. Both are exact to about 1e-13, which plain
-fixed-point iteration does not reach at 8 bits.
+fixed-point iteration does not reach at 8 bits. A quantized layer codes on
+the uniform grid only; Lloyd-Max, the MSE-optimal codebook, is for
+analysis.
 """
 
 from __future__ import annotations
@@ -89,12 +93,12 @@ class TernaryWeights:
     """{-1, 0, +1} values plus the one real scale ``alpha`` of the tensor,
     finite and >= 0 (``ValidationError`` otherwise).
 
-    The quantized forward multiplies activation codes by ``values`` as a
-    float GEMM operand, ``operand_f32`` or ``operand_f64``: the values in
-    that dtype plus their float64 row sums. Each is built on first use and
-    then kept, so ``values`` must not be modified in place afterwards;
-    assign a new instance instead. Ternarizing, saving, loading and packing
-    never build them.
+    The quantized forward multiplies the float32 activation codes by
+    ``values`` as a GEMM operand, ``operand_f32``: the values as float32
+    plus their float64 row sums. It is built on first use and then kept, so
+    ``values`` must not be modified in place afterwards; assign a new
+    instance instead. Ternarizing, saving, loading and packing never build
+    it.
     """
 
     values: np.ndarray
@@ -113,12 +117,6 @@ class TernaryWeights:
         while a row has at most 2^24 entries."""
         v = self.values.astype(np.float32)
         return v, v.sum(axis=1).astype(np.float64)
-
-    @functools.cached_property
-    def operand_f64(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values as float64, their row sums)."""
-        v = self.values.astype(np.float64)
-        return v, v.sum(axis=1)
 
     def dequantize(self) -> np.ndarray:
         return self.alpha * self.values.astype(np.float64)
@@ -314,17 +312,16 @@ def _code_rows(arr, cb, center):
 
 
 def _code_rows32(arr, cb, center, codes, mu, sigma):
-    """``token_codes`` on a block of float32 rows, written into the block's
-    slices ``codes``, ``mu`` and ``sigma`` of the outputs: the float32 coder
-    whose contract ``token_codes`` states."""
+    """``token_codes`` on a block of float32 rows and a uniform grid,
+    written into the block's slices ``codes``, ``mu`` and ``sigma`` of the
+    outputs: the float32 coder whose contract ``token_codes`` states."""
     c, n = arr.shape[1], len(cb.levels)
-    # The deviations, then z / unit + offset, go straight into the float32
-    # codes, which are the forward's GEMM operand, on a uniform grid.
-    work = codes if codes.dtype == np.float32 else np.empty(arr.shape, dtype=np.float32)
+    # The deviations, then z / step + (n - 1) / 2, go straight into the
+    # float32 codes, which are the forward's GEMM operand.
     with np.errstate(invalid="ignore", over="ignore"):
         mean = arr.sum(axis=1) / np.float32(c)
-        np.subtract(arr, mean[:, None], out=work)
-        sigma[:] = np.sqrt(np.square(work).sum(axis=1) / np.float32(c))
+        np.subtract(arr, mean[:, None], out=codes)
+        sigma[:] = np.sqrt(np.square(codes).sum(axis=1) / np.float32(c))
         mu[:] = mean
         # Outside [2^-63, 2^63] float32 squares may lose digits to underflow
         # or overflow (as may the sum of a row near float32's range): such
@@ -337,15 +334,12 @@ def _code_rows32(arr, cb, center, codes, mu, sigma):
         if degenerate.size:
             degenerate = degenerate[(arr[degenerate] == arr[degenerate, :1]).all(axis=1)]
             sigma[degenerate] = 0.0
-        unit, offset = (cb.step, (n - 1) / 2) if cb.is_uniform else (1.0, 0.0)
-        inv = 1.0 / (np.where(sigma > 0.0, sigma, 1.0) * unit)
-        np.multiply(work if center else arr, inv.astype(np.float32)[:, None], out=work)
-        if cb.is_uniform:  # the nearest level: rint(z / step + (n - 1) / 2), clipped
-            work += np.float32(offset)
-            np.rint(work, out=work)
-            np.clip(work, 0, n - 1, out=work)
-        else:
-            codes[...] = np.searchsorted(cb.thresholds, work)
+        inv = 1.0 / (np.where(sigma > 0.0, sigma, 1.0) * cb.step)
+        np.multiply(codes if center else arr, inv.astype(np.float32)[:, None], out=codes)
+        # the nearest level: rint(z / step + (n - 1) / 2), clipped
+        codes += np.float32((n - 1) / 2)
+        np.rint(codes, out=codes)
+        np.clip(codes, 0, n - 1, out=codes)
     codes[degenerate] = n // 2
     if not center:
         mu[:] = 0.0
@@ -368,18 +362,18 @@ def token_codes(
     ``ValidationError`` naming the first row with a NaN or Inf or whose
     float64 spread overflows. mu and sigma are float64.
 
-    The precision follows the input. Any input but float32 is coded in
-    float64 by the reference rule: mu_t and sigma_t are numpy's row mean
-    and std, and the int64 codes are ``searchsorted(thresholds, z)``. A
-    float32 input is coded in float32: mu_t and sigma_t come from float32
-    pairwise sums of the row and of its squared deviations, and z is the
-    deviations times a float32 1 / sigma_t. A row whose float32 sigma_t
-    falls outside [2^-63, 2^63], where float32 squares or sums could
-    underflow or overflow, takes the float64 reference's codes, mu_t and
-    sigma_t instead, so every finite float32 row is coded. On a uniform
-    grid the code is the nearest level, clip(rint(z / step + (n - 1)/2), 0,
-    n - 1), returned as float32, the quantized forward's GEMM operand; a
-    Lloyd-Max codebook takes ``searchsorted`` on z and returns int64.
+    A float32 input on a uniform grid is coded in float32; every other
+    input, a Lloyd-Max codebook's included, is coded in float64 by the
+    reference rule: mu_t and sigma_t are numpy's row mean and std, and the
+    int64 codes are ``searchsorted(thresholds, z)``. The float32 coder
+    takes mu_t and sigma_t from float32 pairwise sums of the row and of its
+    squared deviations, and z is the deviations times a float32
+    1 / sigma_t. A row whose float32 sigma_t falls outside [2^-63, 2^63],
+    where float32 squares or sums could underflow or overflow, takes the
+    float64 reference's codes, mu_t and sigma_t instead, so every finite
+    float32 row is coded. The code is the nearest level,
+    clip(rint(z / step + (n - 1)/2), 0, n - 1), returned as float32, the
+    quantized forward's GEMM operand.
     Against the float64 coder on the same values the float32 coder keeps
     this contract, with m_t = max|x_t| and K = 64 (``_CODES_K``; the
     largest factor measured on random tokens from 1 to 8192 wide, and on
@@ -396,13 +390,12 @@ def token_codes(
     the transformed token.
     """
     arr = np.asarray(x)
-    single = arr.dtype == np.float32
+    single = arr.dtype == np.float32 and cb.is_uniform
     if not single:
         arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValidationError(f"expected a T x C matrix with C >= 1, got shape {arr.shape}")
-    operand = single and cb.is_uniform
-    codes = np.empty(arr.shape, dtype=np.float32 if operand else np.int64)
+    codes = np.empty(arr.shape, dtype=np.float32 if single else np.int64)
     mu, sigma = np.empty(arr.shape[0]), np.empty(arr.shape[0])
     rows = max(1, (_BLOCK_ENTRIES32 if single else _BLOCK_ENTRIES) // arr.shape[1])
     for first in range(0, arr.shape[0], rows):

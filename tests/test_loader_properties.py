@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from robuq.deploy import load_packed, pack_ternary, save_packed, unpack_ternary
 from robuq.errors import RobuqError
 from robuq.lowrank import init_layer, load_layer, save_layer
-from robuq.quant import lloyd_max, uniform_gauss_codebook
+from robuq.quant import uniform_gauss_codebook
 from robuq.tensorio import (
     LayerSpec,
     SensitivityTable,
@@ -93,10 +93,11 @@ def test_corrupted_sensitivity_raises_only_package_errors(tmp_path_factory, tabl
 
 
 @_property
-@given(st.integers(1, 3), st.sampled_from([lloyd_max, uniform_gauss_codebook]), st.data())
-def test_corrupted_layer_sidecar_raises_only_package_errors(tmp_path_factory, bits, maker, data):
-    # layer.json carries the codebook as its bits and uniform fields
-    layer = init_layer(np.arange(32.0).reshape(4, 8) % 5 - 2, r=1, codebook=maker(bits))
+@given(st.integers(1, 3), st.data())
+def test_corrupted_layer_sidecar_raises_only_package_errors(tmp_path_factory, bits, data):
+    # layer.json carries the codebook as its bits field
+    layer = init_layer(np.arange(32.0).reshape(4, 8) % 5 - 2, r=1,
+                       codebook=uniform_gauss_codebook(bits))
     _load_corrupted(tmp_path_factory.getbasetemp() / "corrupt_layer" / "layer.json",
                     lambda p: save_layer(layer, p.parent), lambda p: load_layer(p.parent), data)
 

@@ -520,16 +520,33 @@ def test_layer_serialization_rank0(tmp_path):
 @pytest.mark.parametrize("maker,bits", [(m, b) for m in (lloyd_max, uniform_gauss_codebook)
                                          for b in range(1, 9)])
 def test_layer_json_rebuilds_codebook(tmp_path, maker, bits):
-    # No codebook file: layer.json carries bits and uniform, and the
-    # codebook is solved again from them on load.
-    cb = maker(bits)
-    save_layer(init_layer(np.eye(8), r=0, codebook=cb), tmp_path / "cb")
-    assert {p.name for p in (tmp_path / "cb").iterdir()} == {"layer.json", "wq_values.rbqp"}
-    back = load_layer(tmp_path / "cb").codebook
-    assert back.bits == bits and back.is_uniform == cb.is_uniform
-    np.testing.assert_array_equal(back.levels, cb.levels)
-    np.testing.assert_array_equal(back.thresholds, cb.thresholds)
-    assert back.expected_mse == cb.expected_mse
+    # No codebook file: layer.json carries bits, and the uniform codebook is
+    # solved again from it on load. An older sidecar also names the family
+    # as "uniform": the uniform grid's loads the same, and a Lloyd-Max
+    # layer's raises FormatError rather than loading on the uniform grid.
+    import json
+
+    cb, d = uniform_gauss_codebook(bits), tmp_path / "cb"
+    save_layer(init_layer(np.eye(8), r=0, codebook=cb), d)
+    assert {p.name for p in d.iterdir()} == {"layer.json", "wq_values.rbqp"}
+    meta = json.loads((d / "layer.json").read_text())
+    assert "uniform" not in meta
+    assert load_layer(d).codebook is cb
+    (d / "layer.json").write_text(json.dumps({**meta, "uniform": maker(bits).is_uniform}))
+    if maker is lloyd_max:
+        with pytest.raises(FormatError, match=r"layer\.json: uniform False"):
+            load_layer(d)
+    else:
+        assert load_layer(d).codebook is cb
+
+
+def test_a_layer_rejects_a_lloyd_max_codebook():
+    w = np.random.default_rng(12).standard_normal((8, 16))
+    with pytest.raises(ValidationError, match="uniform grid"):
+        init_layer(w, r=2, codebook=lloyd_max(4))
+    layer = init_layer(w, r=2)
+    with pytest.raises(ValidationError, match="uniform grid"):
+        QuantLinearLayer(wq=layer.wq, branch=layer.branch, codebook=lloyd_max(3))
 
 
 @pytest.mark.parametrize("shape", [(7, 9), (5, 8), (1, 1)], ids=["63_values", "40_values", "1_value"])
@@ -623,12 +640,12 @@ def test_load_layer_bad_sidecar_is_format_error(tmp_path, text):
     ("rank", None), ("alpha", "x"), ("alpha", [[0.5]]), ("alpha", float("nan")),
     ("in_dim", "eight"), ("bits", [4]), ("out_dim", 7), ("rank", 1), ("rank", 3),
     ("alpha", "0.5"), ("alpha", True), ("alpha", 10**400),
-    ("uniform", "false"), ("center", "no"), ("in_dim", 8.9), ("bits", 4.7), ("bits", True),
-    ("bits", 9), ("block_size", 4), ("block_size", 3),
+    ("uniform", "false"), ("uniform", False), ("center", "no"), ("in_dim", 8.9), ("bits", 4.7),
+    ("bits", True), ("bits", 9), ("block_size", 4), ("block_size", 3),
 ], ids=["rank_missing", "alpha_text", "alpha_nested", "alpha_nan", "in_dim_text", "bits_list",
         "out_dim_wrong", "rank_below_factors", "rank_above_factors",
         "alpha_numeric_text", "alpha_bool", "alpha_int_beyond_float",
-        "uniform_text", "center_text", "in_dim_float", "bits_float", "bits_bool",
+        "uniform_text", "uniform_false", "center_text", "in_dim_float", "bits_float", "bits_bool",
         "bits_above_8", "block_size_not_derived", "block_size_not_pow2"])
 def test_load_layer_bad_field_is_format_error(tmp_path, key, value):
     import json
@@ -713,9 +730,8 @@ def _tokens(rng, t, c):
 
 @pytest.mark.parametrize("reload", [False, True], ids=["scalar", "reloaded"])
 @pytest.mark.parametrize("center", [True, False], ids=["centered", "uncentered"])
-@pytest.mark.parametrize("cb", [uniform_gauss_codebook(b) for b in range(1, 9)]
-                         + [lloyd_max(2), lloyd_max(4)],
-                         ids=[f"u{b}" for b in range(1, 9)] + ["lm2", "lm4"])
+@pytest.mark.parametrize("cb", [uniform_gauss_codebook(b) for b in range(1, 9)],
+                         ids=[f"u{b}" for b in range(1, 9)])
 def test_forward_matches_dequantized_oracle(tmp_path, cb, center, reload):
     rng = np.random.default_rng(cb.bits)
     w = rng.standard_normal((40, 64))
@@ -731,11 +747,10 @@ def test_forward_matches_dequantized_oracle(tmp_path, cb, center, reload):
     assert np.ptp(cache["xh"][1]) == 0.0
     assert cache["mu"][1] == (cache["xh"][1].mean() if center else 0.0)
     assert not y[2].any()
-    built = set(vars(layer.wq)) & _OPERANDS
-    assert built == ({"operand_f32"} if cb.is_uniform else {"operand_f64"})
+    assert set(vars(layer.wq)) & _OPERANDS == {"operand_f32"}
 
 
-@pytest.mark.parametrize("cb", [uniform_gauss_codebook(3), lloyd_max(3)], ids=["u3", "lm3"])
+@pytest.mark.parametrize("cb", [uniform_gauss_codebook(3)], ids=["u3"])
 def test_forward_rank0_width96(cb):
     rng = np.random.default_rng(31)
     w = rng.standard_normal((80, 96))
@@ -754,7 +769,7 @@ def _random_layer(rng, in_dim, out_dim, rank, cb, center=True):
 
 
 @pytest.mark.parametrize("center", [True, False], ids=["centered", "uncentered"])
-@pytest.mark.parametrize("cb", [uniform_gauss_codebook(4), lloyd_max(3)], ids=["u4", "lm3"])
+@pytest.mark.parametrize("cb", [uniform_gauss_codebook(4)], ids=["u4"])
 def test_forward_over_several_row_blocks_matches_the_oracle(cb, center):
     t, in_dim, out_dim = 48, 1024, 2048
     # the epilogue runs 16-row blocks here (the float32 coder's 128-row
@@ -819,8 +834,7 @@ def _layers_and_tokens(draw):
     out_dim = draw(st.integers(1, 24))
     in_dim = draw(st.sampled_from([1, 3, 8, 12, 16, 40]))
     rank = draw(st.integers(0, min(out_dim, in_dim)))
-    cb = draw(st.sampled_from([uniform_gauss_codebook(b) for b in (1, 2, 4, 8)]
-                              + [lloyd_max(3)]))
+    cb = draw(st.sampled_from([uniform_gauss_codebook(b) for b in (1, 2, 4, 8)]))
     center = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))
@@ -843,8 +857,7 @@ def test_property_forward_matches_dequantized_oracle(case):
 @st.composite
 def _random_layers_and_tokens(draw):
     in_dim = draw(st.sampled_from([1, 3, 8, 12, 40, 96, 512, 1152]))
-    cb = draw(st.sampled_from([uniform_gauss_codebook(b) for b in (1, 2, 4, 8)]
-                              + [lloyd_max(3)]))
+    cb = draw(st.sampled_from([uniform_gauss_codebook(b) for b in (1, 2, 4, 8)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layer = _random_layer(rng, in_dim, draw(st.integers(1, 24)), draw(st.integers(0, 4)), cb,
                           center=draw(st.booleans()))
@@ -869,7 +882,7 @@ def test_property_forward_codes_keep_the_contract(codes_contract, case):
     layer, x = case
     y, cache = forward_with_cache(layer, x)
     assert cache["xh"].dtype == np.float32
-    assert cache["codes"].dtype == (np.float32 if layer.codebook.is_uniform else np.int64)
+    assert cache["codes"].dtype == np.float32
     codes_contract(transform_tokens(x, layer.plan), layer.codebook, layer.center,
                    cache["codes"], cache["mu"], cache["sigma"])
     ref, scale = _oracle(layer, x, cache)
@@ -914,14 +927,14 @@ def test_forward_rejects_a_token_whose_float32_transform_overflows(value, row):
             forward(layer, x)
 
 
-@pytest.mark.parametrize("in_dim,operand", [(65_793, "operand_f32"), (65_794, "operand_f64")])
-def test_float32_operand_up_to_the_exactness_bound(in_dim, operand):
-    # (2^8 - 1) * 65_793 = 2^24 - 1 is the last width whose code GEMM is
-    # exact in float32.
+@pytest.mark.parametrize("in_dim", [65_793, 65_794])
+def test_float32_operand_up_to_the_exactness_bound(in_dim):
+    # (2^8 - 1) * 65_793 = 2^24 - 1: the 8-bit code GEMM runs in one exact
+    # float32 chunk up to this width, and in two beyond it.
     rng = np.random.default_rng(32)
-    layer = init_layer(rng.standard_normal((3, in_dim)), r=1, codebook=uniform_gauss_codebook(8))
+    layer = init_layer(rng.standard_normal((3, in_dim)), r=0, codebook=uniform_gauss_codebook(8))
     _assert_matches_oracle(layer, rng.standard_normal((2, in_dim)))
-    assert set(vars(layer.wq)) & _OPERANDS == {operand}
+    assert set(vars(layer.wq)) & _OPERANDS == {"operand_f32"}
 
 
 def test_replacing_the_ternary_weights_changes_the_next_forward():

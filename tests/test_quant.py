@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import robuq
@@ -537,8 +537,7 @@ def test_token_codes_match_rowwise_reference(cb, center, shape):
 # The float32 token coder
 # ---------------------------------------------------------------------------
 
-_CODEBOOKS = ([uniform_gauss_codebook(b) for b in range(1, 9)]
-              + [lloyd_max(b) for b in (2, 3, 4)])
+_CODEBOOKS = [uniform_gauss_codebook(b) for b in range(1, 9)]
 _float32_property = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
 
@@ -562,6 +561,9 @@ def _float32_tokens(draw):
         x[row, rng.integers(c)] = 1.0
     elif kind == "near_constant":
         x[row] = 1.0 + 1e-7 * rng.standard_normal(c)
+    # the contract is for finite tokens: an outlier at the largest scale
+    # can pass float32's range
+    assume(np.abs(scale * x).max() <= np.finfo(np.float32).max)
     return (scale * x).astype(np.float32)
 
 
@@ -569,7 +571,7 @@ def _float32_tokens(draw):
 @given(_float32_tokens(), st.sampled_from(_CODEBOOKS), st.booleans())
 def test_float32_coder_keeps_its_contract(codes_contract, x, cb, center):
     codes, mu, sigma = token_codes(x, cb, center)
-    assert codes.dtype == (np.float32 if cb.is_uniform else np.int64)
+    assert codes.dtype == np.float32
     assert mu.dtype == sigma.dtype == np.float64
     codes_contract(x, cb, center, codes, mu, sigma)
 
@@ -578,7 +580,7 @@ def test_float32_coder_moves_few_codes_and_only_by_one_level(codes_contract):
     rng = np.random.default_rng(23)
     x = (rng.standard_normal((256, 1152)) * np.exp(rng.standard_normal((256, 1)))
          + 3.0 * rng.standard_normal((256, 1))).astype(np.float32)
-    for cb in (uniform_gauss_codebook(4), uniform_gauss_codebook(8), lloyd_max(3)):
+    for cb in (uniform_gauss_codebook(4), uniform_gauss_codebook(8)):
         codes, mu, sigma = token_codes(x, cb)
         moved = codes_contract(x, cb, True, codes, mu, sigma)
         ref = token_codes(x.astype(np.float64), cb)[0]
@@ -598,6 +600,19 @@ def test_float32_constant_token_is_degenerate(value, c, cb, center):
         assert abs(mu[1] - value) <= c * np.finfo(np.float32).eps * abs(value)
     else:
         assert mu[1] == 0.0
+
+
+def test_float32_lloyd_max_input_takes_the_float64_reference():
+    # The float32 coder is for the uniform grid only: a Lloyd-Max codebook
+    # codes a float32 input exactly as its float64 image.
+    rng = np.random.default_rng(26)
+    x = (rng.standard_normal((300, 1152)) * np.exp(rng.standard_normal((300, 1)))
+         + 3.0 * rng.standard_normal((300, 1))).astype(np.float32)
+    for center in (True, False):
+        got = token_codes(x, lloyd_max(3), center)
+        ref = token_codes(x.astype(np.float64), lloyd_max(3), center)
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b, strict=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
