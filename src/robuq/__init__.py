@@ -20,14 +20,7 @@ from .deploy import (
     unpack_ternary,
     weighted_flops,
 )
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    FormatError,
-    InfeasibleError,
-    RobuqError,
-    ValidationError,
-)
+from .errors import FormatError, RobuqError, ValidationError
 from .gaussanalysis import (
     GaussReport,
     build_report,

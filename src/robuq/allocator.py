@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import ValidationError
 from .tensorio import SensitivityTable
 
 DEFAULT_BIT_SET = (1, 2, 3, 4)
@@ -70,6 +70,10 @@ def dp_allocate(problem: AllocationProblem) -> Allocation:
     also dropped when the minimum width on the remaining layers would not
     fit. The last pair of the final frontier is the optimum; its cost and
     loss are the sums along the chosen path, added in layer order.
+
+    A target below the narrowest width of ``bit_set`` fits no assignment
+    and raises ``ValidationError``, whose message names that width as the
+    minimum achievable average.
     """
     table, bit_set = problem.table, problem.bit_set
     dp_idx = [i for i, l in enumerate(table.layers) if l.fixed_bits is None]
@@ -92,11 +96,8 @@ def dp_allocate(problem: AllocationProblem) -> Allocation:
         cand_loss = (loss[:, None] + gaps[step]).ravel()
         fits = np.flatnonzero(cand_cost + rest[step] <= budget)
         if not fits.size:
-            raise InfeasibleError(
-                f"budget {problem.target_avg_bits} infeasible; "
-                f"minimum achievable average is {bit_set[0]} bits",
-                min_achievable=float(bit_set[0]),
-            )
+            raise ValidationError(f"budget {problem.target_avg_bits} infeasible; "
+                                  f"minimum achievable average is {bit_set[0]} bits")
         # The stable sort keeps equal costs in index order; of the pairs that beat all
         # before them, the last of an equal-cost run is the (cost, loss, index) survivor.
         order = fits[np.argsort(cand_cost[fits], kind="stable")]

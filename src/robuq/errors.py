@@ -1,4 +1,10 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+The contract is two-fold: a file or byte stream that does not match its
+layout raises ``FormatError``, and every other input the package rejects
+(a value, shape, rank, width or budget outside its documented range)
+raises ``ValidationError``. Both derive from ``RobuqError``.
+"""
 
 
 class RobuqError(Exception):
@@ -10,25 +16,4 @@ class FormatError(RobuqError):
 
 
 class ValidationError(RobuqError):
-    """An input value violates a documented precondition."""
-
-
-class DimensionError(RobuqError):
-    """Array shapes are inconsistent with the requested operation."""
-
-
-class ConvergenceError(RobuqError):
-    """An iterative solver ran out of iterations."""
-
-
-class InfeasibleError(RobuqError):
-    """A budget constraint cannot be satisfied.
-
-    ``min_achievable`` reports the smallest feasible value of the
-    constrained quantity.
-    """
-
-    def __init__(self, message, min_achievable=None):
-        super().__init__(message)
-        self.min_achievable = min_achievable
-
+    """An input value, shape or budget violates a documented precondition."""

@@ -45,11 +45,15 @@ class GaussReport:
 
 
 def _as_batch(x: np.ndarray) -> np.ndarray:
+    """The float64 T x C batch every analysis reads: at least 2 tokens, all
+    finite (``ValidationError`` otherwise)."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"expected a T x C activation matrix, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValidationError(f"need at least 2 tokens, got {arr.shape[0]}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("activations contain NaN or Inf")
     return arr
 
 
@@ -165,6 +169,8 @@ def kl_tv_product_gaussian(
     mat = np.asarray(sigma, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"covariance must be square, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValidationError("covariance contains NaN or Inf")
     if not np.allclose(mat, mat.T, atol=1e-10):
         raise ValidationError("covariance must be symmetric")
     if np.linalg.eigvalsh(mat)[0] <= 0:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ValidationError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Largest block transformed by one dense product; larger ones are factored.
@@ -54,7 +54,7 @@ class HadamardPlan:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise DimensionError(f"dim must be positive, got {self.dim}")
+            raise ValidationError(f"dim must be positive, got {self.dim}")
 
     @property
     def block_size(self) -> int:
@@ -95,7 +95,7 @@ def hadamard_matrix(dim: int) -> np.ndarray:
     of it, of order b for blocks up to 128 and of orders n1, n2 above.
     """
     if dim < 1 or (dim & (dim - 1)) != 0:
-        raise DimensionError(f"dim must be a power of two, got {dim}")
+        raise ValidationError(f"dim must be a power of two, got {dim}")
     h = np.array([[1.0]])
     k2 = np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2
     while h.shape[0] < dim:
@@ -112,11 +112,11 @@ def transform_tokens(x: np.ndarray, plan: HadamardPlan | None = None) -> np.ndar
     if arr.dtype != np.float32:
         arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2:
-        raise DimensionError(f"expected a T x C matrix, got shape {arr.shape}")
+        raise ValidationError(f"expected a T x C matrix, got shape {arr.shape}")
     if plan is None:
         plan = HadamardPlan(arr.shape[1])
     if arr.shape[1] != plan.dim:
-        raise DimensionError(f"channel dim {arr.shape[1]} != plan dim {plan.dim}")
+        raise ValidationError(f"channel dim {arr.shape[1]} != plan dim {plan.dim}")
     return _apply(arr, plan.block_size)
 
 
@@ -124,15 +124,8 @@ def fold_into_weights(w: np.ndarray, plan: HadamardPlan | None = None) -> np.nda
     """Fold the transform into a weight matrix along its input-feature axis.
 
     Returns W H, so that (W H)(H x) = W x exactly up to float rounding
-    (H is symmetric and H H = I). Folding twice recovers W.
+    (H is symmetric and H H = I). Folding twice recovers W. This is
+    ``transform_tokens`` on W in float64, whatever W's dtype: the rows of W
+    are transformed as tokens are, and W's shape is checked as theirs is.
     """
-    arr = np.asarray(w, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a 2-D weight matrix, got shape {arr.shape}")
-    if plan is None:
-        plan = HadamardPlan(arr.shape[1])
-    if arr.shape[1] != plan.dim:
-        raise DimensionError(
-            f"contraction dim {arr.shape[1]} != plan dim {plan.dim}"
-        )
-    return _apply(arr, plan.block_size)
+    return transform_tokens(np.asarray(w, dtype=np.float64), plan)

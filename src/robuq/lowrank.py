@@ -57,14 +57,13 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .deploy import load_packed, pack_ternary, save_packed, unpack_ternary
-from .errors import DimensionError, FormatError, ValidationError
+from .errors import FormatError, ValidationError
 from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
 from .quant import (
     _BLOCK_ENTRIES,
@@ -123,10 +122,10 @@ class QuantLinearLayer:
         if not self.codebook.is_uniform:
             raise ValidationError(f"a layer codes on the uniform grid, got {self.codebook}")
         if self.wq.values.ndim != 2:
-            raise DimensionError(f"ternary values must be 2-D, got shape {self.wq.values.shape}")
+            raise ValidationError(f"ternary values must be 2-D, got shape {self.wq.values.shape}")
         r = self.branch.rank
         if self.branch.A.shape != (self.out_dim, r) or self.branch.B.shape != (r, self.in_dim):
-            raise DimensionError("low-rank branch shapes inconsistent with layer dims")
+            raise ValidationError("low-rank branch shapes inconsistent with layer dims")
 
     @property
     def out_dim(self) -> int:
@@ -228,9 +227,9 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got shape {arr.shape}")
+        raise ValidationError(f"expected a 2-D matrix, got shape {arr.shape}")
     if r < 1 or r > min(arr.shape):
-        raise DimensionError(f"rank {r} not in 1..min{arr.shape}")
+        raise ValidationError(f"rank {r} not in 1..min{arr.shape}")
     # max|m| = max(top, -bottom); NaN propagates through max and min.
     top, bottom = float(arr.max()), float(arr.min())
     if not (math.isfinite(top) and math.isfinite(bottom)):
@@ -275,31 +274,24 @@ def init_layer(
     """Build a quantized layer from a dense weight matrix.
 
     Transforms W, splits off the top-r singular structure into the
-    full-precision branch, and ternarizes the residual. ``r`` is clamped to
-    min(dims) with a warning so small test matrices stay usable; r = 0
-    disables the branch entirely. The residual overwrites the A B product
+    full-precision branch, and ternarizes the residual. ``r`` must be an
+    integer in 0..min(dims), the range ``truncated_svd`` takes plus 0,
+    which disables the branch entirely; any other ``r``, or a W that is
+    not 2-D, raises ``ValidationError``. A rank above min(dims) is
+    rejected, not clamped. The residual overwrites the A B product
     and the transformed weight is released before ternarizing, so the
     temporaries peak at about 2.0 float64 copies of W (W H and the A B
     product; the SVD's float32 copy adds only half a copy to W H).
     """
-    arr = np.asarray(w, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a 2-D weight matrix, got shape {arr.shape}")
-    out_dim, in_dim = arr.shape
     if not _is_int(r):
         raise ValidationError(f"rank must be an integer, got {r!r}")
     if codebook is None:
         codebook = uniform_gauss_codebook(4)
-    max_rank = min(out_dim, in_dim)
-    if r > max_rank:
-        warnings.warn(f"rank {r} clamped to min(dims) = {max_rank}", stacklevel=2)
-        r = max_rank
-
-    wh = fold_into_weights(arr)
+    wh = fold_into_weights(w)
     if r == 0:
-        branch = LowRankBranch(A=np.zeros((out_dim, 0)), B=np.zeros((0, in_dim)))
+        branch = LowRankBranch(A=np.zeros((wh.shape[0], 0)), B=np.zeros((0, wh.shape[1])))
         residual = wh
-    else:
+    else:  # truncated_svd rejects a rank outside 1..min(dims)
         u, s, v = truncated_svd(wh, r)
         branch = LowRankBranch(A=u * s, B=v.T)
         residual = branch.matrix()
@@ -330,7 +322,7 @@ def forward_with_cache(layer: QuantLinearLayer, x: np.ndarray) -> tuple[np.ndarr
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != layer.in_dim:
-        raise DimensionError(f"expected T x {layer.in_dim} input, got shape {arr.shape}")
+        raise ValidationError(f"expected T x {layer.in_dim} input, got shape {arr.shape}")
     with np.errstate(over="ignore"):  # an overflow is an Inf, which token_codes rejects
         xh = transform_tokens(arr.astype(np.float32), layer.plan)
     cb, wq = layer.codebook, layer.wq

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .allocator import AllocationProblem, dp_allocate
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
 from .lowrank import QuantLinearLayer, forward_with_cache, init_layer
 from .quant import _check_bits, _is_int, dequantize_codes, ternarize, uniform_gauss_codebook
@@ -80,7 +80,7 @@ class ToyLayer:
     def __init__(self, weight: np.ndarray):
         self.weight = np.array(weight, dtype=np.float64)
         if self.weight.ndim != 2:
-            raise DimensionError(f"weight must be 2-D, got shape {self.weight.shape}")
+            raise ValidationError(f"weight must be 2-D, got shape {self.weight.shape}")
         self.qlayer: QuantLinearLayer | None = None
         self.anchor: np.ndarray | None = None  # frozen A0 @ B0 residual reference
 
@@ -108,7 +108,10 @@ class ToyLayer:
         """Switch this layer to the quantized path at ``bits`` activation bits.
 
         ``bits`` is a width in 1..8, or 32 to keep the layer on the exact
-        dense path; anything else raises ``ValidationError``. The low-rank
+        dense path; anything else raises ``ValidationError``. ``rank`` is
+        clamped to min(dims) here: a profile asks one rank of layers of
+        several widths, and clamping is the profiler's policy, while
+        ``init_layer`` rejects a rank above min(dims). The low-rank
         branch is initialized from the transformed weight's top singular
         structure; its product at enable time anchors the residual, so the
         factors train freely without re-entering the weight quantizer.
@@ -384,7 +387,7 @@ def profile_sensitivity(
     ``ValidationError`` before a cell is trained.
     """
     if data.in_dim != model.layers[0].in_dim:
-        raise DimensionError(
+        raise ValidationError(
             f"data width {data.in_dim} is not the model's input width {model.layers[0].in_dim}")
     full_precision = {b: _check_bits(b, full_precision=True) for b in bits}
     bits = tuple(sorted(bits))

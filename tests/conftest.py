@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from robuq.allocator import Allocation
-from robuq.errors import InfeasibleError
+from robuq.errors import ValidationError
 from robuq.quant import _CODES_K, token_codes
 from robuq.tensorio import LayerSpec, SensitivityTable
 
@@ -55,8 +55,7 @@ def enumerate_allocation():
             if best is None or loss < best[0]:
                 best = (loss, assign)
         if best is None:
-            raise InfeasibleError(f"no assignment fits {problem.target_avg_bits} bits",
-                                  min_achievable=float(bit_set[0]))
+            raise ValidationError(f"no assignment fits {problem.target_avg_bits} bits")
         loss, assign = best
         bits = {layer.name: b for (layer, _), b in zip(free, assign)}
         bits.update((l.name, l.fixed_bits) for l in table.layers if l.fixed_bits is not None)

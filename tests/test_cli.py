@@ -100,6 +100,15 @@ def test_quantize_bad_path_exit_2(tmp_path):
                      "--out-dir", str(tmp_path / "out")]) == 2
 
 
+def test_quantize_rank_above_min_dims_is_a_usage_error(tmp_path, rbq, capsys):
+    src = rbq("w.rbq", np.arange(16).reshape(2, 8) % 3 - 1)
+    out = tmp_path / "layer"
+    assert cli.main(["quantize", "--weights", src, "--rank", "16", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("robuq: error:") and "rank 16" in err, err
+    assert not out.exists()
+
+
 def test_gauss_report_fields(tmp_path, rbq):
     rng = np.random.default_rng(3)
     src = rbq("a.rbq", rng.standard_normal((1000, 32)))

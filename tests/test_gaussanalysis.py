@@ -232,6 +232,12 @@ def test_kl_rejects_bad_input():
         kl_tv_product_gaussian(np.array([[1.0, 0.1], [0.2, 1.0]]), 1.0)  # asymmetric
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_kl_rejects_non_finite_covariance_before_symmetry(bad):
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        kl_tv_product_gaussian(np.array([[1.0, bad], [bad, 1.0]]), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # nmi_channels
 # ---------------------------------------------------------------------------
@@ -327,3 +333,28 @@ def test_build_report_roundtrips_to_json(tmp_path):
     payload = {"meta": meta, **asdict(report)}
     assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert json.loads(out.read_text()) == payload
+
+
+# ---------------------------------------------------------------------------
+# non-finite activations
+# ---------------------------------------------------------------------------
+
+def _mse_preservation(x):
+    return mse_preservation(x, lambda y: quantize_tokens(y, uniform_gauss_codebook(4))[0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("analysis", [
+    variance_identity,
+    offdiag_cov_bound,
+    normality,
+    nmi_channels,
+    _mse_preservation,
+    build_report,
+], ids=["variance_identity", "offdiag_cov_bound", "normality", "nmi_channels",
+        "mse_preservation", "build_report"])
+def test_every_analysis_rejects_a_non_finite_activation(analysis, bad):
+    x = np.random.default_rng(0).standard_normal((300, 8))
+    x[5, 3] = bad
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        analysis(x)

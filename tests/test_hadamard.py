@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robuq import hadamard
-from robuq.errors import DimensionError
+from robuq.errors import ValidationError
 from robuq.hadamard import HadamardPlan, fold_into_weights, hadamard_matrix, transform_tokens
 
 
@@ -116,13 +116,13 @@ def test_fold_twice_recovers():
 
 def test_dimension_errors():
     plan = HadamardPlan(8)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError):
         fold_into_weights(np.ones((2, 4)), plan)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError):
         transform_tokens(np.ones((2, 4)), plan)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError):
         hadamard_matrix(12)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError):
         HadamardPlan(0)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robuq.deploy import pack_ternary
-from robuq.errors import DimensionError, FormatError, ValidationError
+from robuq.errors import FormatError, ValidationError
 from robuq.hadamard import fold_into_weights, transform_tokens
 from robuq.lowrank import (
     LowRankBranch,
@@ -61,7 +61,7 @@ def test_svd_zero_matrix_and_errors():
     u, s, v = truncated_svd(np.zeros((5, 4)), 2)
     assert not s.any()
     np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-12)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError):
         truncated_svd(np.ones((3, 3)), 4)
 
 
@@ -417,7 +417,7 @@ def test_forward_ablation_at_b4():
 
 def test_forward_dimension_error():
     layer = init_layer(np.eye(8), r=2, codebook=uniform_gauss_codebook(4))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError):
         forward(layer, np.ones((3, 9)))
 
 
@@ -465,9 +465,11 @@ def test_forward_consistent_with_reconstruct_at_b8():
     assert np.linalg.norm(y_fwd - y_rec) / np.linalg.norm(y_rec) < 0.005
 
 
-def test_rank_clamped_with_warning():
-    with pytest.warns(UserWarning, match="clamped"):
-        layer = init_layer(np.eye(4), r=16, codebook=uniform_gauss_codebook(4))
+def test_rank_above_min_dims_is_rejected():
+    for r in (-1, 5):
+        with pytest.raises(ValidationError, match=f"rank {r} not in"):
+            init_layer(np.eye(4), r=r, codebook=uniform_gauss_codebook(4))
+    layer = init_layer(np.eye(4), r=4, codebook=uniform_gauss_codebook(4))
     assert layer.branch.rank == 4
 
 

@@ -99,9 +99,9 @@ def test_ste_shapes_and_dimension_check(backward):
     grads, gx = backward(layer, np.ones((5, 8)), cache)
     assert y.shape == (5, 8) and gx.shape == (5, 16)
     assert set(grads) == {"weight", "A", "B"}
-    from robuq.errors import DimensionError
+    from robuq.errors import ValidationError
 
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError):
         layer.forward(np.ones((5, 9)))
 
 
@@ -147,12 +147,12 @@ def test_short_qat_not_worse_than_ptq():
 
 
 def test_profiling_rejects_data_of_another_width():
-    from robuq.errors import DimensionError
+    from robuq.errors import ValidationError
 
     model, data = make_toy_model((8, 8)), make_toy_data(16)
-    with pytest.raises(DimensionError, match="16 .*8"):
+    with pytest.raises(ValidationError, match="16 .*8"):
         profile_sensitivity(model, data, (2,), TrainConfig(steps=1))
-    with pytest.raises(DimensionError, match="16 .*8"):
+    with pytest.raises(ValidationError, match="16 .*8"):
         steps_sweep(model, data, (1,), bits=(2,), config=TrainConfig(steps=1), full_steps=1)
 
 
