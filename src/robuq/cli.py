@@ -202,11 +202,10 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    if args.config:
-        text = Path(args.config).read_text()
-    else:
-        text = resources.files("robuq.fixtures").joinpath("dit_xl2_flops.json").read_text()
-    config = deploy.FlopsConfig.from_json(text)
+    source = (Path(args.config) if args.config
+              else resources.files("robuq.fixtures").joinpath("dit_xl2_flops.json"))
+    with tensorio._reading(source, "FLOPs config"):
+        config = deploy.FlopsConfig.from_json(source.read_text(encoding="utf-8"))
     result = deploy.model_flops(config)
     total_again = sum(result["classes"].values())
     _check(

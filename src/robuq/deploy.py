@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .quant import FP_BITS, _check_bits, is_ternary
-from .tensorio import _field
+from .tensorio import _BAD_CONTENT, _field, _reading
 
 PACKED_MAGIC = b"RBQP"
 _PACK_HEADER = struct.Struct("<4sQ")
@@ -34,8 +34,8 @@ TERNARY_BITS = "ternary"
 @dataclass(frozen=True)
 class PackedTernary:
     """``count`` ternary values packed five per byte into ``data``, checked
-    once when built: exactly ceil(count / 5) bytes (else ``ValidationError``),
-    each at most 242 (else ``FormatError``), so unpacking needs no check."""
+    once when built: exactly ceil(count / 5) bytes, each at most 242
+    (``ValidationError`` otherwise), so unpacking needs no check."""
 
     data: bytes
     count: int
@@ -47,7 +47,7 @@ class PackedTernary:
             )
         top = np.frombuffer(self.data, dtype=np.uint8).max(initial=0)
         if top > MAX_PACKED_BYTE:
-            raise FormatError(f"byte value {top} exceeds {MAX_PACKED_BYTE}")
+            raise ValidationError(f"byte value {top} exceeds {MAX_PACKED_BYTE}")
 
 
 def pack_ternary(values) -> PackedTernary:
@@ -84,17 +84,14 @@ def load_packed(path) -> PackedTernary:
     """Read a file written by ``save_packed``. A short header, a wrong
     magic, a payload of the wrong length or a byte above 242 raises
     ``FormatError`` naming ``path``."""
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, _reading(path, "RBQP packed ternary"):
         raw = fh.read()
-    if len(raw) < _PACK_HEADER.size:
-        raise FormatError(f"{path}: file shorter than the packed header")
-    magic, count = _PACK_HEADER.unpack_from(raw)
-    if magic != PACKED_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {PACKED_MAGIC!r}")
-    try:
+        if len(raw) < _PACK_HEADER.size:
+            raise FormatError("file shorter than the packed header")
+        magic, count = _PACK_HEADER.unpack_from(raw)
+        if magic != PACKED_MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {PACKED_MAGIC!r}")
         return PackedTernary(data=raw[_PACK_HEADER.size:], count=count)
-    except (FormatError, ValidationError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +137,7 @@ class FlopsConfig:
                                           fp_gflops=_field(e, "fp_gflops", int, float),
                                           w_bits=_field(e, "w_bits", int, str),
                                           a_bits=_field(e, "a_bits", int)))
-        except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
+        except _BAD_CONTENT as exc:
             raise FormatError(f"malformed FLOPs config: {exc!r}") from exc
         return cls(entries=entries)
 

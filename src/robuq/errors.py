@@ -1,9 +1,10 @@
 """Exception types shared across the toolkit.
 
-The contract is two-fold: a file or byte stream that does not match its
-layout raises ``FormatError``, and every other input the package rejects
-(a value, shape, rank, width or budget outside its documented range)
-raises ``ValidationError``. Both derive from ``RobuqError``.
+The contract is two-fold: file content that a reader rejects raises
+``FormatError`` naming the file (as does text that ``FlopsConfig.from_json``
+rejects), and every in-memory input the package rejects (a value, shape,
+rank, width or budget outside its documented range) raises
+``ValidationError``. Both derive from ``RobuqError``.
 """
 
 
@@ -12,7 +13,7 @@ class RobuqError(Exception):
 
 
 class FormatError(RobuqError):
-    """A file or byte stream does not match its declared layout."""
+    """A file's content does not match its format."""
 
 
 class ValidationError(RobuqError):

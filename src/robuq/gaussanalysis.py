@@ -12,7 +12,6 @@ subsampling is seeded so reports are reproducible.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hadamard import HadamardPlan, transform_tokens
+from .quant import _check_int, _is_int
 
 BERRY_ESSEEN_CONST = 0.56  # published constant for non-identical summands
 _KS_GRID_POINTS = 1024
@@ -90,9 +90,10 @@ def offdiag_cov_bound(
     the premise that every block has the same mean channel variance
     enters only where the diagonal is compared with one sigma_t^2
     (``variance_identity``, ``normality`` and the KL of ``build_report``).
-    All pairs are measured up to C = 128; larger dims use a seeded random
-    pair subsample.
+    All pairs are measured up to C = 128; larger dims use a random pair
+    subsample seeded by ``seed``, an integer >= 0.
     """
+    _check_int(seed, "seed", least=0)
     arr = _as_batch(x)
     y = transform_tokens(arr, plan)
     t, c = y.shape
@@ -131,11 +132,13 @@ def normality(
     has the same mean channel variance; the bound assumes that.
 
     The empirical CDF pools all transformed coordinates (of one token row
-    when ``token`` is given, else of every row — valid when tokens share
-    channel statistics, as in i.i.d.-channel batches) and is compared to
-    the normal CDF on a fixed 1024-point grid.
+    when ``token``, an integer in 0..T-1, is given, else of every row —
+    valid when tokens share channel statistics, as in i.i.d.-channel
+    batches) and is compared to the normal CDF on a fixed 1024-point grid.
     """
     arr = _as_batch(x)
+    if token is not None and not (_is_int(token) and 0 <= token < len(arr)):
+        raise ValidationError(f"token must be an integer in 0..{len(arr) - 1}, got {token!r}")
     y = transform_tokens(arr, plan)
     block = HadamardPlan(arr.shape[1]).block_size
     channel_var = arr.var(axis=0)
@@ -203,10 +206,11 @@ def nmi_channels(x: np.ndarray, bins: int = 16, seed: int = 0) -> float:
 
     Histogram MI on ``bins`` >= 2 equal-frequency bins (avoids empty-bin
     artifacts), normalized by sqrt(H_i H_j). All pairs are enumerated when
-    C <= 64; otherwise a seeded random sample of 2048 pairs is used.
+    C <= 64; otherwise a random sample of 2048 pairs seeded by ``seed``, an
+    integer >= 0, is used.
     """
-    if not isinstance(bins, numbers.Integral) or isinstance(bins, bool) or bins < 2:
-        raise ValidationError(f"bins must be an integer >= 2, got {bins!r}")
+    _check_int(bins, "bins", least=2)
+    _check_int(seed, "seed", least=0)
     arr = _as_batch(x)
     t, c = arr.shape
     if t < 10 * bins:
@@ -266,7 +270,8 @@ def build_report(x: np.ndarray, bins: int = 16, seed: int = 0) -> tuple[GaussRep
 
     Returns the report plus a metadata dict (C, T, seed, bins, K_BE) for
     reproducibility. The KL/TV numbers use the sample covariance of the
-    first 16 transformed coordinates (all of them when C < 16).
+    first 16 transformed coordinates (all of them when C < 16). ``bins``
+    and ``seed`` follow ``nmi_channels``' rule.
     """
     arr = _as_batch(x)
     plan = HadamardPlan(arr.shape[1])

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .quant import _check_int
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Largest block transformed by one dense product; larger ones are factored.
@@ -47,14 +48,14 @@ class HadamardPlan:
 
     The block size is derived, never set: the largest power of two dividing
     ``dim``. A power-of-two dim gets one global transform; any other dim a
-    block-diagonal one (an odd dim degrades to the identity).
+    block-diagonal one (an odd dim degrades to the identity). ``dim`` must
+    be an integer >= 1 (``ValidationError`` otherwise).
     """
 
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError(f"dim must be positive, got {self.dim}")
+        _check_int(self.dim, "dim")
 
     @property
     def block_size(self) -> int:

@@ -74,7 +74,7 @@ from .quant import (
     token_codes,
     uniform_gauss_codebook,
 )
-from .tensorio import _field, load_matrix, save_matrix
+from .tensorio import _field, _reading, load_matrix, save_matrix
 
 DEFAULT_RANK = 16
 # truncated_svd's sketch: r + _OVERSAMPLE columns, _POWER_STEPS rounds
@@ -228,8 +228,8 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got shape {arr.shape}")
-    if r < 1 or r > min(arr.shape):
-        raise ValidationError(f"rank {r} not in 1..min{arr.shape}")
+    if not (_is_int(r) and 1 <= r <= min(arr.shape)):
+        raise ValidationError(f"rank {r!r} not in 1..min{arr.shape}")
     # max|m| = max(top, -bottom); NaN propagates through max and min.
     top, bottom = float(arr.max()), float(arr.min())
     if not (math.isfinite(top) and math.isfinite(bottom)):
@@ -396,15 +396,16 @@ def save_layer(layer: QuantLinearLayer, dirpath) -> None:
 def load_layer(dirpath) -> QuantLinearLayer:
     """Read a layer directory written by ``save_layer``.
 
-    A missing file, a sidecar that is not UTF-8 JSON with every field of
-    its JSON type and range (dims >= 1, bits in 1..8, ``block_size`` the
-    largest power of two dividing ``in_dim``), a ``uniform`` field other
-    than true (which older sidecars held), a packed value file that
-    does not hold out_dim * in_dim ternary values, or factors whose shapes
-    disagree with the sidecar raise ``FormatError`` naming the file.
+    Each file is read under its format's rule (``tensorio._reading``): any
+    content that file's reader rejects raises ``FormatError`` naming it, and
+    so does a missing file. The sidecar must be UTF-8 JSON with every field
+    of its JSON type and range (dims >= 1, bits in 1..8, ``block_size`` the
+    largest power of two dividing ``in_dim``, ``alpha`` finite and >= 0),
+    hold no ``uniform`` field other than true (which older sidecars held),
+    and agree with the value count of the packed file; factors whose
+    shapes disagree with it raise ``FormatError`` naming the directory.
     """
     d = Path(dirpath)
-    sidecar = d / "layer.json"
 
     def read(loader, name):
         try:
@@ -412,35 +413,27 @@ def load_layer(dirpath) -> QuantLinearLayer:
         except FileNotFoundError as exc:
             raise FormatError(f"{d / name}: missing") from exc
 
-    try:
-        meta = json.loads(sidecar.read_bytes().decode("utf-8"))
+    raw, packed = read(Path.read_bytes, "layer.json"), read(load_packed, _VALUES_FILE)
+    with _reading(d / "layer.json", "layer sidecar"):
+        meta = json.loads(raw.decode("utf-8"))
         in_dim, out_dim, rank, bits, block_size = (
             _field(meta, key, int) for key in ("in_dim", "out_dim", "rank", "bits", "block_size"))
         center = _field(meta, "center", bool)
-        alpha = float(_field(meta, "alpha", int, float))
         codebook = uniform_gauss_codebook(bits)
-    except FileNotFoundError as exc:
-        raise FormatError(f"{d}: missing layer.json sidecar") from exc
-    # JSON and UTF-8 decoding errors are ValueErrors too
-    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
-        raise FormatError(f"{sidecar}: not a layer sidecar ({type(exc).__name__}: {exc})") from exc
-    if meta.get("uniform", True) is not True:  # written by an older save_layer
-        raise FormatError(f"{sidecar}: uniform {meta['uniform']!r}: a layer codes on the "
-                          "uniform grid only")
-    if min(out_dim, in_dim) < 1:
-        raise FormatError(f"{sidecar}: out_dim {out_dim} and in_dim {in_dim} must be >= 1")
-    derived = HadamardPlan(in_dim).block_size
-    if block_size != derived:
-        raise FormatError(f"{sidecar}: block_size {block_size} is not {derived}, the largest "
-                          f"power of two dividing in_dim {in_dim}")
-    packed = read(load_packed, _VALUES_FILE)
-    if packed.count != out_dim * in_dim:
-        raise FormatError(f"{d / _VALUES_FILE}: {packed.count} values do not fill "
-                          f"out_dim {out_dim} x in_dim {in_dim} from layer.json")
-    try:
-        wq = TernaryWeights(values=unpack_ternary(packed).reshape(out_dim, in_dim), alpha=alpha)
-    except ValidationError as exc:  # the unpacked values are ternary: alpha is at fault
-        raise FormatError(f"{sidecar}: {exc}") from exc
+        if meta.get("uniform", True) is not True:  # written by an older save_layer
+            raise FormatError(f"uniform {meta['uniform']!r}: a layer codes on the "
+                              "uniform grid only")
+        if min(out_dim, in_dim) < 1:
+            raise FormatError(f"out_dim {out_dim} and in_dim {in_dim} must be >= 1")
+        derived = HadamardPlan(in_dim).block_size
+        if block_size != derived:
+            raise FormatError(f"block_size {block_size} is not {derived}, the largest "
+                              f"power of two dividing in_dim {in_dim}")
+        if packed.count != out_dim * in_dim:
+            raise FormatError(f"{_VALUES_FILE}: {packed.count} values do not fill "
+                              f"out_dim {out_dim} x in_dim {in_dim}")
+        wq = TernaryWeights(values=unpack_ternary(packed).reshape(out_dim, in_dim),
+                            alpha=float(_field(meta, "alpha", int, float)))
     if rank:
         branch = LowRankBranch(A=read(load_matrix, "A.rbq").astype(np.float64),
                                B=read(load_matrix, "B.rbq").astype(np.float64))

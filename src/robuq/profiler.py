@@ -45,15 +45,10 @@ from .allocator import AllocationProblem, dp_allocate
 from .errors import ValidationError
 from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
 from .lowrank import QuantLinearLayer, forward_with_cache, init_layer
-from .quant import _check_bits, _is_int, dequantize_codes, ternarize, uniform_gauss_codebook
+from .quant import _check_bits, _check_int, dequantize_codes, ternarize, uniform_gauss_codebook
 from .tensorio import LayerSpec, SensitivityTable
 
 _VAL_POOL = 1000  # validation tokens of every toy data set
-
-
-def _check_count(value, name: str, least: int = 1) -> None:
-    if not _is_int(value) or value < least:
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -66,8 +61,8 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        _check_count(self.steps, "steps", least=0)
-        _check_count(self.batch, "batch")
+        _check_int(self.steps, "steps", least=0)
+        _check_int(self.batch, "batch")
         if not (isinstance(self.learning_rate, numbers.Real)
                 and math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(
@@ -276,7 +271,7 @@ def make_toy_model(widths: tuple[int, ...], seed: int = 0) -> ToyModel:
     if len(widths) < 2:
         raise ValidationError("need at least one layer (two widths)")
     for width in widths:
-        _check_count(width, "widths entry")
+        _check_int(width, "widths entry")
     rng = np.random.default_rng(seed)
     teacher = [
         rng.standard_normal((widths[i + 1], widths[i])) / np.sqrt(widths[i])
@@ -286,7 +281,7 @@ def make_toy_model(widths: tuple[int, ...], seed: int = 0) -> ToyModel:
 
 
 def make_toy_data(in_dim: int, seed: int = 0) -> ToyData:
-    _check_count(in_dim, "in_dim")
+    _check_int(in_dim, "in_dim")
     rng = np.random.default_rng([seed, 0xDA7A])
     return ToyData(val_inputs=rng.standard_normal((_VAL_POOL, in_dim)))
 

@@ -64,6 +64,14 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_int(value, name: str, least: int = 1) -> None:
+    """The package's one rule for a count, size or seed: a non-bool integer
+    (numpy integers included) >= ``least``; ``ValidationError`` naming
+    ``name`` otherwise."""
+    if not _is_int(value) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _check_bits(bits, full_precision: bool = False, name: str = "bits") -> bool:
     """The package's one activation-width rule: ``bits`` is a non-bool
     integer (numpy integers included) in 1..8, or exactly ``FP_BITS`` where

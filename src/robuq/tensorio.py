@@ -9,6 +9,11 @@ every integer given as text (``dL@<b>`` headers, ``fixed_bits``, CLI
 flags) goes through ``_decimal``, and every real number given as text
 (``flops_weight`` and ``dL@<b>`` cells, ``--target``, ``--lr``) through
 ``_real``.
+
+Every reader parses its file inside one ``_reading`` block, which is the
+package's one rule for files: content the reader rejects, NaN payloads
+included, raises ``FormatError`` naming the file, and a file that cannot
+be opened raises ``OSError``.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ import csv
 import math
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, RobuqError, ValidationError
 from .quant import _check_bits
 
 MATRIX_MAGIC = b"RBQ1"
@@ -33,7 +39,7 @@ def _field(meta: dict, key: str, *kinds: type):
     """``meta[key]`` if its type is exactly one of ``kinds``, with no
     coercion: JSON true is a bool, not an integer, and 4.7 or 4.0 is a
     float. A missing key raises ``KeyError`` and any other type
-    ``TypeError``; the readers turn both into ``FormatError``."""
+    ``TypeError``; ``_reading`` turns both into ``FormatError``."""
     value = meta[key]
     if type(value) not in kinds:
         raise TypeError(f"{key} {value!r} is not a JSON "
@@ -67,6 +73,23 @@ def _real(text: str, name: str) -> float:
     return value
 
 
+# What a parser raises on content it rejects; JSON and codec errors are
+# ValueErrors.
+_BAD_CONTENT = (RobuqError, KeyError, TypeError, ValueError, OverflowError, IndexError, csv.Error)
+
+
+@contextmanager
+def _reading(path, kind: str):
+    """Parse the file ``path`` of format ``kind`` inside this block: any
+    ``_BAD_CONTENT`` error leaves it as a ``FormatError`` naming the file and
+    the format. An ``OSError`` passes through."""
+    try:
+        yield
+    except _BAD_CONTENT as exc:
+        reason = exc if isinstance(exc, RobuqError) else f"{type(exc).__name__}: {exc}"
+        raise FormatError(f"{path}: {reason} (reading {kind})") from exc
+
+
 def save_matrix(m: np.ndarray, path) -> None:
     """Write a 2-D float32 matrix to ``path`` in RBQ1 layout.
 
@@ -85,25 +108,22 @@ def save_matrix(m: np.ndarray, path) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Read an RBQ1 file back into a float32 array, validating the layout."""
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, _reading(path, "RBQ1 matrix"):
         raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: file shorter than the 12-byte header")
-    magic, rows, cols = _HEADER.unpack_from(raw)
-    if magic != MATRIX_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {MATRIX_MAGIC!r}")
-    if rows < 1 or cols < 1:
-        raise FormatError(f"{path}: non-positive dims {rows}x{cols}")
-    expected = _HEADER.size + 4 * rows * cols
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(raw) - _HEADER.size} bytes, "
-            f"expected {expected - _HEADER.size} for {rows}x{cols}"
-        )
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(rows, cols)
-    if not np.all(np.isfinite(data)):
-        raise ValidationError(f"{path}: matrix contains NaN or Inf")
-    return data.copy()
+        if len(raw) < _HEADER.size:
+            raise FormatError("file shorter than the 12-byte header")
+        magic, rows, cols = _HEADER.unpack_from(raw)
+        if magic != MATRIX_MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {MATRIX_MAGIC!r}")
+        if rows < 1 or cols < 1:
+            raise FormatError(f"non-positive dims {rows}x{cols}")
+        if len(raw) != _HEADER.size + 4 * rows * cols:
+            raise FormatError(f"payload is {len(raw) - _HEADER.size} bytes, "
+                              f"expected {4 * rows * cols} for {rows}x{cols}")
+        data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(rows, cols)
+        if not np.all(np.isfinite(data)):
+            raise FormatError("matrix contains NaN or Inf")
+        return data.copy()
 
 
 @dataclass
@@ -177,59 +197,26 @@ def save_sensitivity(table: SensitivityTable, path) -> None:
 def load_sensitivity(path) -> SensitivityTable:
     """Parse a sensitivity CSV, preserving row order.
 
-    Raises FormatError naming the offending layer and bit when a cell is
-    missing or unparsable.
+    A missing or unparsable header, cell or width raises ``FormatError``
+    naming the file and, for a cell, its layer and column.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    except csv.Error as exc:
-        raise FormatError(f"{path}: malformed CSV ({exc})") from exc
-    if not rows:
-        raise FormatError(f"{path}: empty file")
-    header = rows[0]
-    if header[:3] != ["layer", "flops_weight", "fixed_bits"]:
-        raise FormatError(f"{path}: bad header {header[:3]}, expected layer,flops_weight,fixed_bits")
-    bit_cols = []
-    for j, name in enumerate(header[3:], start=3):
-        try:
-            bit_cols.append((_decimal(name[3:] if name.startswith("dL@") else "", "width"), j))
-        except ValidationError as exc:
-            raise FormatError(f"{path}: column {name!r} is not of the form dL@<bits>") from exc
-    if not bit_cols:
-        raise FormatError(f"{path}: no dL@<bits> columns")
-    bit_cols.sort()
-    bits = [b for b, _ in bit_cols]
-
-    layers, gaps = [], []
-    for row in rows[1:]:
-        if not row:
-            continue
-        name = row[0]
-        try:
-            weight = _real(row[1], "flops_weight")
-        except (IndexError, ValidationError) as exc:
-            raise FormatError(f"{path}: layer {name!r} has missing or unparsable flops_weight") from exc
-        try:
-            fixed = None if len(row) < 3 or row[2].strip() == "" else _decimal(row[2], "fixed_bits")
-        except ValidationError as exc:
-            raise FormatError(f"{path}: layer {name!r} has unparsable fixed_bits: {row[2]!r}") from exc
-        try:
-            layers.append(LayerSpec(name=name, flops_weight=weight, fixed_bits=fixed))
-        except ValidationError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-        cells = []
-        for b, j in bit_cols:
-            if j >= len(row) or row[j].strip() == "":
-                raise FormatError(f"{path}: layer {name!r} is missing dL@{b}")
-            try:
-                cells.append(_real(row[j], f"dL@{b}"))
-            except ValidationError as exc:
-                raise FormatError(f"{path}: layer {name!r} has unparsable dL@{b}: {row[j]!r}") from exc
-        gaps.append(cells)
-    try:
-        return SensitivityTable(layers=layers, bits=bits, delta_loss=np.array(gaps, dtype=np.float64))
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    with open(path, newline="", encoding="utf-8") as fh, _reading(path, "sensitivity CSV"):
+        rows = list(csv.reader(fh))
+        if not rows:
+            raise FormatError("empty file")
+        header = rows[0]
+        if header[:3] != ["layer", "flops_weight", "fixed_bits"]:
+            raise FormatError(f"bad header {header[:3]}, expected layer,flops_weight,fixed_bits")
+        bit_cols = sorted((_decimal(name[3:] if name.startswith("dL@") else "",
+                                    f"column {name!r}: width"), j)
+                          for j, name in enumerate(header[3:], start=3))
+        layers, gaps = [], []
+        for row in filter(None, rows[1:]):
+            row += [""] * (len(header) - len(row))  # a missing cell is an empty one
+            name, weight, fixed = row[:3]
+            layers.append(LayerSpec(name, _real(weight, f"layer {name!r}: flops_weight"),
+                                    _decimal(fixed, f"layer {name!r}: fixed_bits")
+                                    if fixed.strip() else None))
+            gaps.append([_real(row[j], f"layer {name!r}: dL@{b}") for b, j in bit_cols])
+        return SensitivityTable(layers=layers, bits=[b for b, _ in bit_cols],
+                                delta_loss=np.array(gaps, dtype=np.float64))

@@ -274,7 +274,21 @@ def test_flops_malformed_config_is_a_usage_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     assert cli.main(["flops", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith("robuq: error:")
+    assert capsys.readouterr().err.startswith(f"robuq: error: {cfg}: malformed FLOPs config")
+
+
+def test_flops_non_utf8_config_is_a_usage_error_naming_the_file(tmp_path, capsys):
+    # this printed a bare codec error naming no file
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes('{"entries": [{"name": "caf\xe9", "fp_gflops": 1}]}'.encode("latin-1"))
+    assert cli.main(["flops", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"robuq: error: {cfg}: UnicodeDecodeError"), err
+
+
+def test_flops_missing_config_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["flops", "--config", str(tmp_path / "absent.json")]) == 2
+    assert "absent.json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

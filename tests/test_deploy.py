@@ -80,7 +80,8 @@ def test_pack_rejects_nonternary():
 
 
 def test_unpack_rejects_bad_byte():
-    with pytest.raises(FormatError):
+    # an in-memory value: only a file's reader turns this into FormatError
+    with pytest.raises(ValidationError, match="byte value 243 exceeds 242"):
         unpack_ternary(PackedTernary(data=bytes([243]), count=5))
 
 

@@ -274,6 +274,33 @@ def test_nmi_needs_enough_tokens():
         nmi_channels(np.ones((100, 4)), bins=16)
 
 
+@pytest.mark.parametrize("bins", [1, 16.0, True], ids=["one", "float", "bool"])
+def test_nmi_rejects_bins_that_are_not_an_integer_from_2(bins):
+    with pytest.raises(ValidationError, match="bins must be an integer >= 2"):
+        nmi_channels(np.random.default_rng(0).standard_normal((200, 4)), bins=bins)
+
+
+@pytest.mark.parametrize("token", [300, -1, 1.5, True], ids=["past_end", "negative", "float", "bool"])
+def test_normality_rejects_a_token_outside_the_batch(token):
+    # 300 and 1.5 raised IndexError, -1 read the last token and True the
+    # whole batch
+    x = np.random.default_rng(0).standard_normal((300, 8))
+    with pytest.raises(ValidationError, match=r"token must be an integer in 0\.\.299"):
+        normality(x, token=token)
+    assert normality(x, token=np.int64(299)) == normality(x, token=299)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True], ids=["float", "negative", "bool"])
+@pytest.mark.parametrize("analysis", [offdiag_cov_bound, nmi_channels, build_report],
+                         ids=["offdiag_cov_bound", "nmi_channels", "build_report"])
+def test_seeded_analyses_reject_a_seed_that_is_not_an_integer_from_0(analysis, seed):
+    # at 160 channels both subsamples draw pairs: 1.5 raised TypeError and -1
+    # numpy's ValueError
+    x = np.random.default_rng(0).standard_normal((200, 160))
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        analysis(x, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # mse_preservation
 # ---------------------------------------------------------------------------

@@ -126,6 +126,16 @@ def test_dimension_errors():
         HadamardPlan(0)
 
 
+@pytest.mark.parametrize("dim", [4.0, "4", True, np.float64(8.0)],
+                         ids=["float", "text", "bool", "numpy_float"])
+def test_plan_rejects_a_non_integer_dim(dim):
+    # 4.0 and "4" built a plan that raised TypeError on first use, and True
+    # a 1-channel plan
+    with pytest.raises(ValidationError, match="dim must be an integer >= 1"):
+        HadamardPlan(dim)
+    assert HadamardPlan(np.int64(96)).block_size == 32
+
+
 @pytest.mark.parametrize("dim", [2**k for k in range(13)] + [96, 1152, 4608])
 def test_transform_tokens_matches_blockwise_dense_oracle(dim):
     # Blocks up to 128 take the dense product, larger ones the factored one.

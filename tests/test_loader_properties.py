@@ -1,6 +1,6 @@
 """Property tests of the file loaders: save -> load round trips, and
-truncated or byte-flipped files, on which a loader may raise only the
-package's own errors."""
+truncated or byte-flipped files, which a loader either reads or rejects
+with a ``FormatError`` naming the file."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from robuq.deploy import load_packed, pack_ternary, save_packed, unpack_ternary
-from robuq.errors import RobuqError
+from robuq.errors import FormatError
 from robuq.lowrank import init_layer, load_layer, save_layer
 from robuq.quant import uniform_gauss_codebook
 from robuq.tensorio import (
@@ -54,13 +54,14 @@ def _corrupt(data, raw: bytes) -> bytes:
 
 
 def _load_corrupted(path, save, load, data) -> None:
-    """Save, corrupt and load again; any error but a ``RobuqError`` fails."""
+    """Save, corrupt and load again; any error but a ``FormatError`` whose
+    message names the corrupted file fails."""
     save(path)
     path.write_bytes(_corrupt(data, path.read_bytes()))
     try:
         load(path)
-    except RobuqError:
-        pass
+    except FormatError as exc:
+        assert str(path) in str(exc), exc
 
 
 @_property

@@ -65,6 +65,14 @@ def test_svd_zero_matrix_and_errors():
         truncated_svd(np.ones((3, 3)), 4)
 
 
+@pytest.mark.parametrize("r", [2.5, 2.0, "2", True], ids=["fraction", "float", "text", "bool"])
+def test_svd_rejects_a_non_integer_rank(r):
+    # 2.5 raised numpy's TypeError and True returned a rank-1 triple
+    with pytest.raises(ValidationError, match=r"rank .* not in 1\.\.min\(4, 4\)"):
+        truncated_svd(np.eye(4), r)
+    assert truncated_svd(np.eye(4), np.int64(2))[1].shape == (2,)
+
+
 def test_svd_rank_deficient_nonzero():
     rng = np.random.default_rng(11)
     m = np.outer(rng.standard_normal(16), rng.standard_normal(12))
@@ -680,6 +688,17 @@ def test_load_layer_non_utf8_sidecar_is_format_error(tmp_path):
     d = _saved_layer(tmp_path)
     (d / "layer.json").write_bytes(b'{"alpha": "caf\xe9"}')
     with pytest.raises(FormatError, match="layer.json"):
+        load_layer(d)
+
+
+@pytest.mark.parametrize("name", ["A.rbq", "B.rbq"])
+def test_load_layer_nan_factor_is_format_error_naming_it(tmp_path, name):
+    # a NaN payload in a factor file was a ValidationError naming no file
+    d = _saved_layer(tmp_path)
+    raw = bytearray((d / name).read_bytes())
+    raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    (d / name).write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=rf"{name}: matrix contains NaN or Inf"):
         load_layer(d)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from robuq.deploy import load_packed
 from robuq.errors import FormatError, ValidationError
 from robuq.tensorio import (
     LayerSpec,
@@ -72,8 +73,30 @@ def test_nan_rejected_on_load(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[12:16] = np.array([np.nan], dtype="<f4").tobytes()
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValidationError):
+    with pytest.raises(FormatError, match=r"nan\.rbq: matrix contains NaN or Inf"):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf], ids=["inf", "neg_inf"])
+def test_infinite_payload_is_format_error_naming_the_file(tmp_path, bad):
+    # an Inf payload, like a NaN one, was a ValidationError, the type for
+    # in-memory values
+    path = tmp_path / "m.rbq"
+    save_matrix(np.ones((3, 2)), path)
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = np.array([bad], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=r"m\.rbq: matrix contains NaN or Inf \(reading RBQ1"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("load", [load_matrix, load_packed, load_sensitivity],
+                         ids=["matrix", "packed", "sensitivity"])
+def test_a_file_that_cannot_be_opened_is_os_error(tmp_path, load):
+    with pytest.raises(FileNotFoundError):
+        load(tmp_path / "absent")
+    with pytest.raises(IsADirectoryError):
+        load(tmp_path)
 
 
 def test_save_rejects_nonfinite_and_bad_shape(tmp_path):
