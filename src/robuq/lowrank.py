@@ -108,9 +108,14 @@ class QuantLinearLayer:
 
     ``wq`` quantizes the transformed residual; ``branch`` holds the factors
     of the transformed weight's dominant singular structure; ``codebook``
-    quantizes the transformed activations per token and must be a uniform
-    grid (``ValidationError`` otherwise). The dims and the transform plan
-    follow from the shape of ``wq.values``.
+    quantizes the transformed activations per token. The dims and the
+    transform plan follow from the shape of ``wq.values``.
+
+    This constructor is the one validity rule for a layer, whether built
+    by ``init_layer`` or read by ``load_layer``: ``wq.values`` is 2-D with
+    both dims >= 1, the branch is out_dim x r and r x in_dim with r at most
+    min(out_dim, in_dim), ``codebook`` is a uniform grid and ``center`` is
+    a bool. Anything else raises ``ValidationError``.
     """
 
     wq: TernaryWeights
@@ -121,9 +126,14 @@ class QuantLinearLayer:
     def __post_init__(self):
         if not self.codebook.is_uniform:
             raise ValidationError(f"a layer codes on the uniform grid, got {self.codebook}")
-        if self.wq.values.ndim != 2:
-            raise ValidationError(f"ternary values must be 2-D, got shape {self.wq.values.shape}")
+        if not isinstance(self.center, bool):
+            raise ValidationError(f"center must be a bool, got {self.center!r}")
+        if self.wq.values.ndim != 2 or 0 in self.wq.values.shape:
+            raise ValidationError("ternary values must be 2-D with dims >= 1, "
+                                  f"got shape {self.wq.values.shape}")
         r = self.branch.rank
+        if r > min(self.out_dim, self.in_dim):
+            raise ValidationError(f"rank {r} not in 0..min({self.out_dim}, {self.in_dim})")
         if self.branch.A.shape != (self.out_dim, r) or self.branch.B.shape != (r, self.in_dim):
             raise ValidationError("low-rank branch shapes inconsistent with layer dims")
 
@@ -370,9 +380,12 @@ def reconstruct_weight(layer: QuantLinearLayer) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _VALUES_FILE = "wq_values.rbqp"
+# the layer.json layout; a sidecar with any other "format" is rejected
+_FORMAT = 2
 
 
 def save_layer(layer: QuantLinearLayer, dirpath) -> None:
+    """Write ``layer`` to the directory ``dirpath`` (see ``load_layer``)."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     save_packed(pack_ternary(layer.wq.values), d / _VALUES_FILE)
@@ -380,11 +393,11 @@ def save_layer(layer: QuantLinearLayer, dirpath) -> None:
         save_matrix(layer.branch.A, d / "A.rbq")
         save_matrix(layer.branch.B, d / "B.rbq")
     meta = {
+        "format": _FORMAT,
         "alpha": layer.wq.alpha,
         "rank": layer.branch.rank,
         "bits": layer.codebook.bits,
         "center": layer.center,
-        "block_size": layer.plan.block_size,
         "in_dim": layer.in_dim,
         "out_dim": layer.out_dim,
     }
@@ -396,14 +409,17 @@ def save_layer(layer: QuantLinearLayer, dirpath) -> None:
 def load_layer(dirpath) -> QuantLinearLayer:
     """Read a layer directory written by ``save_layer``.
 
-    Each file is read under its format's rule (``tensorio._reading``): any
-    content that file's reader rejects raises ``FormatError`` naming it, and
-    so does a missing file. The sidecar must be UTF-8 JSON with every field
-    of its JSON type and range (dims >= 1, bits in 1..8, ``block_size`` the
-    largest power of two dividing ``in_dim``, ``alpha`` finite and >= 0),
-    hold no ``uniform`` field other than true (which older sidecars held),
-    and agree with the value count of the packed file; factors whose
-    shapes disagree with it raise ``FormatError`` naming the directory.
+    ``layer.json`` must be UTF-8 JSON whose ``format`` is the JSON integer
+    2; a sidecar without it, such as one written before format 2, is
+    rejected. Its ``in_dim``, ``out_dim`` and ``rank`` are JSON integers,
+    ``alpha`` a JSON number, and ``rank`` and ``out_dim * in_dim`` must
+    match the factor files and the value count of ``wq_values.rbqp``. The
+    rest is ``QuantLinearLayer``'s rule, applied by building the layer:
+    whatever that or any other constructor rejects (dims, rank, ``bits``,
+    ``center``, ``alpha``) raises ``FormatError`` naming ``layer.json``.
+    A file that is missing, or whose content its own reader rejects,
+    raises ``FormatError`` naming that file (``tensorio._reading``); a
+    factor file's error comes inside the sidecar's message.
     """
     d = Path(dirpath)
 
@@ -416,30 +432,20 @@ def load_layer(dirpath) -> QuantLinearLayer:
     raw, packed = read(Path.read_bytes, "layer.json"), read(load_packed, _VALUES_FILE)
     with _reading(d / "layer.json", "layer sidecar"):
         meta = json.loads(raw.decode("utf-8"))
-        in_dim, out_dim, rank, bits, block_size = (
-            _field(meta, key, int) for key in ("in_dim", "out_dim", "rank", "bits", "block_size"))
-        center = _field(meta, "center", bool)
-        codebook = uniform_gauss_codebook(bits)
-        if meta.get("uniform", True) is not True:  # written by an older save_layer
-            raise FormatError(f"uniform {meta['uniform']!r}: a layer codes on the "
-                              "uniform grid only")
-        if min(out_dim, in_dim) < 1:
-            raise FormatError(f"out_dim {out_dim} and in_dim {in_dim} must be >= 1")
-        derived = HadamardPlan(in_dim).block_size
-        if block_size != derived:
-            raise FormatError(f"block_size {block_size} is not {derived}, the largest "
-                              f"power of two dividing in_dim {in_dim}")
+        if _field(meta, "format", int) != _FORMAT:
+            raise FormatError(f"format {meta['format']} is not {_FORMAT}")
+        in_dim, out_dim, rank = (_field(meta, key, int) for key in ("in_dim", "out_dim", "rank"))
         if packed.count != out_dim * in_dim:
             raise FormatError(f"{_VALUES_FILE}: {packed.count} values do not fill "
                               f"out_dim {out_dim} x in_dim {in_dim}")
+        if rank:
+            branch = LowRankBranch(A=read(load_matrix, "A.rbq").astype(np.float64),
+                                   B=read(load_matrix, "B.rbq").astype(np.float64))
+        else:
+            branch = LowRankBranch(A=np.zeros((out_dim, 0)), B=np.zeros((0, in_dim)))
+        if branch.rank != rank:
+            raise FormatError(f"rank {rank}, but A.rbq holds rank {branch.rank}")
         wq = TernaryWeights(values=unpack_ternary(packed).reshape(out_dim, in_dim),
                             alpha=float(_field(meta, "alpha", int, float)))
-    if rank:
-        branch = LowRankBranch(A=read(load_matrix, "A.rbq").astype(np.float64),
-                               B=read(load_matrix, "B.rbq").astype(np.float64))
-        if (branch.A.shape, branch.B.shape) != ((out_dim, rank), (rank, in_dim)):
-            raise FormatError(f"{d}: factor shapes {branch.A.shape} and {branch.B.shape} do not "
-                              f"match rank {rank} in layer.json")
-    else:
-        branch = LowRankBranch(A=np.zeros((out_dim, 0)), B=np.zeros((0, in_dim)))
-    return QuantLinearLayer(wq=wq, branch=branch, codebook=codebook, center=center)
+        return QuantLinearLayer(wq=wq, branch=branch, codebook=uniform_gauss_codebook(meta["bits"]),
+                                center=meta["center"])

@@ -63,6 +63,7 @@ class TrainConfig:
     def __post_init__(self):
         _check_int(self.steps, "steps", least=0)
         _check_int(self.batch, "batch")
+        _check_int(self.seed, "seed", least=0)
         if not (isinstance(self.learning_rate, numbers.Real)
                 and math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(
@@ -272,6 +273,7 @@ def make_toy_model(widths: tuple[int, ...], seed: int = 0) -> ToyModel:
         raise ValidationError("need at least one layer (two widths)")
     for width in widths:
         _check_int(width, "widths entry")
+    _check_int(seed, "seed", least=0)
     rng = np.random.default_rng(seed)
     teacher = [
         rng.standard_normal((widths[i + 1], widths[i])) / np.sqrt(widths[i])
@@ -282,6 +284,7 @@ def make_toy_model(widths: tuple[int, ...], seed: int = 0) -> ToyModel:
 
 def make_toy_data(in_dim: int, seed: int = 0) -> ToyData:
     _check_int(in_dim, "in_dim")
+    _check_int(seed, "seed", least=0)
     rng = np.random.default_rng([seed, 0xDA7A])
     return ToyData(val_inputs=rng.standard_normal((_VAL_POOL, in_dim)))
 

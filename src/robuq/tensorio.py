@@ -4,11 +4,11 @@ Matrices travel in a fixed little-endian binary layout (magic ``RBQ1``,
 uint32 rows, uint32 cols, float32 row-major payload) so fixtures round-trip
 bitwise across platforms. Sensitivity tables are small and meant to be
 human-auditable, so they travel as CSV. The JSON inputs (a layer's
-``layer.json`` and the FLOPs config) read every field through ``_field``,
-every integer given as text (``dL@<b>`` headers, ``fixed_bits``, CLI
-flags) goes through ``_decimal``, and every real number given as text
-(``flops_weight`` and ``dL@<b>`` cells, ``--target``, ``--lr``) through
-``_real``.
+``layer.json`` and the FLOPs config) check their fields' JSON types
+through ``_field``, every integer given as text (``dL@<b>`` headers,
+``fixed_bits``, CLI flags) goes through ``_decimal``, and every real
+number given as text (``flops_weight`` and ``dL@<b>`` cells,
+``--target``, ``--lr``) through ``_real``.
 
 Every reader parses its file inside one ``_reading`` block, which is the
 package's one rule for files: content the reader rejects, NaN payloads

@@ -2,8 +2,10 @@
 truncated or byte-flipped files, which a loader either reads or rejects
 with a ``FormatError`` naming the file."""
 
+from functools import partial
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -53,11 +55,17 @@ def _corrupt(data, raw: bytes) -> bytes:
     return bytes(out)
 
 
-def _load_corrupted(path, save, load, data) -> None:
+def _rank_1_to_3(raw: bytes) -> bytes:
+    """A rank-1 sidecar with its rank flipped to 3 (one byte, XOR 2)."""
+    assert raw.count(b'"rank": 1') == 1
+    return raw.replace(b'"rank": 1', b'"rank": 3')
+
+
+def _load_corrupted(path, save, load, corrupt) -> None:
     """Save, corrupt and load again; any error but a ``FormatError`` whose
     message names the corrupted file fails."""
     save(path)
-    path.write_bytes(_corrupt(data, path.read_bytes()))
+    path.write_bytes(corrupt(path.read_bytes()))
     try:
         load(path)
     except FormatError as exc:
@@ -90,24 +98,26 @@ def test_matrix_roundtrip_property(tmp_path_factory, m):
 @given(_tables(), st.data())
 def test_corrupted_sensitivity_raises_only_package_errors(tmp_path_factory, table, data):
     _load_corrupted(tmp_path_factory.getbasetemp() / "corrupt.csv",
-                    lambda p: save_sensitivity(table, p), load_sensitivity, data)
+                    lambda p: save_sensitivity(table, p), load_sensitivity, partial(_corrupt, data))
 
 
 @_property
 @given(st.integers(1, 3), st.data())
+@example(bits=1, data=None)  # rank 1 flipped to 3, which raised an error naming the directory
 def test_corrupted_layer_sidecar_raises_only_package_errors(tmp_path_factory, bits, data):
     # layer.json carries the codebook as its bits field
     layer = init_layer(np.arange(32.0).reshape(4, 8) % 5 - 2, r=1,
                        codebook=uniform_gauss_codebook(bits))
     _load_corrupted(tmp_path_factory.getbasetemp() / "corrupt_layer" / "layer.json",
-                    lambda p: save_layer(layer, p.parent), lambda p: load_layer(p.parent), data)
+                    lambda p: save_layer(layer, p.parent), lambda p: load_layer(p.parent),
+                    partial(_corrupt, data) if data else _rank_1_to_3)
 
 
 @_property
 @given(_matrices(), st.data())
 def test_corrupted_matrix_raises_only_package_errors(tmp_path_factory, m, data):
     _load_corrupted(tmp_path_factory.getbasetemp() / "corrupt.rbq",
-                    lambda p: save_matrix(m, p), load_matrix, data)
+                    lambda p: save_matrix(m, p), load_matrix, partial(_corrupt, data))
 
 
 @_property
@@ -115,4 +125,4 @@ def test_corrupted_matrix_raises_only_package_errors(tmp_path_factory, m, data):
 def test_corrupted_packed_raises_only_package_errors(tmp_path_factory, values, data):
     _load_corrupted(tmp_path_factory.getbasetemp() / "corrupt.rbqp",
                     lambda p: save_packed(pack_ternary(values), p),
-                    lambda p: unpack_ternary(load_packed(p)), data)
+                    lambda p: unpack_ternary(load_packed(p)), partial(_corrupt, data))

@@ -26,6 +26,7 @@ from robuq.quant import (
     ternarize,
     uniform_gauss_codebook,
 )
+from robuq.tensorio import save_matrix
 
 
 def test_svd_diagonal_case():
@@ -531,23 +532,25 @@ def test_layer_serialization_rank0(tmp_path):
                                          for b in range(1, 9)])
 def test_layer_json_rebuilds_codebook(tmp_path, maker, bits):
     # No codebook file: layer.json carries bits, and the uniform codebook is
-    # solved again from it on load. An older sidecar also names the family
-    # as "uniform": the uniform grid's loads the same, and a Lloyd-Max
-    # layer's raises FormatError rather than loading on the uniform grid.
+    # solved again from it on load. A sidecar of an older layout holds no
+    # format and raises FormatError: the layout before format 2 held
+    # block_size, and the one before that also named the family as
+    # "uniform", false for a Lloyd-Max layer.
     import json
 
     cb, d = uniform_gauss_codebook(bits), tmp_path / "cb"
     save_layer(init_layer(np.eye(8), r=0, codebook=cb), d)
     assert {p.name for p in d.iterdir()} == {"layer.json", "wq_values.rbqp"}
     meta = json.loads((d / "layer.json").read_text())
-    assert "uniform" not in meta
+    assert meta["format"] == 2 and not {"block_size", "uniform"} & set(meta)
     assert load_layer(d).codebook is cb
-    (d / "layer.json").write_text(json.dumps({**meta, "uniform": maker(bits).is_uniform}))
+    del meta["format"]
+    meta["block_size"] = 8
     if maker is lloyd_max:
-        with pytest.raises(FormatError, match=r"layer\.json: uniform False"):
-            load_layer(d)
-    else:
-        assert load_layer(d).codebook is cb
+        meta["uniform"] = False
+    (d / "layer.json").write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=r"layer\.json: KeyError: 'format'"):
+        load_layer(d)
 
 
 def test_a_layer_rejects_a_lloyd_max_codebook():
@@ -557,6 +560,37 @@ def test_a_layer_rejects_a_lloyd_max_codebook():
     layer = init_layer(w, r=2)
     with pytest.raises(ValidationError, match="uniform grid"):
         QuantLinearLayer(wq=layer.wq, branch=layer.branch, codebook=lloyd_max(3))
+
+
+def _rank6_branch():
+    rng = np.random.default_rng(19)
+    return LowRankBranch(A=rng.standard_normal((4, 6)), B=rng.standard_normal((6, 8)))
+
+
+@pytest.mark.parametrize("change,match", [
+    ({"branch": _rank6_branch()}, r"rank 6 not in 0\.\.min\(4, 8\)"),
+    ({"center": "no"}, "center must be a bool"),
+], ids=["rank_above_min_dims", "center_text"])
+def test_a_layer_rejects_what_init_layer_cannot_build(change, match):
+    layer = init_layer(np.random.default_rng(19).standard_normal((4, 8)), r=1)
+    with pytest.raises(ValidationError, match=match):
+        QuantLinearLayer(**{**vars(layer), **change})
+
+
+def test_load_layer_rejects_a_rank_above_min_dims(tmp_path):
+    # A 4 x 8 directory whose sidecar and factor files agree on rank 6 loaded
+    # as a rank-6 layer, which init_layer cannot build.
+    import json
+
+    d = tmp_path / "r6"
+    save_layer(init_layer(np.random.default_rng(19).standard_normal((4, 8)), r=1), d)
+    branch = _rank6_branch()
+    save_matrix(branch.A, d / "A.rbq")
+    save_matrix(branch.B, d / "B.rbq")
+    meta = json.loads((d / "layer.json").read_text())
+    (d / "layer.json").write_text(json.dumps({**meta, "rank": 6}))
+    with pytest.raises(FormatError, match=r"layer\.json: rank 6 not in 0\.\.min\(4, 8\)"):
+        load_layer(d)
 
 
 @pytest.mark.parametrize("shape", [(7, 9), (5, 8), (1, 1)], ids=["63_values", "40_values", "1_value"])
@@ -650,13 +684,14 @@ def test_load_layer_bad_sidecar_is_format_error(tmp_path, text):
     ("rank", None), ("alpha", "x"), ("alpha", [[0.5]]), ("alpha", float("nan")),
     ("in_dim", "eight"), ("bits", [4]), ("out_dim", 7), ("rank", 1), ("rank", 3),
     ("alpha", "0.5"), ("alpha", True), ("alpha", 10**400),
-    ("uniform", "false"), ("uniform", False), ("center", "no"), ("in_dim", 8.9), ("bits", 4.7),
-    ("bits", True), ("bits", 9), ("block_size", 4), ("block_size", 3),
+    ("center", "no"), ("in_dim", 8.9), ("bits", 4.7), ("bits", True), ("bits", 9),
+    ("format", None), ("format", 1), ("format", 3), ("format", "2"), ("format", 2.0),
+    ("format", True),
 ], ids=["rank_missing", "alpha_text", "alpha_nested", "alpha_nan", "in_dim_text", "bits_list",
         "out_dim_wrong", "rank_below_factors", "rank_above_factors",
         "alpha_numeric_text", "alpha_bool", "alpha_int_beyond_float",
-        "uniform_text", "uniform_false", "center_text", "in_dim_float", "bits_float", "bits_bool",
-        "bits_above_8", "block_size_not_derived", "block_size_not_pow2"])
+        "center_text", "in_dim_float", "bits_float", "bits_bool", "bits_above_8",
+        "format_missing", "format_1", "format_3", "format_text", "format_float", "format_bool"])
 def test_load_layer_bad_field_is_format_error(tmp_path, key, value):
     import json
 
@@ -880,8 +915,9 @@ def _random_layers_and_tokens(draw):
     in_dim = draw(st.sampled_from([1, 3, 8, 12, 40, 96, 512, 1152]))
     cb = draw(st.sampled_from([uniform_gauss_codebook(b) for b in (1, 2, 4, 8)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layer = _random_layer(rng, in_dim, draw(st.integers(1, 24)), draw(st.integers(0, 4)), cb,
-                          center=draw(st.booleans()))
+    out_dim = draw(st.integers(1, 24))
+    rank = draw(st.integers(0, min(4, out_dim, in_dim)))  # a layer's rank is at most min(dims)
+    layer = _random_layer(rng, in_dim, out_dim, rank, cb, center=draw(st.booleans()))
     t = draw(st.integers(1, 6))
     scale = 10.0 ** draw(st.integers(-30, 25))
     x = rng.standard_normal((t, in_dim)) + draw(st.sampled_from([0.0, 3.0, 1e3])) * (

@@ -477,6 +477,18 @@ def test_toy_widths_must_be_integers_of_at_least_one(build):
         build()
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("build", [lambda s: make_toy_model((8, 8), seed=s),
+                                   lambda s: make_toy_data(8, seed=s),
+                                   lambda s: TrainConfig(seed=s)],
+                         ids=["model", "data", "config"])
+def test_profiler_seeds_must_be_integers_of_at_least_zero(build, seed):
+    # Before the check the toy builders raised numpy's ValueError or a
+    # TypeError, and TrainConfig built and failed only inside profiling.
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        build(seed)
+
+
 @pytest.mark.parametrize("shape", [(50,), (50, 0), (2, 50, 32), ()],
                          ids=["1d", "no_columns", "3d", "scalar"])
 def test_toy_data_rejects_a_pool_that_is_not_a_matrix(shape):
