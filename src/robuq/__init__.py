@@ -31,7 +31,8 @@ from .gaussanalysis import (
     offdiag_cov_bound,
     variance_identity,
 )
-from .hadamard import HadamardPlan, fold_into_weights, hadamard_matrix, transform_tokens
+from .hadamard import (HadamardPlan, fold_into_weights, hadamard_matrix, inverse_tokens,
+                       transform_tokens)
 from .lowrank import (
     LowRankBranch,
     QuantLinearLayer,

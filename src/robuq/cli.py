@@ -99,11 +99,11 @@ def cmd_hadamard(args) -> int:
     oracle_residual = float(np.max(np.abs(y[probe] - expected))) / scale
     _check(oracle_residual < 1e-5, f"oracle residual {oracle_residual:.3e} exceeds 1e-5")
 
-    # H is an involution, so a second transform gives the input back; the
-    # residual is relative to the largest row norm, like the oracle's.
-    back = hadamard.transform_tokens(y, plan)
+    # The inverse transform gives the input back; the residual is relative
+    # to the largest row norm, like the oracle's.
+    back = hadamard.inverse_tokens(y)
     roundtrip_err = float(np.max(np.abs(back - x))) / max(float(np.max(in_norms)), 1e-30)
-    _check(roundtrip_err < 1e-5, f"involution residual {roundtrip_err:.3e} exceeds 1e-5")
+    _check(roundtrip_err < 1e-5, f"round-trip residual {roundtrip_err:.3e} exceeds 1e-5")
 
     tensorio.save_matrix(y.astype(np.float32), args.out)
     if args.report:
@@ -132,7 +132,7 @@ def cmd_quantize(args) -> int:
     branch_sq, ternary_sq = float(np.sum(branch**2)), float(np.sum(ternary**2))
     combined = np.add(branch, ternary, out=branch)
     del ternary
-    direct_err = float(np.linalg.norm(w - hadamard.fold_into_weights(combined, layer.plan)))
+    direct_err = float(np.linalg.norm(w - hadamard.inverse_tokens(combined)))
     combined_err = float(np.linalg.norm(hadamard.fold_into_weights(w, layer.plan) - combined))
     err = direct_err / max(float(np.linalg.norm(w)), 1e-30)
     # Orthogonal invariance: the two Frobenius errors agree up to rounding.

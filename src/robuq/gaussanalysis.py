@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .hadamard import HadamardPlan, transform_tokens
+from .hadamard import HadamardPlan, inverse_tokens, transform_tokens
 from .quant import _check_int, _is_int
 
 BERRY_ESSEEN_CONST = 0.56  # published constant for non-identical summands
@@ -259,7 +259,7 @@ def mse_preservation(
     qy = np.asarray(quantizer(y), dtype=np.float64)
     if qy.shape != y.shape:
         raise ValidationError(f"quantizer changed the shape: {y.shape} -> {qy.shape}")
-    x_rec = transform_tokens(qy, plan)  # H symmetric: applying H again is H^T
+    x_rec = inverse_tokens(qy)
     mse_direct = float(np.mean((arr - x_rec) ** 2))
     mse_transformed = float(np.mean((y - qy) ** 2))
     return mse_direct, mse_transformed

@@ -15,15 +15,21 @@ H_{n1} X H_{n2}: two small products costing n1 + n2 multiply-adds per
 element. The factors are built once per order and dtype and cached
 read-only.
 
-The dtype rule: ``transform_tokens`` keeps a float32 input in float32,
-with float32 factors (the quantized forward's activation path), and
-computes every other input in float64. ``fold_into_weights`` always
-computes in float64.
+The transform and its inverse are stated here once: ``transform_tokens``
+maps each token x to H x, ``inverse_tokens`` maps it back by H^T, and
+``fold_into_weights`` gives W H^T, which cancels the transform. Other
+modules go through these three and rely on H^T H = I alone, never on H
+being symmetric.
+
+The dtype rule: ``transform_tokens`` and ``inverse_tokens`` keep a float32
+input in float32, with float32 factors (the quantized forward's activation
+path), and compute every other input in float64. ``fold_into_weights``
+always computes in float64.
 
 Channel counts that are not powers of two use a block-diagonal transform
 whose block size is the largest power-of-two divisor of the dim. Each block
-is orthogonal, so norm preservation and the involution property still hold
-exactly; the transform simply mixes within blocks instead of globally.
+is orthogonal, so norm preservation and the inverse still hold exactly; the
+transform simply mixes within blocks instead of globally.
 """
 
 from __future__ import annotations
@@ -95,7 +101,8 @@ def hadamard_matrix(dim: int) -> np.ndarray:
     is tested against; the fast path multiplies by cached read-only copies
     of it, of order b for blocks up to 128 and of orders n1, n2 above.
     """
-    if dim < 1 or (dim & (dim - 1)) != 0:
+    _check_int(dim, "dim")
+    if (dim & (dim - 1)) != 0:
         raise ValidationError(f"dim must be a power of two, got {dim}")
     h = np.array([[1.0]])
     k2 = np.array([[1.0, 1.0], [1.0, -1.0]]) * _INV_SQRT2
@@ -121,11 +128,22 @@ def transform_tokens(x: np.ndarray, plan: HadamardPlan | None = None) -> np.ndar
     return _apply(arr, plan.block_size)
 
 
+def inverse_tokens(y: np.ndarray) -> np.ndarray:
+    """Undo ``transform_tokens``: apply H^T to every row of a T x C matrix,
+    X = Y H.
+
+    H is symmetric, so H^T = H and the body is ``transform_tokens``: the
+    one use of the symmetry outside the kernel. The width decides the
+    plan, and the dtype rule is ``transform_tokens``'.
+    """
+    return transform_tokens(y)
+
+
 def fold_into_weights(w: np.ndarray, plan: HadamardPlan | None = None) -> np.ndarray:
     """Fold the transform into a weight matrix along its input-feature axis.
 
-    Returns W H, so that (W H)(H x) = W x exactly up to float rounding
-    (H is symmetric and H H = I). Folding twice recovers W. This is
+    Returns W H^T, so that (W H^T)(H x) = W x exactly up to float rounding
+    (H^T H = I); ``inverse_tokens`` maps it back to W. This is
     ``transform_tokens`` on W in float64, whatever W's dtype: the rows of W
     are transformed as tokens are, and W's shape is checked as theirs is.
     """

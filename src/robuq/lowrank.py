@@ -1,8 +1,8 @@
 """SVD-initialized low-rank compensation and the combined quantized forward.
 
-A layer is built from a dense weight W by transforming it (W H), capturing
+A layer is built from a dense weight W by transforming it (W H^T), capturing
 the top-r singular structure in full-precision factors A = U_r S_r and
-B = V_r^T, and ternarizing only the residual W H - A B. The subspace is
+B = V_r^T, and ternarizing only the residual W H^T - A B. The subspace is
 found by randomized subspace iteration with a fixed seed on a float32
 copy, and one float64 QB step then gives the factors (LAPACK via numpy).
 The Frobenius error of A B is within 1% of the Eckart-Young optimum,
@@ -19,8 +19,8 @@ approximation error in the transformed domain exactly.
 The quantizer input runs in float32: the tokens are cast once, and H x and
 the per-token codes are computed in float32 (``quant.token_codes`` states
 the codes' contract against the float64 reference). The low-rank branch
-stays float64 and reads x through the folded factor, B (H x) = (B H) x as
-H is symmetric, so no float64 H x is formed.
+stays float64 and reads x through B H, the factor mapped back by the
+inverse transform: B (H x) = (B H) x, so no float64 H x is formed.
 
 The ternary branch never dequantizes. A layer codes its activations on
 the uniform grid, levels[c] = o + s * c with (s, o) = (step, levels[0]),
@@ -64,7 +64,7 @@ import numpy as np
 
 from .deploy import load_packed, pack_ternary, save_packed, unpack_ternary
 from .errors import FormatError, ValidationError
-from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
+from .hadamard import HadamardPlan, fold_into_weights, inverse_tokens, transform_tokens
 from .quant import (
     _BLOCK_ENTRIES,
     GaussCodebook,
@@ -290,8 +290,8 @@ def init_layer(
     not 2-D, raises ``ValidationError``. A rank above min(dims) is
     rejected, not clamped. The residual overwrites the A B product
     and the transformed weight is released before ternarizing, so the
-    temporaries peak at about 2.0 float64 copies of W (W H and the A B
-    product; the SVD's float32 copy adds only half a copy to W H).
+    temporaries peak at about 2.0 float64 copies of W (W H^T and the A B
+    product; the SVD's float32 copy adds only half a copy to W H^T).
     """
     if not _is_int(r):
         raise ValidationError(f"rank must be an integer, got {r!r}")
@@ -345,9 +345,9 @@ def forward_with_cache(layer: QuantLinearLayer, x: np.ndarray) -> tuple[np.ndarr
     for first in range(width, layer.in_dim, width):
         g = np.add(g, codes[:, first:first + width] @ v[:, first:first + width].T, dtype=np.float64)
     shift = mu + sigma * cb.levels[0]
-    # x (B H)^T = (x H) B^T as H is symmetric; B is folded on every call
-    # because QAT updates it in place.
-    bh = fold_into_weights(layer.branch.B, layer.plan)
+    # B (H x) = (B H) x; B H is formed in float64 on every call because QAT
+    # updates B in place.
+    bh = inverse_tokens(np.asarray(layer.branch.B, dtype=np.float64))
     y = (np.column_stack((arr @ bh.T, shift))
          @ np.column_stack((layer.branch.A, wq.alpha * row_sums)).T)
     scale = sigma * cb.step
@@ -369,9 +369,9 @@ def forward(layer: QuantLinearLayer, x: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_weight(layer: QuantLinearLayer) -> np.ndarray:
-    """Effective dense weight implied by the layer: (A B + alpha V) H^T."""
-    combined = layer.branch.matrix() + layer.wq.dequantize()
-    return fold_into_weights(combined, layer.plan)  # H is symmetric: M H = M H^T
+    """Effective dense weight implied by the layer: (A B + alpha V) H, the
+    inverse of the fold W H^T."""
+    return inverse_tokens(layer.branch.matrix() + layer.wq.dequantize())
 
 
 # ---------------------------------------------------------------------------

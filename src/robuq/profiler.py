@@ -43,7 +43,9 @@ import numpy as np
 
 from .allocator import AllocationProblem, dp_allocate
 from .errors import ValidationError
-from .hadamard import HadamardPlan, fold_into_weights, transform_tokens
+# transform_tokens is not called here; it stays importable from this module,
+# where perfbench's tracer test patches it.
+from .hadamard import HadamardPlan, fold_into_weights, inverse_tokens, transform_tokens
 from .lowrank import QuantLinearLayer, forward_with_cache, init_layer
 from .quant import _check_bits, _check_int, dequantize_codes, ternarize, uniform_gauss_codebook
 from .tensorio import LayerSpec, SensitivityTable
@@ -166,8 +168,8 @@ class ToyLayer:
         gradient."""
         if not self.quantized:
             return {"weight": gy.T @ cache["x"]}
-        plan, branch = self.qlayer.plan, self.qlayer.branch
-        grads = {"weight": fold_into_weights(gy.T @ cache["deq"], plan)}
+        branch = self.qlayer.branch
+        grads = {"weight": inverse_tokens(gy.T @ cache["deq"])}
         if branch.rank:
             # one float64 copy of the float32 xh for both products, the cast
             # each mixed-dtype matmul would make
@@ -181,11 +183,11 @@ class ToyLayer:
         inherits the output-side chain."""
         if not self.quantized:
             return gy @ self.weight
-        plan, branch = self.qlayer.plan, self.qlayer.branch
+        branch = self.qlayer.branch
         g_xh = gy @ cache["wq"]
         if branch.rank:
             g_xh = g_xh + gy @ branch.A @ branch.B
-        return transform_tokens(g_xh, plan)
+        return inverse_tokens(g_xh)
 
 
 @dataclass

@@ -98,8 +98,9 @@ def is_ternary(values) -> bool:
 
 @dataclass
 class TernaryWeights:
-    """{-1, 0, +1} values plus the one real scale ``alpha`` of the tensor,
-    finite and >= 0 (``ValidationError`` otherwise).
+    """{-1, 0, +1} values plus the one real scale ``alpha`` of the tensor:
+    a real number (not a bool), finite and >= 0, stored as a Python float
+    (``ValidationError`` otherwise).
 
     The quantized forward multiplies the float32 activation codes by
     ``values`` as a GEMM operand, ``operand_f32``: the values as float32
@@ -116,8 +117,10 @@ class TernaryWeights:
         self.values = np.asarray(self.values)
         if not is_ternary(self.values):
             raise ValidationError("ternary values must lie in {-1, 0, +1}")
-        if not 0.0 <= self.alpha < math.inf:
-            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        if (isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real)
+                or not 0.0 <= self.alpha < math.inf):
+            raise ValidationError(f"alpha must be a finite real >= 0, got {self.alpha!r}")
+        self.alpha = float(self.alpha)
 
     @functools.cached_property
     def operand_f32(self) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from robuq.deploy import (
     weighted_flops,
 )
 from robuq.gaussanalysis import mse_preservation, normality, variance_identity
-from robuq.hadamard import hadamard_matrix, transform_tokens
+from robuq.hadamard import hadamard_matrix, inverse_tokens, transform_tokens
 from robuq.profiler import TrainConfig, make_toy_data, make_toy_model, profile_sensitivity
 from robuq.quant import lloyd_max, quantize_tokens, uniform_gauss_codebook
 from robuq.tensorio import LayerSpec, SensitivityTable
@@ -43,8 +43,8 @@ def test_01_hadamard_correctness():
         x = rng.standard_normal(dim)
         y = transform_tokens(x[None, :])
         assert np.abs(y[0] - h @ x).max() < 1e-5
-        assert np.abs(transform_tokens(y)[0] - x).max() < 1e-5
-    _report(1, "orthogonality, dense agreement, involution for C in 2..1024", t0, 5.0)
+        assert np.abs(inverse_tokens(y)[0] - x).max() < 1e-5
+    _report(1, "orthogonality, dense agreement, inverse for C in 2..1024", t0, 5.0)
 
 
 def test_02_mse_preservation_identity():

@@ -44,9 +44,10 @@ def test_hadamard_roundtrip_and_report(tmp_path, rbq):
     assert rep["roundtrip_residual"] < 1e-5
 
 
-def test_hadamard_involution_check_is_relative_to_the_input(tmp_path, rbq):
-    # Entries near 1e12 leave an absolute residual near 1e-4 after two
-    # transforms; relative to the row norms it is still about 1e-16.
+def test_hadamard_roundtrip_check_is_relative_to_the_input(tmp_path, rbq):
+    # Entries near 1e12 leave an absolute residual near 1e-4 after the
+    # transform and its inverse; relative to the row norms it is still
+    # about 1e-16.
     src = rbq("huge.rbq", 1e12 * np.random.default_rng(5).standard_normal((4, 64)))
     report = tmp_path / "rep.json"
     assert cli.main(["hadamard", "--in", src, "--out", str(tmp_path / "h.rbq"),

@@ -5,12 +5,16 @@ from hypothesis import strategies as st
 
 from robuq import hadamard
 from robuq.errors import ValidationError
-from robuq.hadamard import HadamardPlan, fold_into_weights, hadamard_matrix, transform_tokens
+from robuq.hadamard import (HadamardPlan, fold_into_weights, hadamard_matrix, inverse_tokens,
+                            transform_tokens)
 
 
-def _blockwise_oracle(x, block):
+def _blockwise_oracle(x, block, inverse=False):
+    """Each length-`block` segment s of each row mapped to H s, or to
+    H^T s with ``inverse``."""
     rows = x.shape[0]
-    return (x.reshape(rows, -1, block) @ hadamard_matrix(block)).reshape(rows, -1)
+    h = hadamard_matrix(block)
+    return (x.reshape(rows, -1, block) @ (h if inverse else h.T)).reshape(rows, -1)
 
 
 def _transform(x, plan=None):
@@ -46,7 +50,7 @@ def test_fast_matches_dense_oracle(dim):
 def test_involution(dim):
     rng = np.random.default_rng(dim)
     x = rng.standard_normal(dim)
-    assert np.abs(_transform(_transform(x)) - x).max() < 1e-5
+    assert np.abs(inverse_tokens(_transform(x)[None, :])[0] - x).max() < 1e-5
 
 
 def test_orthogonality_up_to_4096():
@@ -109,9 +113,10 @@ def test_fold_algebraic_identity():
 
 
 def test_fold_twice_recovers():
+    # the inverse transform undoes the fold
     rng = np.random.default_rng(9)
     w = rng.standard_normal((6, 16))
-    np.testing.assert_allclose(fold_into_weights(fold_into_weights(w)), w, atol=1e-12)
+    np.testing.assert_allclose(inverse_tokens(fold_into_weights(w)), w, atol=1e-12)
 
 
 def test_dimension_errors():
@@ -136,12 +141,23 @@ def test_plan_rejects_a_non_integer_dim(dim):
     assert HadamardPlan(np.int64(96)).block_size == 32
 
 
+@pytest.mark.parametrize("dim", [4.0, "4", True, np.float64(8.0)],
+                         ids=["float", "text", "bool", "numpy_float"])
+def test_hadamard_matrix_rejects_a_non_integer_dim(dim):
+    # 4.0, "4" and 8.0 raised a stray TypeError, and True gave a 1 x 1 matrix
+    with pytest.raises(ValidationError, match="dim must be an integer >= 1"):
+        hadamard_matrix(dim)
+    np.testing.assert_array_equal(hadamard_matrix(np.int64(4)), hadamard_matrix(4))
+
+
 @pytest.mark.parametrize("dim", [2**k for k in range(13)] + [96, 1152, 4608])
 def test_transform_tokens_matches_blockwise_dense_oracle(dim):
-    # Blocks up to 128 take the dense product, larger ones the factored one.
+    # Blocks up to 128 take the dense product, larger ones the factored one;
+    # the inverse is checked against H^T block by block as well.
     x = np.random.default_rng(dim).standard_normal((5, dim))
     block = HadamardPlan(dim).block_size
     assert np.abs(transform_tokens(x) - _blockwise_oracle(x, block)).max() <= 1e-12
+    assert np.abs(inverse_tokens(x) - _blockwise_oracle(x, block, inverse=True)).max() <= 1e-12
 
 
 def test_cached_factors_are_read_only():
@@ -209,7 +225,8 @@ def test_property_matches_dense_oracle(case):
 @given(_tokens())
 def test_property_involution(case):
     x, _ = case
-    assert np.abs(transform_tokens(transform_tokens(x)) - x).max() <= 1e-12
+    assert np.abs(inverse_tokens(transform_tokens(x)) - x).max() <= 1e-12
+    assert np.abs(transform_tokens(inverse_tokens(x)) - x).max() <= 1e-12
 
 
 @_property
@@ -217,5 +234,5 @@ def test_property_involution(case):
 def test_property_folded_weight_cancels_transform(case):
     x, _ = case
     w = np.random.default_rng(x.shape[1]).standard_normal((3, x.shape[1]))
-    lhs = transform_tokens(x) @ fold_into_weights(w).T  # (W H)(H x) per token
+    lhs = transform_tokens(x) @ fold_into_weights(w).T  # (W H^T)(H x) per token
     np.testing.assert_allclose(lhs, x @ w.T, rtol=0, atol=1e-10)

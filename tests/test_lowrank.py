@@ -21,6 +21,7 @@ from robuq.lowrank import (
 )
 from robuq.quant import (
     _BLOCK_ENTRIES,
+    TernaryWeights,
     dequantize_codes,
     lloyd_max,
     ternarize,
@@ -518,6 +519,17 @@ def test_layer_serialization_roundtrip(tmp_path):
     x = rng.standard_normal((8, 16))
     # A/B travel as float32, so the reloaded forward agrees to that precision.
     np.testing.assert_allclose(forward(back, x), forward(layer, x), atol=1e-4)
+
+
+def test_layer_with_a_numpy_alpha_saves_and_reloads(tmp_path):
+    # An np.float32 alpha made save_layer raise TypeError after it had
+    # written the factor files and a truncated layer.json.
+    layer = init_layer(np.random.default_rng(11).standard_normal((6, 8)), r=2)
+    layer.wq = TernaryWeights(values=layer.wq.values, alpha=np.float32(0.5))
+    save_layer(layer, tmp_path / "layer")
+    back = load_layer(tmp_path / "layer")
+    assert back.wq.alpha == 0.5
+    np.testing.assert_array_equal(back.wq.values, layer.wq.values)
 
 
 def test_layer_serialization_rank0(tmp_path):

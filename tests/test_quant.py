@@ -246,9 +246,20 @@ def test_ternary_weights_reject_a_negative_or_non_finite_alpha(alpha):
         TernaryWeights(values=np.eye(3, dtype=np.int8), alpha=alpha)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 5e-324, 0.5, np.float64(2.0), 3])
+@pytest.mark.parametrize("alpha", [0.0, 5e-324, 0.5, np.float64(2.0), 3, np.float32(0.5),
+                                   np.int64(3)])
 def test_ternary_weights_accept_a_finite_alpha_of_at_least_zero(alpha):
-    assert TernaryWeights(values=np.eye(3, dtype=np.int8), alpha=alpha).alpha == alpha
+    # stored as a Python float: an np.float32 alpha made save_layer fail
+    stored = TernaryWeights(values=np.eye(3, dtype=np.int8), alpha=alpha).alpha
+    assert type(stored) is float and stored == alpha
+
+
+@pytest.mark.parametrize("alpha", [True, np.True_, "0.5"], ids=["bool", "numpy_bool", "text"])
+def test_ternary_weights_reject_an_alpha_that_is_not_a_real_number(alpha):
+    # True built a layer whose saved "alpha": true its own loader rejected,
+    # and "0.5" raised a stray TypeError
+    with pytest.raises(ValidationError, match="alpha must be a finite real >= 0"):
+        TernaryWeights(values=np.eye(3, dtype=np.int8), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
