@@ -17,12 +17,12 @@ sat earlier (cheaper) on the previous frontier, then the lower last width.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+from .quant import _check_real, _check_widths
 from .tensorio import SensitivityTable
 
 DEFAULT_BIT_SET = (1, 2, 3, 4)
@@ -30,8 +30,11 @@ DEFAULT_BIT_SET = (1, 2, 3, 4)
 
 @dataclass
 class AllocationProblem:
-    """``beta`` has no effect: the allocator is exact and has no resolution.
-    It is still accepted because existing callers pass or read it."""
+    """``target_avg_bits`` is a finite real, stored as a Python float, and
+    ``bit_set`` a set of widths (``quant._check_widths``: each in 1..8 or
+    32, none repeated), stored sorted. ``beta`` has no effect: the
+    allocator is exact and has no resolution. It is still accepted because
+    existing callers pass or read it."""
 
     table: SensitivityTable
     target_avg_bits: float
@@ -39,11 +42,8 @@ class AllocationProblem:
     bit_set: tuple[int, ...] = DEFAULT_BIT_SET
 
     def __post_init__(self):
-        self.bit_set = tuple(sorted(self.bit_set))
-        if not math.isfinite(self.target_avg_bits):
-            raise ValidationError(f"target_avg_bits must be finite, got {self.target_avg_bits}")
-        if not self.bit_set:
-            raise ValidationError("bit_set must be nonempty")
+        self.target_avg_bits = _check_real(self.target_avg_bits, "target_avg_bits")
+        self.bit_set = _check_widths(self.bit_set, "bit_set")
         missing = [b for b in self.bit_set if b not in self.table.bits]
         if missing:
             raise ValidationError(f"sensitivity table lacks columns for bits {missing}")

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .quant import FP_BITS, _check_bits, is_ternary
+from .quant import FP_BITS, _check_bits, _check_int, _check_real, is_ternary
 from .tensorio import _BAD_CONTENT, _field, _reading
 
 PACKED_MAGIC = b"RBQP"
@@ -34,14 +33,16 @@ TERNARY_BITS = "ternary"
 @dataclass(frozen=True)
 class PackedTernary:
     """``count`` ternary values packed five per byte into ``data``, checked
-    once when built: exactly ceil(count / 5) bytes, each at most 242
-    (``ValidationError`` otherwise), so unpacking needs no check."""
+    once when built: ``count`` an integer >= 0 and exactly ceil(count / 5)
+    bytes, each at most 242 (``ValidationError`` otherwise), so unpacking
+    needs no check."""
 
     data: bytes
     count: int
 
     def __post_init__(self):
-        if self.count < 0 or len(self.data) != -(-self.count // 5):
+        _check_int(self.count, "count", least=0)
+        if len(self.data) != -(-self.count // 5):
             raise ValidationError(
                 f"{len(self.data)} bytes cannot hold {self.count} ternary values"
             )
@@ -148,9 +149,9 @@ def weighted_flops(fp_gflops: float, w_bits, a_bits) -> float:
     ternary weights at A=N cost (N/32) FP; symmetric W=A=N classes cost
     2 * (N/32) FP (half of which the ternary chain then removes); W=A=32
     passes through. Anything else is an unsupported combination.
+    ``fp_gflops`` is a finite real >= 0; the result is a Python float.
     """
-    if not 0 <= fp_gflops <= sys.float_info.max:
-        raise ValidationError(f"fp_gflops must be a finite number >= 0, got {fp_gflops!r}")
+    fp_gflops = _check_real(fp_gflops, "fp_gflops", least=0)
     a_fp = _check_bits(a_bits, full_precision=True, name="a_bits")
     if w_bits == TERNARY_BITS:
         return fp_gflops * a_bits / 32.0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hadamard import HadamardPlan, inverse_tokens, transform_tokens
-from .quant import _check_int, _is_int
+from .quant import _check_int, _check_real, _is_int
 
 BERRY_ESSEEN_CONST = 0.56  # published constant for non-identical summands
 _KS_GRID_POINTS = 1024
@@ -168,7 +168,10 @@ def kl_tv_product_gaussian(
         KL = -1/2 ln det(I + E / sigma_t^2)
         KL ~ 1/4 ||E||_F^2 / sigma_t^4      (small ||E||)
         TV <= sqrt(KL / 2)                  (Pinsker)
+
+    ``sigma_t2`` is a finite real > 0.
     """
+    sigma_t2 = _check_real(sigma_t2, "sigma_t2", least=0, strict=True)
     mat = np.asarray(sigma, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"covariance must be square, got shape {mat.shape}")
@@ -178,8 +181,6 @@ def kl_tv_product_gaussian(
         raise ValidationError("covariance must be symmetric")
     if np.linalg.eigvalsh(mat)[0] <= 0:
         raise ValidationError("covariance must be positive definite")
-    if sigma_t2 <= 0:
-        raise ValidationError("sigma_t2 must be positive")
     e = mat.copy()
     np.fill_diagonal(e, 0.0)
     sign, logdet = np.linalg.slogdet(np.eye(mat.shape[0]) + e / sigma_t2)
@@ -252,13 +253,16 @@ def mse_preservation(
 
     The identity is orthogonality alone, so it holds for arbitrary Q, not
     just the Gauss codebooks. Returns (mse_direct, mse_transformed) as mean
-    squared error per element.
+    squared error per element. A quantizer output of another shape, or
+    with a NaN or Inf, raises ``ValidationError``.
     """
     arr = _as_batch(x)
     y = transform_tokens(arr, plan)
     qy = np.asarray(quantizer(y), dtype=np.float64)
     if qy.shape != y.shape:
         raise ValidationError(f"quantizer changed the shape: {y.shape} -> {qy.shape}")
+    if not np.isfinite(qy).all():
+        raise ValidationError("quantizer output contains NaN or Inf")
     x_rec = inverse_tokens(qy)
     mse_direct = float(np.mean((arr - x_rec) ** 2))
     mse_transformed = float(np.mean((y - qy) ** 2))

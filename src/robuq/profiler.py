@@ -35,8 +35,6 @@ trained parameters and losses are bitwise those of the per-array loop.
 from __future__ import annotations
 
 import copy as _copy
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,7 +45,8 @@ from .errors import ValidationError
 # where perfbench's tracer test patches it.
 from .hadamard import HadamardPlan, fold_into_weights, inverse_tokens, transform_tokens
 from .lowrank import QuantLinearLayer, forward_with_cache, init_layer
-from .quant import _check_bits, _check_int, dequantize_codes, ternarize, uniform_gauss_codebook
+from .quant import (FP_BITS, _check_bits, _check_int, _check_real, _check_widths, dequantize_codes,
+                    ternarize, uniform_gauss_codebook)
 from .tensorio import LayerSpec, SensitivityTable
 
 _VAL_POOL = 1000  # validation tokens of every toy data set
@@ -55,7 +54,8 @@ _VAL_POOL = 1000  # validation tokens of every toy data set
 
 @dataclass
 class TrainConfig:
-    """Short-QAT hyperparameters for Adam; steps = 0 degenerates to pure PTQ."""
+    """Short-QAT hyperparameters for Adam; steps = 0 degenerates to pure PTQ.
+    ``learning_rate`` is a finite real > 0, stored as a Python float."""
 
     steps: int = 1000
     learning_rate: float = 1e-3
@@ -66,10 +66,7 @@ class TrainConfig:
         _check_int(self.steps, "steps", least=0)
         _check_int(self.batch, "batch")
         _check_int(self.seed, "seed", least=0)
-        if not (isinstance(self.learning_rate, numbers.Real)
-                and math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValidationError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        self.learning_rate = _check_real(self.learning_rate, "learning_rate", least=0, strict=True)
 
 
 class ToyLayer:
@@ -246,8 +243,8 @@ class ToyModel:
 @dataclass
 class ToyData:
     """Gaussian inputs: a fixed validation pool plus a fresh-batch sampler.
-    The input width is the pool's, which must be a 2-D matrix with at least
-    one column."""
+    The input width is the pool's, which must be a finite 2-D matrix with
+    at least one column."""
 
     val_inputs: np.ndarray
 
@@ -256,6 +253,8 @@ class ToyData:
         if self.val_inputs.ndim != 2 or self.val_inputs.shape[1] < 1:
             raise ValidationError("val_inputs must be a T x in_dim matrix with in_dim >= 1, "
                                   f"got shape {self.val_inputs.shape}")
+        if not np.isfinite(self.val_inputs).all():
+            raise ValidationError("val_inputs contain NaN or Inf")
 
     @property
     def in_dim(self) -> int:
@@ -389,16 +388,12 @@ def profile_sensitivity(
     if data.in_dim != model.layers[0].in_dim:
         raise ValidationError(
             f"data width {data.in_dim} is not the model's input width {model.layers[0].in_dim}")
-    full_precision = {b: _check_bits(b, full_precision=True) for b in bits}
-    bits = tuple(sorted(bits))
-    repeated = sorted({a for a, b in zip(bits, bits[1:]) if a == b})
-    if repeated:
-        raise ValidationError(f"bits must not repeat a width, got {repeated} more than once")
+    bits = _check_widths(bits, "bits")
     base_loss = model.loss(data.val_inputs)
     gaps = np.zeros((len(model.layers), len(bits)))
     for li in range(len(model.layers)):
         for bi, b in enumerate(bits):
-            if full_precision[b]:
+            if b == FP_BITS:
                 continue
             trial = model.copy()
             trial.layers[li].enable_quant(b, rank=rank)

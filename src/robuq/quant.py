@@ -83,6 +83,39 @@ def _check_bits(bits, full_precision: bool = False, name: str = "bits") -> bool:
     raise ValidationError(f"{name} must be an integer in {allowed}, got {bits!r}")
 
 
+def _check_widths(bits, name: str) -> tuple[int, ...]:
+    """The package's one rule for a set of activation widths: at least one
+    width, each passing ``_check_bits(full_precision=True)``, none given
+    twice. Returns them sorted, as plain ints; ``ValidationError`` naming
+    ``name`` otherwise."""
+    for b in bits:
+        _check_bits(b, full_precision=True, name=f"{name} entry")
+    widths = tuple(sorted(map(int, bits)))
+    if not widths:
+        raise ValidationError(f"{name} must hold at least one width")
+    repeated = sorted({a for a, b in zip(widths, widths[1:]) if a == b})
+    if repeated:
+        raise ValidationError(f"{name} must not repeat a width, got {repeated} more than once")
+    return widths
+
+
+def _check_real(value, name: str, least: float = -math.inf, strict: bool = False) -> float:
+    """The package's one rule for a real number: a ``numbers.Real`` that is
+    not a bool (numpy reals included, text not), finite as a float64 (an
+    integer too large for one is rejected) and >= ``least``, or > ``least``
+    when ``strict``. Returns it as a Python float; ``ValidationError``
+    naming ``name`` otherwise."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an integer beyond float64's range
+        number = math.nan
+    if math.isfinite(number) and (number > least if strict else number >= least):
+        return number
+    bound = "" if least == -math.inf else f" {'>' if strict else '>='} {least}"
+    raise ValidationError(f"{name} must be a finite real{bound}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Ternary weights
 # ---------------------------------------------------------------------------
@@ -117,10 +150,7 @@ class TernaryWeights:
         self.values = np.asarray(self.values)
         if not is_ternary(self.values):
             raise ValidationError("ternary values must lie in {-1, 0, +1}")
-        if (isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real)
-                or not 0.0 <= self.alpha < math.inf):
-            raise ValidationError(f"alpha must be a finite real >= 0, got {self.alpha!r}")
-        self.alpha = float(self.alpha)
+        self.alpha = _check_real(self.alpha, "alpha", least=0)
 
     @functools.cached_property
     def operand_f32(self) -> tuple[np.ndarray, np.ndarray]:

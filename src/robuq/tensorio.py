@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, RobuqError, ValidationError
-from .quant import _check_bits
+from .quant import _check_bits, _check_real, _check_widths
 
 MATRIX_MAGIC = b"RBQ1"
 _HEADER = struct.Struct("<4sII")
@@ -130,7 +130,8 @@ def load_matrix(path) -> np.ndarray:
 class LayerSpec:
     """Static description of one linear layer for allocation purposes.
 
-    ``flops_weight`` is the layer's relative FLOPs share (w_l); layers with
+    ``flops_weight`` is the layer's relative FLOPs share (w_l), a finite
+    real >= 0 stored as a Python float; layers with
     ``fixed_bits`` set (a width in 1..8, or 32 for full precision) are
     excluded from bit allocation and keep that width.
     """
@@ -140,8 +141,8 @@ class LayerSpec:
     fixed_bits: int | None = None
 
     def __post_init__(self):
-        if not 0 <= self.flops_weight < math.inf:
-            raise ValidationError(f"layer {self.name}: flops_weight must be finite and >= 0")
+        self.flops_weight = _check_real(self.flops_weight, f"layer {self.name}: flops_weight",
+                                        least=0)
         if self.fixed_bits is not None:
             _check_bits(self.fixed_bits, full_precision=True, name=f"layer {self.name}: fixed_bits")
 
@@ -151,8 +152,9 @@ class SensitivityTable:
     """Per-layer, per-bit-width validation loss gaps.
 
     ``delta_loss[i, j]`` is the loss gap of ``layers[i]`` quantized to
-    ``bits[j]`` activation bits; ``bits`` rises strictly, each a width in
-    1..8 or 32 (full precision). Every cell must be populated.
+    ``bits[j]`` activation bits; ``bits`` is a set of widths
+    (``quant._check_widths``: each in 1..8 or 32, none repeated) given in
+    rising order, as the columns follow it. Every cell must be populated.
     """
 
     layers: list[LayerSpec]
@@ -161,11 +163,7 @@ class SensitivityTable:
 
     def __post_init__(self):
         self.delta_loss = np.asarray(self.delta_loss, dtype=np.float64)
-        if not self.bits:
-            raise ValidationError("bit set must be nonempty")
-        for b in self.bits:
-            _check_bits(b, full_precision=True, name="bit set entry")
-        if list(self.bits) != sorted(set(self.bits)):
+        if tuple(self.bits) != _check_widths(self.bits, "bit set"):
             raise ValidationError(f"bit set must be strictly increasing, got {self.bits}")
         if self.delta_loss.shape != (len(self.layers), len(self.bits)):
             raise ValidationError(

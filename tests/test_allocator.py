@@ -167,11 +167,27 @@ def test_bits_missing_from_table_rejected():
         AllocationProblem(t, 2.0, bit_set=(1, 2, 3))
 
 
-@pytest.mark.parametrize("target", [math.nan, math.inf])
+@pytest.mark.parametrize("target", [math.nan, math.inf, True, "2",
+                                    pytest.param(10**400, id="1e400")])
 def test_non_finite_target_rejected(target):
+    # "2" raised a TypeError, 10**400 an OverflowError, and True built
     t = _table([[1, 0.5, 0.2, 0.1]])
     with pytest.raises(ValidationError, match="target"):
         AllocationProblem(t, target)
+
+
+@pytest.mark.parametrize("bit_set", [(2, 2), (2.0,), (True,), ()],
+                         ids=["repeated", "float", "bool", "empty"])
+def test_bit_set_must_be_a_set_of_widths(bit_set):
+    # the first three built and allocated widths of 2, 2.0 and True
+    t = _table([[1, 0.5, 0.2, 0.1]])
+    with pytest.raises(ValidationError, match="bit_set"):
+        AllocationProblem(t, 2.0, bit_set=bit_set)
+
+
+def test_bit_set_is_stored_sorted_as_plain_ints():
+    problem = AllocationProblem(_table([[1, 0.5, 0.2, 0.1]]), 2.0, bit_set=(np.int64(4), 2))
+    assert problem.bit_set == (2, 4) and all(type(b) is int for b in problem.bit_set)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

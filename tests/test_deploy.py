@@ -90,6 +90,14 @@ def test_packed_ternary_rejects_a_negative_count():
         PackedTernary(data=b"", count=-1)
 
 
+@pytest.mark.parametrize("count", [1.5, True, np.float64(5.0), "5"],
+                         ids=["fraction", "bool", "numpy_float", "text"])
+def test_packed_ternary_rejects_a_count_that_is_not_an_integer(count):
+    # 1.5 built, and unpacking it raised a stray TypeError
+    with pytest.raises(ValidationError, match="count must be an integer >= 0"):
+        PackedTernary(data=b"\x79", count=count)
+
+
 def test_packed_file_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     v = rng.integers(-1, 2, size=333).astype(np.int8)
@@ -167,6 +175,14 @@ def test_weight_act_row_from_fp():
 def test_symmetric_classes():
     np.testing.assert_allclose(weighted_flops(2.0266, 8, 8), 1.0133)
     assert weighted_flops(5.0, 32, 32) == 5.0
+
+
+@pytest.mark.parametrize("fp_gflops", [True, "1", np.nan, -1.0,
+                                       pytest.param(10**400, id="1e400")])
+def test_weighted_flops_rejects_a_bad_fp_gflops(fp_gflops):
+    # True was taken as 1 GFLOP
+    with pytest.raises(ValidationError, match="fp_gflops must be a finite real >= 0"):
+        weighted_flops(fp_gflops, "ternary", 4)
 
 
 def test_unsupported_combination():

@@ -238,6 +238,14 @@ def test_kl_rejects_non_finite_covariance_before_symmetry(bad):
         kl_tv_product_gaussian(np.array([[1.0, bad], [bad, 1.0]]), 1.0)
 
 
+@pytest.mark.parametrize("sigma_t2", [np.nan, np.inf, True, "1", 0.0, -1.0],
+                         ids=["nan", "inf", "bool", "text", "zero", "negative"])
+def test_kl_rejects_a_sigma_t2_that_is_not_a_finite_real_above_zero(sigma_t2):
+    # NaN returned (0.0, nan, 0.0) with a RuntimeWarning, Inf returned zeros
+    with pytest.raises(ValidationError, match="sigma_t2 must be a finite real > 0"):
+        kl_tv_product_gaussian(np.eye(3), sigma_t2)
+
+
 # ---------------------------------------------------------------------------
 # nmi_channels
 # ---------------------------------------------------------------------------
@@ -339,6 +347,13 @@ def test_mse_preservation_nonpow2_dim():
     x = rng.standard_normal((64, 48))  # block-diagonal path
     d, t = mse_preservation(x, lambda y: np.round(y))
     assert abs(d - t) / max(d, 1e-30) < 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_mse_preservation_rejects_a_non_finite_quantizer_output(bad):
+    x = np.random.default_rng(19).standard_normal((50, 16))
+    with pytest.raises(ValidationError, match="quantizer output contains NaN or Inf"):
+        mse_preservation(x, lambda y: y * bad)
 
 
 # ---------------------------------------------------------------------------

@@ -259,7 +259,9 @@ def test_rank_zero_layer_trains_only_the_shadow_weight():
      ({"learning_rate": float("inf")}, "learning_rate"), ({"learning_rate": 0.0}, "learning_rate"),
      ({"learning_rate": -1.0}, "learning_rate"), ({"steps": 2.5}, "steps"),
      ({"steps": 3.0}, "steps"), ({"steps": "3"}, "steps"), ({"steps": True}, "steps"),
-     ({"steps": -1}, "steps")],
+     ({"steps": -1}, "steps"), ({"learning_rate": True}, "learning_rate"),
+     ({"learning_rate": np.True_}, "learning_rate"), ({"learning_rate": "0.1"}, "learning_rate"),
+     ({"learning_rate": 10**400}, "learning_rate")],
 )
 def test_train_config_rejects_bad_batch_and_learning_rate(kwargs, field):
     from robuq.errors import ValidationError
@@ -494,3 +496,13 @@ def test_profiler_seeds_must_be_integers_of_at_least_zero(build, seed):
 def test_toy_data_rejects_a_pool_that_is_not_a_matrix(shape):
     with pytest.raises(ValidationError, match="val_inputs"):
         ToyData(val_inputs=np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_toy_data_rejects_a_non_finite_pool(bad):
+    # a NaN pool built, its loss was NaN, and profiling failed only after
+    # training the first cell, with an error that did not name the pool
+    pool = make_toy_data(8, seed=1).val_inputs
+    pool[3, 5] = bad
+    with pytest.raises(ValidationError, match="val_inputs"):
+        ToyData(val_inputs=pool)

@@ -11,7 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import robuq
+from robuq.allocator import AllocationProblem
+from robuq.deploy import weighted_flops
 from robuq.errors import ValidationError
+from robuq.profiler import TrainConfig
 from robuq.quant import (
     _BLOCK_ENTRIES,
     TERNARY_EPS,
@@ -25,6 +28,7 @@ from robuq.quant import (
     token_codes,
     uniform_gauss_codebook,
 )
+from robuq.tensorio import LayerSpec, SensitivityTable
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +244,8 @@ def test_ternary_weights_accept_ternary(dtype):
     TernaryWeights(values=values.astype(dtype), alpha=1.0)
 
 
-@pytest.mark.parametrize("alpha", [-0.5, -1e-300, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("alpha", [-0.5, -1e-300, -1.0, math.nan, math.inf, -math.inf,
+                                   pytest.param(10**400, id="1e400")])
 def test_ternary_weights_reject_a_negative_or_non_finite_alpha(alpha):
     with pytest.raises(ValidationError, match="alpha"):
         TernaryWeights(values=np.eye(3, dtype=np.int8), alpha=alpha)
@@ -252,6 +257,22 @@ def test_ternary_weights_accept_a_finite_alpha_of_at_least_zero(alpha):
     # stored as a Python float: an np.float32 alpha made save_layer fail
     stored = TernaryWeights(values=np.eye(3, dtype=np.int8), alpha=alpha).alpha
     assert type(stored) is float and stored == alpha
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), 3],
+                         ids=["numpy_float32", "numpy_int64", "int"])
+@pytest.mark.parametrize("site", ["alpha", "learning_rate", "flops_weight", "target_avg_bits",
+                                  "fp_gflops"])
+def test_every_real_parameter_accepts_numpy_reals_and_stores_a_python_float(site, value):
+    table = SensitivityTable([LayerSpec("a")], [1, 2, 3, 4], np.zeros((1, 4)))
+    stored = {
+        "alpha": lambda: TernaryWeights(values=np.eye(3, dtype=np.int8), alpha=value).alpha,
+        "learning_rate": lambda: TrainConfig(learning_rate=value).learning_rate,
+        "flops_weight": lambda: LayerSpec("a", flops_weight=value).flops_weight,
+        "target_avg_bits": lambda: AllocationProblem(table, value).target_avg_bits,
+        "fp_gflops": lambda: weighted_flops(value, 32, 32),  # passed through at W = A = 32
+    }[site]()
+    assert type(stored) is float and stored == value
 
 
 @pytest.mark.parametrize("alpha", [True, np.True_, "0.5"], ids=["bool", "numpy_bool", "text"])

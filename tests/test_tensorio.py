@@ -260,3 +260,11 @@ def test_sensitivity_duplicate_layer_is_format_error(tmp_path):
 def test_layer_spec_rejects_non_finite_weight(weight):
     with pytest.raises(ValidationError, match="fc0.*flops_weight"):
         LayerSpec("fc0", flops_weight=weight)
+
+
+@pytest.mark.parametrize("weight", [True, "1", 10**400, np.array([1.0, 2.0])],
+                         ids=["bool", "text", "huge_int", "array"])
+def test_layer_spec_rejects_a_flops_weight_that_is_not_a_real(weight):
+    # True and 10**400 built; "1" raised a TypeError and the array a ValueError
+    with pytest.raises(ValidationError, match="fc0.*flops_weight"):
+        LayerSpec("fc0", flops_weight=weight)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from robuq import cli, profiler
+from robuq.allocator import AllocationProblem
 from robuq.deploy import FlopsConfig, weighted_flops
 from robuq.errors import FormatError, ValidationError
 from robuq.lowrank import init_layer, load_layer, save_layer
@@ -58,6 +59,10 @@ ENTRY_POINTS = {
     "fixed_bits": (True, ValidationError, lambda b, _: LayerSpec("l", fixed_bits=b)),
     "sensitivity_table_bits": (True, ValidationError,
                                lambda b, _: SensitivityTable([LayerSpec("l")], [b], np.zeros((1, 1)))),
+    # the table holds a column for every accepted width, so only the rule rejects
+    "allocation_bit_set": (True, ValidationError,
+                           lambda b, _: AllocationProblem(SensitivityTable(
+                               [LayerSpec("l")], [1, 4, 8, 32], np.zeros((1, 4))), 8, bit_set=(b,))),
 }
 
 
@@ -96,15 +101,19 @@ def test_profile_rejects_a_repeated_width_before_training_any_cell(monkeypatch):
 def test_cli_rejects_a_width_outside_the_rule(tmp_path, capsys):
     # The first three ran to exit 0 before the rule was shared: every layer
     # allocated 0 bits, a FLOPs total computed at 4 bits, and a dL@64
-    # column of zeros. The last repeats a width.
+    # column of zeros. The last two repeat a width; allocate ran to exit 0.
     csv, cfg, out = tmp_path / "s.csv", tmp_path / "cfg.json", tmp_path / "p.csv"
+    good = tmp_path / "good.csv"
     csv.write_text("layer,flops_weight,fixed_bits,dL@0,dL@1\nfc0,1.0,,0.9,0.5\n")
+    good.write_text("layer,flops_weight,fixed_bits,dL@1,dL@2\nfc0,1.0,,0.9,0.5\n")
     cfg.write_text(json.dumps({"entries": [
         {"name": "only", "fp_gflops": 10.0, "w_bits": "ternary", "a_bits": 4.7}]}))
     for argv in (["allocate", "--sensitivity", str(csv), "--target", "0.5", "--bits", "0,1"],
                  ["flops", "--config", str(cfg)],
                  ["profile", "--widths", "8,8", "--bits", "1,64", "--steps", "1", "--out", str(out)],
-                 ["profile", "--widths", "8,8", "--bits", "2,2", "--steps", "1", "--out", str(out)]):
+                 ["profile", "--widths", "8,8", "--bits", "2,2", "--steps", "1", "--out", str(out)],
+                 ["allocate", "--sensitivity", str(good), "--target", "2", "--bits", "2,2",
+                  "--out", str(out)]):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("robuq: error:")
     assert not out.exists()
