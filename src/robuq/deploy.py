@@ -105,7 +105,8 @@ class FlopsEntry:
 
     ``w_bits`` is a width in 1..8 or 32, or the string "ternary" for
     1.58-bit weights (whose cost scales with the activation bits alone).
-    Building an entry checks it as ``weighted_flops`` does.
+    Building an entry checks it as ``weighted_flops`` does; ``fp_gflops``
+    is stored as the Python float that check returns.
     """
 
     name: str
@@ -114,6 +115,7 @@ class FlopsEntry:
     a_bits: int = FP_BITS
 
     def __post_init__(self):
+        self.fp_gflops = _check_real(self.fp_gflops, "fp_gflops", least=0)
         weighted_flops(self.fp_gflops, self.w_bits, self.a_bits)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hadamard import HadamardPlan, inverse_tokens, transform_tokens
-from .quant import _check_int, _check_real, _is_int
+from .quant import _check_int, _check_matrix, _check_real, _is_int
 
 BERRY_ESSEEN_CONST = 0.56  # published constant for non-identical summands
 _KS_GRID_POINTS = 1024
@@ -45,13 +45,10 @@ class GaussReport:
 
 
 def _as_batch(x: np.ndarray) -> np.ndarray:
-    """The float64 T x C batch every analysis reads: at least 2 tokens, all
-    finite (``ValidationError`` otherwise)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"expected a T x C activation matrix, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise ValidationError(f"need at least 2 tokens, got {arr.shape[0]}")
+    """The float64 T x C batch every analysis reads: a real matrix with at
+    least 2 tokens (``quant._check_matrix``), all finite
+    (``ValidationError`` otherwise)."""
+    arr = _check_matrix(x, "activations", rows=2).astype(np.float64, copy=False)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("activations contain NaN or Inf")
     return arr
@@ -169,11 +166,13 @@ def kl_tv_product_gaussian(
         KL ~ 1/4 ||E||_F^2 / sigma_t^4      (small ||E||)
         TV <= sqrt(KL / 2)                  (Pinsker)
 
-    ``sigma_t2`` is a finite real > 0.
+    ``sigma_t2`` is a finite real > 0, and ``sigma`` a real matrix
+    (``quant._check_matrix``) that is square, finite, symmetric and
+    positive definite.
     """
     sigma_t2 = _check_real(sigma_t2, "sigma_t2", least=0, strict=True)
-    mat = np.asarray(sigma, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    mat = _check_matrix(sigma, "covariance").astype(np.float64, copy=False)
+    if mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"covariance must be square, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValidationError("covariance contains NaN or Inf")
@@ -253,12 +252,13 @@ def mse_preservation(
 
     The identity is orthogonality alone, so it holds for arbitrary Q, not
     just the Gauss codebooks. Returns (mse_direct, mse_transformed) as mean
-    squared error per element. A quantizer output of another shape, or
-    with a NaN or Inf, raises ``ValidationError``.
+    squared error per element. A quantizer output that is not a real
+    matrix (``quant._check_matrix``), is of another shape, or holds a NaN
+    or Inf, raises ``ValidationError``.
     """
     arr = _as_batch(x)
     y = transform_tokens(arr, plan)
-    qy = np.asarray(quantizer(y), dtype=np.float64)
+    qy = _check_matrix(quantizer(y), "quantizer output").astype(np.float64, copy=False)
     if qy.shape != y.shape:
         raise ValidationError(f"quantizer changed the shape: {y.shape} -> {qy.shape}")
     if not np.isfinite(qy).all():

@@ -24,7 +24,10 @@ being symmetric.
 The dtype rule: ``transform_tokens`` and ``inverse_tokens`` keep a float32
 input in float32, with float32 factors (the quantized forward's activation
 path), and compute every other input in float64. ``fold_into_weights``
-always computes in float64.
+always computes in float64. Every input is first held to the package's one
+matrix rule, ``quant._check_matrix``: a real dtype, 2-D, at least one
+column (exactly the plan's dim when a plan is given), and at least one row
+for a weight; a token batch may have none.
 
 Channel counts that are not powers of two use a block-diagonal transform
 whose block size is the largest power-of-two divisor of the dim. Each block
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .quant import _check_int
+from .quant import _check_int, _check_matrix
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Largest block transformed by one dense product; larger ones are factored.
@@ -114,18 +117,14 @@ def hadamard_matrix(dim: int) -> np.ndarray:
 def transform_tokens(x: np.ndarray, plan: HadamardPlan | None = None) -> np.ndarray:
     """Apply the transform to every row (token) of a T x C matrix: Y_t = H x_t.
 
-    A float32 input is transformed in float32; any other in float64.
+    ``x`` is a real matrix with T >= 0 and C = ``plan.dim`` when a plan is
+    given (``quant._check_matrix``). A float32 input is transformed in
+    float32; any other in float64.
     """
-    arr = np.asarray(x)
+    arr = _check_matrix(x, "tokens", rows=0, width=None if plan is None else plan.dim)
     if arr.dtype != np.float32:
         arr = arr.astype(np.float64, copy=False)
-    if arr.ndim != 2:
-        raise ValidationError(f"expected a T x C matrix, got shape {arr.shape}")
-    if plan is None:
-        plan = HadamardPlan(arr.shape[1])
-    if arr.shape[1] != plan.dim:
-        raise ValidationError(f"channel dim {arr.shape[1]} != plan dim {plan.dim}")
-    return _apply(arr, plan.block_size)
+    return _apply(arr, HadamardPlan(arr.shape[1]).block_size)  # plan's, as C = plan.dim
 
 
 def inverse_tokens(y: np.ndarray) -> np.ndarray:
@@ -134,7 +133,7 @@ def inverse_tokens(y: np.ndarray) -> np.ndarray:
 
     H is symmetric, so H^T = H and the body is ``transform_tokens``: the
     one use of the symmetry outside the kernel. The width decides the
-    plan, and the dtype rule is ``transform_tokens``'.
+    plan, and the dtype and matrix rules are ``transform_tokens``'.
     """
     return transform_tokens(y)
 
@@ -144,7 +143,10 @@ def fold_into_weights(w: np.ndarray, plan: HadamardPlan | None = None) -> np.nda
 
     Returns W H^T, so that (W H^T)(H x) = W x exactly up to float rounding
     (H^T H = I); ``inverse_tokens`` maps it back to W. This is
-    ``transform_tokens`` on W in float64, whatever W's dtype: the rows of W
-    are transformed as tokens are, and W's shape is checked as theirs is.
+    ``transform_tokens`` on W in float64, whatever W's real dtype: the rows
+    of W are transformed as tokens are. W is checked by the matrix rule
+    (``quant._check_matrix``, at least one row) before it is cast, so a
+    complex or text W is rejected, not converted.
     """
-    return transform_tokens(np.asarray(w, dtype=np.float64), plan)
+    arr = _check_matrix(w, "w", width=None if plan is None else plan.dim)
+    return transform_tokens(arr.astype(np.float64, copy=False), plan)

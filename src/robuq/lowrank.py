@@ -69,6 +69,7 @@ from .quant import (
     _BLOCK_ENTRIES,
     GaussCodebook,
     TernaryWeights,
+    _check_matrix,
     _is_int,
     ternarize,
     token_codes,
@@ -112,10 +113,11 @@ class QuantLinearLayer:
     transform plan follow from the shape of ``wq.values``.
 
     This constructor is the one validity rule for a layer, whether built
-    by ``init_layer`` or read by ``load_layer``: ``wq.values`` is 2-D with
-    both dims >= 1, the branch is out_dim x r and r x in_dim with r at most
-    min(out_dim, in_dim), ``codebook`` is a uniform grid and ``center`` is
-    a bool. Anything else raises ``ValidationError``.
+    by ``init_layer`` or read by ``load_layer``: ``wq.values`` is a real
+    matrix with both dims >= 1 (``quant._check_matrix``), the branch is
+    out_dim x r and r x in_dim with r at most min(out_dim, in_dim),
+    ``codebook`` is a uniform grid and ``center`` is a bool. Anything else
+    raises ``ValidationError``.
     """
 
     wq: TernaryWeights
@@ -128,9 +130,7 @@ class QuantLinearLayer:
             raise ValidationError(f"a layer codes on the uniform grid, got {self.codebook}")
         if not isinstance(self.center, bool):
             raise ValidationError(f"center must be a bool, got {self.center!r}")
-        if self.wq.values.ndim != 2 or 0 in self.wq.values.shape:
-            raise ValidationError("ternary values must be 2-D with dims >= 1, "
-                                  f"got shape {self.wq.values.shape}")
+        _check_matrix(self.wq.values, "ternary values")
         r = self.branch.rank
         if r > min(self.out_dim, self.in_dim):
             raise ValidationError(f"rank {r} not in 0..min({self.out_dim}, {self.in_dim})")
@@ -233,11 +233,10 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     one ``np.linalg.matrix_rank`` uses) are set to exactly zero. Each pair
     (u_i, v_i) is sign-flipped so that the largest-magnitude entry of u_i is
     positive, which makes the factors deterministic. U_r and V_r are
-    C-ordered, so B = V_r^T is Fortran-ordered.
+    C-ordered, so B = V_r^T is Fortran-ordered. ``m`` is a real matrix
+    (``quant._check_matrix``), read in float64.
     """
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"expected a 2-D matrix, got shape {arr.shape}")
+    arr = _check_matrix(m, "m").astype(np.float64, copy=False)
     if not (_is_int(r) and 1 <= r <= min(arr.shape)):
         raise ValidationError(f"rank {r!r} not in 1..min{arr.shape}")
     # max|m| = max(top, -bottom); NaN propagates through max and min.
@@ -286,9 +285,10 @@ def init_layer(
     Transforms W, splits off the top-r singular structure into the
     full-precision branch, and ternarizes the residual. ``r`` must be an
     integer in 0..min(dims), the range ``truncated_svd`` takes plus 0,
-    which disables the branch entirely; any other ``r``, or a W that is
-    not 2-D, raises ``ValidationError``. A rank above min(dims) is
-    rejected, not clamped. The residual overwrites the A B product
+    which disables the branch entirely; any other ``r``, or a W that
+    ``fold_into_weights`` rejects (``quant._check_matrix``: a real 2-D
+    matrix with both dims >= 1), raises ``ValidationError``. A rank above
+    min(dims) is rejected, not clamped. The residual overwrites the A B product
     and the transformed weight is released before ternarizing, so the
     temporaries peak at about 2.0 float64 copies of W (W H^T and the A B
     product; the SVD's float32 copy adds only half a copy to W H^T).
@@ -326,13 +326,12 @@ def forward_with_cache(layer: QuantLinearLayer, x: np.ndarray) -> tuple[np.ndarr
     and the epilogue stay float64 and read x through B H, so no float64
     transformed input is formed. A token with a NaN or Inf, or whose
     float32 image or transform overflows, raises ``ValidationError``
-    naming it. The cache keeps ``xh`` (the float32
+    naming it; ``x`` is a real matrix with T >= 0 rows and in_dim columns
+    (``quant._check_matrix``). The cache keeps ``xh`` (the float32
     transformed tokens, at the input's scale), ``codes`` (always float32),
     ``mu`` and ``sigma``.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != layer.in_dim:
-        raise ValidationError(f"expected T x {layer.in_dim} input, got shape {arr.shape}")
+    arr = _check_matrix(x, "x", rows=0, width=layer.in_dim).astype(np.float64, copy=False)
     with np.errstate(over="ignore"):  # an overflow is an Inf, which token_codes rejects
         xh = transform_tokens(arr.astype(np.float32), layer.plan)
     cb, wq = layer.codebook, layer.wq

@@ -45,8 +45,8 @@ from .errors import ValidationError
 # where perfbench's tracer test patches it.
 from .hadamard import HadamardPlan, fold_into_weights, inverse_tokens, transform_tokens
 from .lowrank import QuantLinearLayer, forward_with_cache, init_layer
-from .quant import (FP_BITS, _check_bits, _check_int, _check_real, _check_widths, dequantize_codes,
-                    ternarize, uniform_gauss_codebook)
+from .quant import (FP_BITS, _check_bits, _check_int, _check_matrix, _check_real, _check_widths,
+                    dequantize_codes, ternarize, uniform_gauss_codebook)
 from .tensorio import LayerSpec, SensitivityTable
 
 _VAL_POOL = 1000  # validation tokens of every toy data set
@@ -70,12 +70,12 @@ class TrainConfig:
 
 
 class ToyLayer:
-    """One trainable linear layer; quantized, it wraps a ``QuantLinearLayer``."""
+    """One trainable linear layer; quantized, it wraps a ``QuantLinearLayer``.
+    ``weight`` is a real matrix with both dims >= 1 (``quant._check_matrix``),
+    copied to float64."""
 
     def __init__(self, weight: np.ndarray):
-        self.weight = np.array(weight, dtype=np.float64)
-        if self.weight.ndim != 2:
-            raise ValidationError(f"weight must be 2-D, got shape {self.weight.shape}")
+        self.weight = np.array(_check_matrix(weight, "weight"), dtype=np.float64)
         self.qlayer: QuantLinearLayer | None = None
         self.anchor: np.ndarray | None = None  # frozen A0 @ B0 residual reference
 
@@ -243,16 +243,15 @@ class ToyModel:
 @dataclass
 class ToyData:
     """Gaussian inputs: a fixed validation pool plus a fresh-batch sampler.
-    The input width is the pool's, which must be a finite 2-D matrix with
-    at least one column."""
+    The input width is the pool's, which must be a finite real matrix with
+    at least one row and one column (``quant._check_matrix``), held as
+    float64."""
 
     val_inputs: np.ndarray
 
     def __post_init__(self):
-        self.val_inputs = np.asarray(self.val_inputs, dtype=np.float64)
-        if self.val_inputs.ndim != 2 or self.val_inputs.shape[1] < 1:
-            raise ValidationError("val_inputs must be a T x in_dim matrix with in_dim >= 1, "
-                                  f"got shape {self.val_inputs.shape}")
+        pool = _check_matrix(self.val_inputs, "val_inputs")
+        self.val_inputs = pool.astype(np.float64, copy=False)
         if not np.isfinite(self.val_inputs).all():
             raise ValidationError("val_inputs contain NaN or Inf")
 
@@ -383,7 +382,10 @@ def profile_sensitivity(
     so the table is identical no matter how cells are scheduled. Each width
     is in 1..8, or 32 for no quantization, whose gap is exactly zero by
     construction; any other width, or one given twice, raises
-    ``ValidationError`` before a cell is trained.
+    ``ValidationError`` before a cell is trained. Each layer is converted
+    once: only the codebook depends on the width, so every cell of the layer
+    starts from a copy of that conversion with its own width's codebook,
+    bitwise the layer ``enable_quant`` would build for that cell.
     """
     if data.in_dim != model.layers[0].in_dim:
         raise ValidationError(
@@ -392,11 +394,16 @@ def profile_sensitivity(
     base_loss = model.loss(data.val_inputs)
     gaps = np.zeros((len(model.layers), len(bits)))
     for li in range(len(model.layers)):
+        converted = None
         for bi, b in enumerate(bits):
             if b == FP_BITS:
                 continue
+            if converted is None:
+                converted = _copy.deepcopy(model.layers[li])
+                converted.enable_quant(b, rank=rank)
             trial = model.copy()
-            trial.layers[li].enable_quant(b, rank=rank)
+            layer = trial.layers[li] = _copy.deepcopy(converted)
+            layer.qlayer = replace(layer.qlayer, codebook=uniform_gauss_codebook(b))
             rng = np.random.default_rng([config.seed, li, b])
             _train(trial, data, {li}, config, rng)
             gaps[li, bi] = trial.loss(data.val_inputs) - base_loss

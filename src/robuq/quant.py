@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -87,7 +88,9 @@ def _check_widths(bits, name: str) -> tuple[int, ...]:
     """The package's one rule for a set of activation widths: at least one
     width, each passing ``_check_bits(full_precision=True)``, none given
     twice. Returns them sorted, as plain ints; ``ValidationError`` naming
-    ``name`` otherwise."""
+    ``name`` otherwise, a set that is not iterable included."""
+    if not isinstance(bits, Iterable):
+        raise ValidationError(f"{name} must be a set of widths, got {bits!r}")
     for b in bits:
         _check_bits(b, full_precision=True, name=f"{name} entry")
     widths = tuple(sorted(map(int, bits)))
@@ -114,6 +117,22 @@ def _check_real(value, name: str, least: float = -math.inf, strict: bool = False
         return number
     bound = "" if least == -math.inf else f" {'>' if strict else '>='} {least}"
     raise ValidationError(f"{name} must be a finite real{bound}, got {value!r}")
+
+
+def _check_matrix(x, name: str, rows: int = 1, width: int | None = None) -> np.ndarray:
+    """The package's one rule for a matrix argument: ``np.asarray(x)`` has a
+    bool, integer or float dtype (a complex, text, object, datetime or void
+    array is rejected, never converted), is 2-D, and has at least ``rows``
+    rows and at least one column, exactly ``width`` when given. Returns the
+    array in its own dtype, which each caller casts as it needs;
+    ``ValidationError`` naming ``name``, the dtype and the shape otherwise."""
+    arr = np.asarray(x)
+    if (arr.dtype.kind in "biuf" and arr.ndim == 2 and arr.shape[0] >= rows
+            and arr.shape[1] >= 1 and width in (None, arr.shape[1])):
+        return arr
+    cols = ">= 1" if width is None else f"exactly {width}"
+    raise ValidationError(f"{name} must be a real 2-D matrix with >= {rows} rows and {cols} "
+                          f"columns, got a {arr.dtype} array of shape {arr.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +187,11 @@ def ternarize(w: np.ndarray) -> TernaryWeights:
 
     The divisor gamma and the scale alpha are both the mean absolute value
     of the whole tensor. An all-zero tensor yields all-zero values with
-    alpha = 0, the only degenerate case. A NaN or Inf, or a sum of |W| that
-    overflows float64, raises ``ValidationError``.
+    alpha = 0, the only degenerate case. ``w`` is a real matrix with at
+    least one row (``_check_matrix``) and is ternarized in float64. A NaN or
+    Inf, or a sum of |W| that overflows float64, raises ``ValidationError``.
     """
-    arr = np.asarray(w, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValidationError(f"expected a nonempty 2-D weight matrix, got shape {arr.shape}")
+    arr = _check_matrix(w, "w").astype(np.float64, copy=False)
     with np.errstate(over="ignore"):
         gamma = float(np.mean(np.abs(arr)))
     # A NaN or Inf entry always makes gamma non-finite, so only then is
@@ -396,6 +414,7 @@ def token_codes(
     center: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-token Gauss codes for a T x C matrix: returns (codes, mu, sigma).
+    ``x`` is a real matrix with T >= 0 (``_check_matrix``).
 
     Row t is standardized as z = (x_t - mu_t) / sigma_t and encoded against
     ``cb``. sigma_t is the row's population standard deviation; mu_t is the
@@ -432,12 +451,10 @@ def token_codes(
     against ``quantize_tokens(transform_tokens(x))`` in float64, with x_t
     the transformed token.
     """
-    arr = np.asarray(x)
+    arr = _check_matrix(x, "x", rows=0)
     single = arr.dtype == np.float32 and cb.is_uniform
     if not single:
         arr = arr.astype(np.float64, copy=False)
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise ValidationError(f"expected a T x C matrix with C >= 1, got shape {arr.shape}")
     codes = np.empty(arr.shape, dtype=np.float32 if single else np.int64)
     mu, sigma = np.empty(arr.shape[0]), np.empty(arr.shape[0])
     rows = max(1, (_BLOCK_ENTRIES32 if single else _BLOCK_ENTRIES) // arr.shape[1])

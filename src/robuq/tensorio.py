@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, RobuqError, ValidationError
-from .quant import _check_bits, _check_real, _check_widths
+from .quant import _check_bits, _check_matrix, _check_real, _check_widths
 
 MATRIX_MAGIC = b"RBQ1"
 _HEADER = struct.Struct("<4sII")
@@ -93,12 +93,11 @@ def _reading(path, kind: str):
 def save_matrix(m: np.ndarray, path) -> None:
     """Write a 2-D float32 matrix to ``path`` in RBQ1 layout.
 
-    The file is exactly ``12 + 4 * rows * cols`` bytes. Values are stored as
-    little-endian IEEE-754 float32 regardless of the input dtype.
+    The file is exactly ``12 + 4 * rows * cols`` bytes. ``m`` is a real
+    matrix with both dims >= 1 (``quant._check_matrix``); its values are
+    stored as little-endian IEEE-754 float32 whatever its real dtype.
     """
-    arr = np.ascontiguousarray(m, dtype=np.float32)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValidationError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
+    arr = np.ascontiguousarray(_check_matrix(m, "m"), dtype=np.float32)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("matrix contains NaN or Inf")
     with open(path, "wb") as fh:
@@ -154,7 +153,9 @@ class SensitivityTable:
     ``delta_loss[i, j]`` is the loss gap of ``layers[i]`` quantized to
     ``bits[j]`` activation bits; ``bits`` is a set of widths
     (``quant._check_widths``: each in 1..8 or 32, none repeated) given in
-    rising order, as the columns follow it. Every cell must be populated.
+    rising order, as the columns follow it. ``delta_loss`` is a real
+    matrix (``quant._check_matrix``, no row needed) of that shape, held as
+    float64, and every cell must be finite.
     """
 
     layers: list[LayerSpec]
@@ -162,9 +163,10 @@ class SensitivityTable:
     delta_loss: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.delta_loss = np.asarray(self.delta_loss, dtype=np.float64)
-        if tuple(self.bits) != _check_widths(self.bits, "bit set"):
+        if _check_widths(self.bits, "bit set") != tuple(self.bits):
             raise ValidationError(f"bit set must be strictly increasing, got {self.bits}")
+        gaps = _check_matrix(self.delta_loss, "delta_loss", rows=0)
+        self.delta_loss = gaps.astype(np.float64, copy=False)
         if self.delta_loss.shape != (len(self.layers), len(self.bits)):
             raise ValidationError(
                 f"delta_loss shape {self.delta_loss.shape} does not match "

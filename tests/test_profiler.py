@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from robuq import profiler
 from robuq.errors import ValidationError
 from robuq.profiler import (
     ToyData,
@@ -154,6 +155,44 @@ def test_profiling_rejects_data_of_another_width():
         profile_sensitivity(model, data, (2,), TrainConfig(steps=1))
     with pytest.raises(ValidationError, match="16 .*8"):
         steps_sweep(model, data, (1,), bits=(2,), config=TrainConfig(steps=1), full_steps=1)
+
+
+def _profile_cell_by_cell(model, data, bits, config, rank):
+    """The table built as before each layer was converted once: a fresh
+    model copy and ``enable_quant`` for every (layer, width) cell."""
+    base = model.loss(data.val_inputs)
+    gaps = np.zeros((len(model.layers), len(bits)))
+    for li in range(len(model.layers)):
+        for bi, b in enumerate(bits):
+            if b != 32:
+                trial = model.copy()
+                trial.layers[li].enable_quant(b, rank=rank)
+                rng = np.random.default_rng([config.seed, li, b])
+                profiler._train(trial, data, {li}, config, rng)
+                gaps[li, bi] = trial.loss(data.val_inputs) - base
+    return gaps
+
+
+@pytest.mark.parametrize("rank", [0, 4])
+def test_profiling_converts_each_layer_once(monkeypatch, rank):
+    # Only the codebook depends on the width, so one conversion per layer
+    # serves every width; the table stays bitwise the cell-by-cell one.
+    model = make_toy_model((32, 24, 32, 16), seed=51)
+    data = make_toy_data(32, seed=51)
+    config = TrainConfig(steps=3, seed=51)
+    bits = (1, 2, 4, 8, 32)
+    expected = _profile_cell_by_cell(model, data, bits, config, rank)
+    converted = []
+    real = profiler.init_layer
+
+    def spy(w, *args, **kwargs):
+        converted.append(w.shape)
+        return real(w, *args, **kwargs)
+
+    monkeypatch.setattr(profiler, "init_layer", spy)
+    table = profile_sensitivity(model, data, bits, config, rank=rank)
+    assert converted == [(24, 32), (32, 24), (16, 32)]
+    assert table.delta_loss.tobytes() == expected.tobytes()
 
 
 def test_layer_specs_carry_flops_weights():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import robuq
 from robuq.allocator import AllocationProblem
-from robuq.deploy import weighted_flops
+from robuq.deploy import FlopsEntry, weighted_flops
 from robuq.errors import ValidationError
 from robuq.profiler import TrainConfig
 from robuq.quant import (
@@ -262,7 +262,7 @@ def test_ternary_weights_accept_a_finite_alpha_of_at_least_zero(alpha):
 @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), 3],
                          ids=["numpy_float32", "numpy_int64", "int"])
 @pytest.mark.parametrize("site", ["alpha", "learning_rate", "flops_weight", "target_avg_bits",
-                                  "fp_gflops"])
+                                  "fp_gflops", "flops_entry"])
 def test_every_real_parameter_accepts_numpy_reals_and_stores_a_python_float(site, value):
     table = SensitivityTable([LayerSpec("a")], [1, 2, 3, 4], np.zeros((1, 4)))
     stored = {
@@ -271,6 +271,7 @@ def test_every_real_parameter_accepts_numpy_reals_and_stores_a_python_float(site
         "flops_weight": lambda: LayerSpec("a", flops_weight=value).flops_weight,
         "target_avg_bits": lambda: AllocationProblem(table, value).target_avg_bits,
         "fp_gflops": lambda: weighted_flops(value, 32, 32),  # passed through at W = A = 32
+        "flops_entry": lambda: FlopsEntry("a", value).fp_gflops,
     }[site]()
     assert type(stored) is float and stored == value
 

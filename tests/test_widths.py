@@ -98,6 +98,19 @@ def test_profile_rejects_a_repeated_width_before_training_any_cell(monkeypatch):
         profile_sensitivity(model, data, (2, 1, 2), TrainConfig(steps=1))
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: profile_sensitivity(make_toy_model((8, 8), seed=1), make_toy_data(8, seed=1), 4,
+                                 TrainConfig(steps=1)), "bits"),
+    (lambda: AllocationProblem(SensitivityTable([LayerSpec("l")], [4], np.zeros((1, 1))), 2.0,
+                               bit_set=4), "bit_set"),
+    (lambda: SensitivityTable([LayerSpec("l")], 4, np.zeros((1, 1))), "bit set"),
+], ids=["profile_sensitivity", "allocation_bit_set", "sensitivity_table_bits"])
+def test_a_width_set_that_is_not_iterable_is_rejected(call, name):
+    # each raised a stray TypeError ("'int' object is not iterable")
+    with pytest.raises(ValidationError, match=f"^{name} must be a set of widths, got 4"):
+        call()
+
+
 def test_cli_rejects_a_width_outside_the_rule(tmp_path, capsys):
     # The first three ran to exit 0 before the rule was shared: every layer
     # allocated 0 bits, a FLOPs total computed at 4 bits, and a dL@64
