@@ -54,8 +54,6 @@ class PackedTernary:
 def pack_ternary(values) -> PackedTernary:
     """Pack a {-1, 0, +1} sequence five-per-byte; trailing slots pad with 0."""
     arr = np.asarray(values).ravel()
-    if arr.size == 0:
-        return PackedTernary(data=b"", count=0)
     if not is_ternary(arr):
         raise ValidationError("values must all lie in {-1, 0, +1}")
     digits = np.ones(-(-arr.size // 5) * 5, dtype=np.uint8)  # pad digit 1 == value 0

@@ -57,10 +57,17 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
 def variance_identity(
     x: np.ndarray, plan: HadamardPlan | None = None
 ) -> tuple[np.ndarray, float]:
-    """Per-coordinate variances after the transform, and their exact target.
+    """Per-coordinate variances after the transform, and their target.
 
-    The transform equalizes variances: every transformed coordinate has
-    variance sigma_t^2 = mean of the per-channel pre-transform variances.
+    The transform equalizes variances within each block of b =
+    ``block_size`` channels (b = C at a power-of-two width): for
+    independent channels every transformed coordinate of a block has
+    variance the mean of that block's per-channel variances. The returned
+    sigma_t^2 is the mean over all C channels, so it is every coordinate's
+    target only under the premise that each block has the same mean
+    channel variance, which holds at a power-of-two width (one block). At
+    a block-diagonal width whose block means differ, each coordinate
+    follows its own block's mean instead.
     Returns (empirical per-coordinate variances across tokens, sigma_t2).
     """
     arr = _as_batch(x)

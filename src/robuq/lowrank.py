@@ -193,6 +193,11 @@ def _dominant_subspace(a: np.ndarray, peak: float, l: int) -> np.ndarray:
 def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-r singular triple (U_r, S_r, V_r) of m (LAPACK via numpy).
 
+    ``r`` is an integer in 0..min(dims), the one rank rule of the package;
+    anything else raises ``ValidationError``. Rank 0 is no special case: it
+    runs the same steps and keeps none of the triples, so U_0 is m x 0, S_0
+    empty and V_0 n x 0, and U_0 S_0 V_0^T is the zero matrix.
+
     On the tall orientation a (n = min(dims) columns) an n x l basis, l =
     min(n, r + 16), locates the dominant right singular subspace. When
     l < n it comes from 3 rounds of randomized subspace iteration in
@@ -237,8 +242,8 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     (``quant._check_matrix``), read in float64.
     """
     arr = _check_matrix(m, "m").astype(np.float64, copy=False)
-    if not (_is_int(r) and 1 <= r <= min(arr.shape)):
-        raise ValidationError(f"rank {r!r} not in 1..min{arr.shape}")
+    if not (_is_int(r) and 0 <= r <= min(arr.shape)):
+        raise ValidationError(f"rank {r!r} not in 0..min{arr.shape}")
     # max|m| = max(top, -bottom); NaN propagates through max and min.
     top, bottom = float(arr.max()), float(arr.min())
     if not (math.isfinite(top) and math.isfinite(bottom)):
@@ -260,9 +265,8 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     q = np.linalg.qr(a @ np.ldexp(basis, k, dtype=np.float64))[0]
     # a^T q is (q^T a)^T, whose left factor is V itself, C-ordered
     v, s, wt = np.linalg.svd(a.T @ np.ldexp(q, k), full_matrices=False)
-    u, s, v = q @ wt[:r].T, s[:r], v[:, :r]
-    if wide:
-        u, v = v, u
+    # The overflow check and the tolerance read the whole spectrum, whose
+    # s_0 exists at every rank, 0 included; then the top r are kept.
     with np.errstate(over="ignore"):
         s = np.ldexp(s, -k)
     if math.isinf(s[0]):
@@ -270,6 +274,9 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     # s_0 * eps first, so the product cannot overflow where s_0 does not; it
     # equals s_0 * max(dims) * eps bit for bit while s_0 * max(dims) >= 2^-970.
     s[s <= s[0] * np.finfo(np.float64).eps * max(arr.shape)] = 0.0
+    u, s, v = q @ wt[:r].T, s[:r], v[:, :r]
+    if wide:
+        u, v = v, u
     signs = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(r)])
     return u * signs, s, v * signs
 
@@ -283,29 +290,24 @@ def init_layer(
     """Build a quantized layer from a dense weight matrix.
 
     Transforms W, splits off the top-r singular structure into the
-    full-precision branch, and ternarizes the residual. ``r`` must be an
-    integer in 0..min(dims), the range ``truncated_svd`` takes plus 0,
-    which disables the branch entirely; any other ``r``, or a W that
-    ``fold_into_weights`` rejects (``quant._check_matrix``: a real 2-D
-    matrix with both dims >= 1), raises ``ValidationError``. A rank above
-    min(dims) is rejected, not clamped. The residual overwrites the A B product
+    full-precision branch, and ternarizes the residual W H^T - A B. ``r``
+    follows ``truncated_svd``'s rank rule, an integer in 0..min(dims), and
+    a W that ``fold_into_weights`` rejects (``quant._check_matrix``: a real
+    2-D matrix with both dims >= 1) raises ``ValidationError`` too. A rank
+    above min(dims) is rejected, not clamped. At rank 0 the branch is
+    0 wide (A is out x 0, B is 0 x in) and its product is zero, so the
+    residual is W H^T bit for bit. The residual overwrites the A B product
     and the transformed weight is released before ternarizing, so the
     temporaries peak at about 2.0 float64 copies of W (W H^T and the A B
     product; the SVD's float32 copy adds only half a copy to W H^T).
     """
-    if not _is_int(r):
-        raise ValidationError(f"rank must be an integer, got {r!r}")
     if codebook is None:
         codebook = uniform_gauss_codebook(4)
     wh = fold_into_weights(w)
-    if r == 0:
-        branch = LowRankBranch(A=np.zeros((wh.shape[0], 0)), B=np.zeros((0, wh.shape[1])))
-        residual = wh
-    else:  # truncated_svd rejects a rank outside 1..min(dims)
-        u, s, v = truncated_svd(wh, r)
-        branch = LowRankBranch(A=u * s, B=v.T)
-        residual = branch.matrix()
-        np.subtract(wh, residual, out=residual)
+    u, s, v = truncated_svd(wh, r)
+    branch = LowRankBranch(A=u * s, B=v.T)
+    residual = branch.matrix()
+    np.subtract(wh, residual, out=residual)
     del wh
     wq = ternarize(residual)
     return QuantLinearLayer(wq=wq, branch=branch, codebook=codebook, center=center)

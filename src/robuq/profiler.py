@@ -72,7 +72,9 @@ class TrainConfig:
 class ToyLayer:
     """One trainable linear layer; quantized, it wraps a ``QuantLinearLayer``.
     ``weight`` is a real matrix with both dims >= 1 (``quant._check_matrix``),
-    copied to float64."""
+    copied to float64. A quantized layer trains ``weight`` and its branch
+    factors ``A`` and ``B`` at every rank; at rank 0 they are 0 wide, so
+    only the shadow weight holds values."""
 
     def __init__(self, weight: np.ndarray):
         self.weight = np.array(_check_matrix(weight, "weight"), dtype=np.float64)
@@ -108,8 +110,9 @@ class ToyLayer:
         several widths, and clamping is the profiler's policy, while
         ``init_layer`` rejects a rank above min(dims). The low-rank
         branch is initialized from the transformed weight's top singular
-        structure; its product at enable time anchors the residual, so the
-        factors train freely without re-entering the weight quantizer.
+        structure (0 wide at rank 0, the default); its product at enable
+        time anchors the residual, so the factors train freely without
+        re-entering the weight quantizer.
         ``seed`` has no effect: the SVD's random sketch is drawn from a
         fixed internal seed, so it is deterministic. It is still accepted
         because existing callers pass it.
@@ -121,8 +124,10 @@ class ToyLayer:
         self.anchor = self.qlayer.branch.matrix()
 
     def params(self) -> dict[str, np.ndarray]:
+        """The trainable arrays: ``weight``, and on a quantized layer the
+        branch factors ``A`` and ``B``, which are 0 wide at rank 0."""
         out = {"weight": self.weight}
-        if self.rank:
+        if self.quantized:
             out["A"] = self.qlayer.branch.A
             out["B"] = self.qlayer.branch.B
         return out
@@ -131,7 +136,7 @@ class ToyLayer:
         """Point the trainable arrays named as in ``params()`` at new arrays
         holding the same values (``_train`` passes views of its buffer)."""
         self.weight = params["weight"]
-        if self.rank:
+        if self.quantized:
             self.qlayer.branch.A, self.qlayer.branch.B = params["A"], params["B"]
 
     def deployed_forward(self, x: np.ndarray):
@@ -162,29 +167,26 @@ class ToyLayer:
     def _param_grads(self, gy: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
         """Straight-through parameter gradients: both quantizers behave as
         identity, so the residual inherits the dequantized-product
-        gradient."""
+        gradient. The factors' gradients are exact; at rank 0 they are
+        0 wide like the factors."""
         if not self.quantized:
             return {"weight": gy.T @ cache["x"]}
         branch = self.qlayer.branch
-        grads = {"weight": inverse_tokens(gy.T @ cache["deq"])}
-        if branch.rank:
-            # one float64 copy of the float32 xh for both products, the cast
-            # each mixed-dtype matmul would make
-            xh = cache["xh"].astype(np.float64)
-            grads["A"] = gy.T @ (xh @ branch.B.T)
-            grads["B"] = branch.A.T @ gy.T @ xh
-        return grads
+        # one float64 copy of the float32 xh for both products, the cast
+        # each mixed-dtype matmul would make
+        xh = cache["xh"].astype(np.float64)
+        return {"weight": inverse_tokens(gy.T @ cache["deq"]),
+                "A": gy.T @ (xh @ branch.B.T),
+                "B": branch.A.T @ gy.T @ xh}
 
     def _input_grad(self, gy: np.ndarray, cache: dict) -> np.ndarray:
         """Straight-through input gradient: the transformed activation
-        inherits the output-side chain."""
+        inherits the output-side chain of both branches (the low-rank one
+        adds zeros at rank 0)."""
         if not self.quantized:
             return gy @ self.weight
         branch = self.qlayer.branch
-        g_xh = gy @ cache["wq"]
-        if branch.rank:
-            g_xh = g_xh + gy @ branch.A @ branch.B
-        return inverse_tokens(g_xh)
+        return inverse_tokens(gy @ cache["wq"] + gy @ branch.A @ branch.B)
 
 
 @dataclass
@@ -215,11 +217,15 @@ class ToyModel:
         """Mean squared error against the teacher, bitwise equal to that of
         ``forward``'s output. Each layer runs only its deployed forward, so
         no straight-through array is formed; nothing backpropagates here."""
+        return self._loss(x, self.target(x))
+
+    def _loss(self, x: np.ndarray, target: np.ndarray) -> float:
+        """``loss`` against ``target``, the teacher's output on ``x``, which
+        a caller that evaluates one pool many times computes once."""
         h = x
         for layer in self.layers:
             h, _ = layer.deployed_forward(h)
-        t = self.target(x)
-        return float(np.mean((h - t) ** 2))
+        return float(np.mean((h - target) ** 2))
 
     def loss_and_grads(self, x: np.ndarray, trainable: set[int]):
         """Loss and the gradients of the ``trainable`` layers. The backward
@@ -391,7 +397,8 @@ def profile_sensitivity(
         raise ValidationError(
             f"data width {data.in_dim} is not the model's input width {model.layers[0].in_dim}")
     bits = _check_widths(bits, "bits")
-    base_loss = model.loss(data.val_inputs)
+    targets = model.target(data.val_inputs)  # the frozen teacher's, for every cell
+    base_loss = model._loss(data.val_inputs, targets)
     gaps = np.zeros((len(model.layers), len(bits)))
     for li in range(len(model.layers)):
         converted = None
@@ -406,7 +413,7 @@ def profile_sensitivity(
             layer.qlayer = replace(layer.qlayer, codebook=uniform_gauss_codebook(b))
             rng = np.random.default_rng([config.seed, li, b])
             _train(trial, data, {li}, config, rng)
-            gaps[li, bi] = trial.loss(data.val_inputs) - base_loss
+            gaps[li, bi] = trial._loss(data.val_inputs, targets) - base_loss
     return SensitivityTable(layers=_layer_specs(model), bits=list(bits), delta_loss=gaps)
 
 
@@ -437,11 +444,12 @@ def steps_sweep(
         trial = model.copy()
         for i, layer in enumerate(trial.layers):
             layer.enable_quant(alloc.bits_per_layer[f"fc{i}"], rank=rank)
-        initial = trial.loss(data.val_inputs)
+        targets = model.target(data.val_inputs)
+        initial = trial._loss(data.val_inputs, targets)
         rng = np.random.default_rng([config.seed, 0xF0, s])
         _train(trial, data, set(range(len(trial.layers))),
                replace(config, steps=full_steps), rng)
-        final = trial.loss(data.val_inputs)
+        final = trial._loss(data.val_inputs, targets)
         rows.append({"steps": s, "initial_loss": initial, "final_loss": final,
                      "bits": dict(alloc.bits_per_layer)})
     return rows

@@ -125,8 +125,13 @@ def _check_matrix(x, name: str, rows: int = 1, width: int | None = None) -> np.n
     array is rejected, never converted), is 2-D, and has at least ``rows``
     rows and at least one column, exactly ``width`` when given. Returns the
     array in its own dtype, which each caller casts as it needs;
-    ``ValidationError`` naming ``name``, the dtype and the shape otherwise."""
-    arr = np.asarray(x)
+    ``ValidationError`` naming ``name``, the dtype and the shape otherwise,
+    or naming ``name`` for a ragged nested sequence, which numpy cannot
+    make an array of."""
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise ValidationError(f"{name} must be a real 2-D matrix, got a ragged sequence") from exc
     if (arr.dtype.kind in "biuf" and arr.ndim == 2 and arr.shape[0] >= rows
             and arr.shape[1] >= 1 and width in (None, arr.shape[1])):
         return arr
@@ -140,12 +145,14 @@ def _check_matrix(x, name: str, rows: int = 1, width: int | None = None) -> np.n
 # ---------------------------------------------------------------------------
 
 def is_ternary(values) -> bool:
-    """True when every entry is -1, 0 or +1 (NaN, 0.5, 256 and int8 -128 are not)."""
+    """True when ``values`` has a real dtype (bool, integer or float, as in
+    ``_check_matrix``) and every entry is -1, 0 or +1 (NaN, 0.5, 256, int8
+    -128 and the complex unit 1j are not)."""
     v = np.asarray(values)
     if v.dtype.kind in "biu":
         # Integers hold no NaN or fraction: two reductions, no temporaries.
         return v.size == 0 or bool(v.min() >= -1 and v.max() <= 1)
-    return bool(((v == 0) | (np.abs(v) == 1)).all())
+    return v.dtype.kind == "f" and bool(((v == 0) | (np.abs(v) == 1)).all())
 
 
 @dataclass

@@ -67,10 +67,22 @@ def test_svd_zero_matrix_and_errors():
         truncated_svd(np.ones((3, 3)), 4)
 
 
+@pytest.mark.parametrize("shape", [(5, 7), (7, 5), (40, 24)], ids=["wide", "tall", "sketched"])
+def test_svd_rank_0_keeps_no_triple(shape):
+    # Rank 0 takes the steps of every rank and keeps none of the triples;
+    # its overflow check still reads the top singular value.
+    m = np.random.default_rng(19).standard_normal(shape)
+    u, s, v = truncated_svd(m, 0)
+    assert (u.shape, s.shape, v.shape) == ((shape[0], 0), (0,), (shape[1], 0))
+    np.testing.assert_array_equal((u * s) @ v.T, np.zeros(shape), strict=True)
+    with pytest.raises(ValidationError, match="top singular value overflows"):
+        truncated_svd(np.full((3, 3), 1e308), 0)
+
+
 @pytest.mark.parametrize("r", [2.5, 2.0, "2", True], ids=["fraction", "float", "text", "bool"])
 def test_svd_rejects_a_non_integer_rank(r):
     # 2.5 raised numpy's TypeError and True returned a rank-1 triple
-    with pytest.raises(ValidationError, match=r"rank .* not in 1\.\.min\(4, 4\)"):
+    with pytest.raises(ValidationError, match=r"rank .* not in 0\.\.min\(4, 4\)"):
         truncated_svd(np.eye(4), r)
     assert truncated_svd(np.eye(4), np.int64(2))[1].shape == (2,)
 
@@ -355,12 +367,13 @@ def test_init_layer_zero_weight():
 
 @pytest.mark.parametrize("r", [2.5, 2.0, "2", True], ids=["fraction", "float", "text", "bool"])
 def test_init_layer_rejects_a_non_integer_rank(r):
-    with pytest.raises(ValidationError, match="rank must be an integer"):
+    # truncated_svd states the one rank rule
+    with pytest.raises(ValidationError, match=r"rank .* not in 0\.\.min\(8, 8\)"):
         init_layer(np.eye(8), r=r)
 
 
 def test_init_layer_overflowing_weight_is_validation_error():
-    # At rank 1 the top singular value overflows; at rank 0 the sum of |W H|.
+    # At every rank, 0 included, the top singular value overflows.
     with pytest.raises(ValidationError, match="top singular value overflows"):
         init_layer(np.full((3, 2), 1e308), r=1)
     with pytest.raises(ValidationError, match="overflows float64"):
@@ -392,6 +405,18 @@ def test_init_layer_branch_captures_low_rank():
     assert layer.wq.alpha < 1e-12
     x = rng.standard_normal((16, 32))
     np.testing.assert_allclose(forward(layer, x), x @ w_low.T, atol=1e-8)
+
+
+def test_init_layer_rank_0_ternarizes_the_whole_transformed_weight():
+    # The 0-wide branch's product is zero, and W H^T - 0.0 is W H^T bit for
+    # bit, -0.0 included.
+    w = np.random.default_rng(20).standard_normal((6, 8))
+    w[:, :2] = 0.0
+    layer = init_layer(w, r=0)
+    assert layer.branch.A.shape == (6, 0) and layer.branch.B.shape == (0, 8)
+    expected = ternarize(fold_into_weights(w))
+    np.testing.assert_array_equal(layer.wq.values, expected.values, strict=True)
+    assert layer.wq.alpha == expected.alpha
 
 
 def test_branch_strictly_helps_reconstruction():

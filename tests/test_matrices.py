@@ -27,8 +27,8 @@ def _layer_with_values(values):
     # TernaryWeights' own check would stop a complex or text matrix first,
     # so the values are set after it has run: only the layer's rule is left.
     wq = TernaryWeights(values=np.zeros((1, 1), dtype=np.int8), alpha=1.0)
-    wq.values = np.asarray(values)
-    rows, cols = wq.values.shape if wq.values.ndim == 2 else (0, 0)
+    wq.values = values
+    rows, cols = values.shape if getattr(values, "ndim", 0) == 2 else (0, 0)
     branch = LowRankBranch(A=np.zeros((rows, 0)), B=np.zeros((0, cols)))
     return QuantLinearLayer(wq=wq, branch=branch, codebook=_CB)
 
@@ -73,6 +73,7 @@ BAD = {
     "no_columns": np.zeros((4, 0)),
     "no_rows": np.zeros((0, 8)),
     "one_row": np.ones((1, 8)),
+    "ragged": [*_BASE[:3].tolist(), _BASE[3, :5].tolist()],
 }
 
 
@@ -90,8 +91,8 @@ def _cases():
 @pytest.mark.parametrize("name,m", _cases())
 def test_every_entry_point_rejects_what_is_not_a_real_matrix(tmp_path, name, m):
     # A complex matrix was cast to its real part with a ComplexWarning, a
-    # text one parsed, and the other shapes raised numpy errors, warnings
-    # or nothing at all.
+    # text one parsed, a ragged list raised numpy's ValueError, and the
+    # other shapes raised numpy errors, warnings or nothing at all.
     arg, _, call = ENTRY_POINTS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -279,12 +279,23 @@ def test_quantized_toy_cache_holds_what_the_backward_reads():
 
 
 def test_rank_zero_layer_trains_only_the_shadow_weight():
+    # Rank 0 trains a 0-wide branch like any other: only the shadow weight
+    # holds values, before and after a step.
+    from robuq.profiler import _train
+
     model = _shared_forward_model()
+    layer = model.layers[1]
     x = np.random.default_rng(27).standard_normal((10, 32))
     _, grads = model.loss_and_grads(x, {0, 1})
-    assert set(grads[0]) == {"weight", "A", "B"}
-    assert set(grads[1]) == {"weight"}
-    assert set(model.layers[1].params()) == {"weight"}
+    assert set(grads[0]) == set(grads[1]) == {"weight", "A", "B"}
+    assert grads[1]["A"].shape == (16, 0) and grads[1]["B"].shape == (0, 24)
+    weight = layer.weight.copy()
+    _train(model, make_toy_data(32, seed=27), {1}, TrainConfig(steps=1, batch=4),
+           np.random.default_rng(27))
+    params = layer.params()
+    assert set(params) == {"weight", "A", "B"}
+    assert params["A"].shape == (16, 0) and params["B"].shape == (0, 24)
+    assert not np.array_equal(params["weight"], weight)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +475,24 @@ def test_sweep_losses_pinned_bitwise(optimizer, lr):
     (row,) = steps_sweep(model, data, (5,), config=config, full_steps=30, rank=8)
     initial, final = (float.fromhex(h) for h in _SWEEP_LOSSES[optimizer])
     assert (row["initial_loss"], row["final_loss"]) == (initial, final)
+
+
+def test_a_sweep_row_evaluates_the_teacher_on_the_pool_twice(monkeypatch):
+    # The teacher is frozen, so profiling and the sweep each compute the
+    # pool's targets once: 15 evaluations per row became 2 (base loss, 12
+    # cells, initial and final).
+    model = make_toy_model((32, 24, 16, 16), seed=33)
+    data = make_toy_data(32, seed=33)
+    calls = []
+    real = ToyModel.target
+
+    def spy(self, x):
+        calls.append(len(x))
+        return real(self, x)
+
+    monkeypatch.setattr(ToyModel, "target", spy)
+    rows = steps_sweep(model, data, (0, 2), config=TrainConfig(steps=0, batch=4), full_steps=1)
+    assert calls.count(len(data.val_inputs)) == 2 * len(rows)
 
 
 @pytest.mark.parametrize("trainable,param_layers,input_layers",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import robuq
 from robuq.allocator import AllocationProblem
-from robuq.deploy import FlopsEntry, weighted_flops
+from robuq.deploy import FlopsEntry, pack_ternary, weighted_flops
 from robuq.errors import ValidationError
 from robuq.profiler import TrainConfig
 from robuq.quant import (
@@ -200,6 +200,19 @@ def test_ternarize_transient_memory_is_one_copy_plus_values_and_one_block():
 def test_ternary_weights_reject_non_ternary(values):
     with pytest.raises(ValidationError):
         TernaryWeights(values=values, alpha=1.0)
+
+
+def test_complex_values_are_not_ternary():
+    # np.abs(1j) == 1 made a complex unit ternary, and dequantizing or
+    # packing such values cast them to real with a ComplexWarning.
+    values = np.ones((2, 2)) * 1j
+    assert not is_ternary(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="ternary values"):
+            TernaryWeights(values=values, alpha=1.0)
+        with pytest.raises(ValidationError, match="values must all lie"):
+            pack_ternary(values)
 
 
 _INTEGER_DTYPES = [np.bool_, np.int8, np.int16, np.int32, np.int64,
