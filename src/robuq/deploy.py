@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .quant import FP_BITS, _check_bits, _check_int, _check_real, is_ternary
+from .quant import FP_BITS, _asarray, _check_bits, _check_int, _check_real, is_ternary
 from .tensorio import _BAD_CONTENT, _field, _reading
 
 PACKED_MAGIC = b"RBQP"
@@ -52,8 +52,10 @@ class PackedTernary:
 
 
 def pack_ternary(values) -> PackedTernary:
-    """Pack a {-1, 0, +1} sequence five-per-byte; trailing slots pad with 0."""
-    arr = np.asarray(values).ravel()
+    """Pack a {-1, 0, +1} array of any shape five-per-byte, in row-major
+    order; trailing slots pad with 0. Anything else, a ragged nested
+    sequence included, raises ``ValidationError``."""
+    arr = _asarray(values, "values", "{-1, 0, +1} array").ravel()
     if not is_ternary(arr):
         raise ValidationError("values must all lie in {-1, 0, +1}")
     digits = np.ones(-(-arr.size // 5) * 5, dtype=np.uint8)  # pad digit 1 == value 0

@@ -114,10 +114,10 @@ class QuantLinearLayer:
 
     This constructor is the one validity rule for a layer, whether built
     by ``init_layer`` or read by ``load_layer``: ``wq.values`` is a real
-    matrix with both dims >= 1 (``quant._check_matrix``), the branch is
-    out_dim x r and r x in_dim with r at most min(out_dim, in_dim),
-    ``codebook`` is a uniform grid and ``center`` is a bool. Anything else
-    raises ``ValidationError``.
+    matrix with both dims >= 1 (``TernaryWeights`` holds it to
+    ``quant._check_matrix``), the branch is out_dim x r and r x in_dim
+    with r at most min(out_dim, in_dim), ``codebook`` is a uniform grid
+    and ``center`` is a bool. Anything else raises ``ValidationError``.
     """
 
     wq: TernaryWeights
@@ -130,7 +130,6 @@ class QuantLinearLayer:
             raise ValidationError(f"a layer codes on the uniform grid, got {self.codebook}")
         if not isinstance(self.center, bool):
             raise ValidationError(f"center must be a bool, got {self.center!r}")
-        _check_matrix(self.wq.values, "ternary values")
         r = self.branch.rank
         if r > min(self.out_dim, self.in_dim):
             raise ValidationError(f"rank {r} not in 0..min({self.out_dim}, {self.in_dim})")

@@ -10,13 +10,15 @@ validation loss gap on a fixed pool.
 A quantized toy layer is a ``lowrank.QuantLinearLayer`` built by
 ``init_layer`` and run through ``lowrank.forward_with_cache``, so the layer
 that is profiled is the layer that is deployed. The profiler adds only what
-QAT needs: the float shadow weight, the frozen low-rank anchor whose
-residual is re-ternarized from that shadow every step, and the
-straight-through backward. Both quantizers backpropagate as identity; the
-low-rank factors and everything outside a quantizer receive exact
-chain-rule gradients. The finite-difference checks pin this down on
-``ToyModel.loss``, asserting at every evaluation that no quantizer decision
-(ternary value, token code, mean or scale) has moved.
+QAT needs: a float shadow of the tensor that is ternarized, which is the
+transformed residual W H^T - A0 B0 that ``init_layer`` ternarizes, and the
+straight-through backward. Every step ternarizes that shadow as it stands
+and trains it directly, so no step transforms the weight or its gradient.
+Both quantizers backpropagate as identity; the low-rank factors and
+everything outside a quantizer receive exact chain-rule gradients. The
+finite-difference checks pin this down on ``ToyModel.loss``, asserting at
+every evaluation that no quantizer decision (ternary value, token code,
+mean or scale) has moved.
 
 Each step does only the work it uses. ``ToyModel.loss`` runs the deployed
 forward alone and forms none of the straight-through arrays, and
@@ -72,14 +74,15 @@ class TrainConfig:
 class ToyLayer:
     """One trainable linear layer; quantized, it wraps a ``QuantLinearLayer``.
     ``weight`` is a real matrix with both dims >= 1 (``quant._check_matrix``),
-    copied to float64. A quantized layer trains ``weight`` and its branch
-    factors ``A`` and ``B`` at every rank; at rank 0 they are 0 wide, so
-    only the shadow weight holds values."""
+    copied to float64: the dense weight W, or on a quantized layer the
+    shadow of the ternarized tensor, the transformed residual
+    R = W H^T - A0 B0 of the same shape. A quantized layer trains R and its
+    branch factors ``A`` and ``B`` at every rank; at rank 0 they are 0
+    wide, so only R holds values."""
 
     def __init__(self, weight: np.ndarray):
         self.weight = np.array(_check_matrix(weight, "weight"), dtype=np.float64)
         self.qlayer: QuantLinearLayer | None = None
-        self.anchor: np.ndarray | None = None  # frozen A0 @ B0 residual reference
 
     @property
     def out_dim(self) -> int:
@@ -97,10 +100,6 @@ class ToyLayer:
     def plan(self) -> HadamardPlan | None:
         return None if self.qlayer is None else self.qlayer.plan
 
-    @property
-    def rank(self) -> int:
-        return 0 if self.qlayer is None else self.qlayer.branch.rank
-
     def enable_quant(self, bits: int, rank: int = 0, seed: int = 0) -> None:
         """Switch this layer to the quantized path at ``bits`` activation bits.
 
@@ -110,22 +109,28 @@ class ToyLayer:
         several widths, and clamping is the profiler's policy, while
         ``init_layer`` rejects a rank above min(dims). The low-rank
         branch is initialized from the transformed weight's top singular
-        structure (0 wide at rank 0, the default); its product at enable
-        time anchors the residual, so the factors train freely without
-        re-entering the weight quantizer.
+        structure (0 wide at rank 0, the default), and ``weight`` becomes
+        the residual R = W H^T - A0 B0 that ``init_layer`` ternarized, bit
+        for bit, so R and the factors train freely and no later step
+        transforms the weight. A layer that is already quantized holds R,
+        not W, so quantizing it again raises ``ValidationError`` and
+        changes nothing.
         ``seed`` has no effect: the SVD's random sketch is drawn from a
         fixed internal seed, so it is deterministic. It is still accepted
         because existing callers pass it.
         """
         if _check_bits(bits, full_precision=True, name="activation bits"):
             return
+        if self.quantized:
+            raise ValidationError("the layer is already quantized; its weight is the residual")
         self.qlayer = init_layer(self.weight, r=min(rank, min(self.weight.shape)),
                                  codebook=uniform_gauss_codebook(bits))
-        self.anchor = self.qlayer.branch.matrix()
+        self.weight = fold_into_weights(self.weight, self.plan) - self.qlayer.branch.matrix()
 
     def params(self) -> dict[str, np.ndarray]:
-        """The trainable arrays: ``weight``, and on a quantized layer the
-        branch factors ``A`` and ``B``, which are 0 wide at rank 0."""
+        """The trainable arrays: ``weight`` (R on a quantized layer), and on
+        a quantized layer the branch factors ``A`` and ``B``, which are
+        0 wide at rank 0."""
         out = {"weight": self.weight}
         if self.quantized:
             out["A"] = self.qlayer.branch.A
@@ -141,12 +146,12 @@ class ToyLayer:
 
     def deployed_forward(self, x: np.ndarray):
         """Returns (y, cache) of the deployed layer alone: the dense product,
-        or ``forward_with_cache`` after the residual of the live weight
-        against the anchor is re-ternarized."""
+        or ``forward_with_cache`` after the shadow residual ``weight`` is
+        ternarized as it stands (no transform of the weight)."""
         if not self.quantized:
             return x @ self.weight.T, {"x": x}
         q = self.qlayer
-        q.wq = ternarize(fold_into_weights(self.weight, q.plan) - self.anchor)
+        q.wq = ternarize(self.weight)
         return forward_with_cache(q, x)
 
     def forward(self, x: np.ndarray):
@@ -166,16 +171,17 @@ class ToyLayer:
 
     def _param_grads(self, gy: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
         """Straight-through parameter gradients: both quantizers behave as
-        identity, so the residual inherits the dequantized-product
-        gradient. The factors' gradients are exact; at rank 0 they are
-        0 wide like the factors."""
+        identity, so the shadow residual, which lives in the transformed
+        domain, inherits the dequantized-product gradient gy^T deq with no
+        inverse transform. The factors' gradients are exact; at rank 0
+        they are 0 wide like the factors."""
         if not self.quantized:
             return {"weight": gy.T @ cache["x"]}
         branch = self.qlayer.branch
         # one float64 copy of the float32 xh for both products, the cast
         # each mixed-dtype matmul would make
         xh = cache["xh"].astype(np.float64)
-        return {"weight": inverse_tokens(gy.T @ cache["deq"]),
+        return {"weight": gy.T @ cache["deq"],
                 "A": gy.T @ (xh @ branch.B.T),
                 "B": branch.A.T @ gy.T @ xh}
 
@@ -272,8 +278,9 @@ class ToyData:
 def make_toy_model(widths: tuple[int, ...], seed: int = 0) -> ToyModel:
     """Random teacher of len(widths)-1 linear layers; student starts equal.
 
-    Widths should be powers of two in 32..128 for the fast-transform path,
-    though any integer sizes >= 1 work.
+    Every width is an integer >= 1 and runs the same transform kernel; a
+    width that is not a power of two mixes only within blocks of its
+    largest power-of-two divisor.
     """
     if len(widths) < 2:
         raise ValidationError("need at least one layer (two widths)")

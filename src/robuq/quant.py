@@ -119,6 +119,16 @@ def _check_real(value, name: str, least: float = -math.inf, strict: bool = False
     raise ValidationError(f"{name} must be a finite real{bound}, got {value!r}")
 
 
+def _asarray(x, name: str, kind: str = "real 2-D matrix") -> np.ndarray:
+    """``np.asarray(x)``, or ``ValidationError`` saying that ``name`` must be
+    a ``kind`` when ``x`` is a ragged nested sequence, which numpy cannot
+    make an array of."""
+    try:
+        return np.asarray(x)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise ValidationError(f"{name} must be a {kind}, got a ragged sequence") from exc
+
+
 def _check_matrix(x, name: str, rows: int = 1, width: int | None = None) -> np.ndarray:
     """The package's one rule for a matrix argument: ``np.asarray(x)`` has a
     bool, integer or float dtype (a complex, text, object, datetime or void
@@ -126,12 +136,8 @@ def _check_matrix(x, name: str, rows: int = 1, width: int | None = None) -> np.n
     rows and at least one column, exactly ``width`` when given. Returns the
     array in its own dtype, which each caller casts as it needs;
     ``ValidationError`` naming ``name``, the dtype and the shape otherwise,
-    or naming ``name`` for a ragged nested sequence, which numpy cannot
-    make an array of."""
-    try:
-        arr = np.asarray(x)
-    except ValueError as exc:  # numpy's "inhomogeneous shape"
-        raise ValidationError(f"{name} must be a real 2-D matrix, got a ragged sequence") from exc
+    or naming ``name`` for a ragged nested sequence (``_asarray``)."""
+    arr = _asarray(x, name)
     if (arr.dtype.kind in "biuf" and arr.ndim == 2 and arr.shape[0] >= rows
             and arr.shape[1] >= 1 and width in (None, arr.shape[1])):
         return arr
@@ -158,8 +164,9 @@ def is_ternary(values) -> bool:
 @dataclass
 class TernaryWeights:
     """{-1, 0, +1} values plus the one real scale ``alpha`` of the tensor:
-    a real number (not a bool), finite and >= 0, stored as a Python float
-    (``ValidationError`` otherwise).
+    a real number (not a bool), finite and >= 0, stored as a Python float.
+    ``values`` is a real matrix with both dims >= 1 (``_check_matrix``).
+    Anything else raises ``ValidationError``.
 
     The quantized forward multiplies the float32 activation codes by
     ``values`` as a GEMM operand, ``operand_f32``: the values as float32
@@ -173,7 +180,7 @@ class TernaryWeights:
     alpha: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values)
+        self.values = _check_matrix(self.values, "ternary values")
         if not is_ternary(self.values):
             raise ValidationError("ternary values must lie in {-1, 0, +1}")
         self.alpha = _check_real(self.alpha, "alpha", least=0)

@@ -74,7 +74,7 @@ def test_pack_bijection_all_bytes():
 
 
 def test_pack_rejects_nonternary():
-    for values in ([0, 2, 1], [0.5, 0, 1], [np.nan, 1, -1], [256, 0, 0]):
+    for values in ([0, 2, 1], [0.5, 0, 1], [np.nan, 1, -1], [256, 0, 0], [[1], [0, 1]]):
         with pytest.raises(ValidationError):
             pack_ternary(values)
 

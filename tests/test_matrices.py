@@ -24,11 +24,10 @@ _BATCH = np.random.default_rng(6).standard_normal((40, 8))
 
 
 def _layer_with_values(values):
-    # TernaryWeights' own check would stop a complex or text matrix first,
-    # so the values are set after it has run: only the layer's rule is left.
-    wq = TernaryWeights(values=np.zeros((1, 1), dtype=np.int8), alpha=1.0)
-    wq.values = values
-    rows, cols = values.shape if getattr(values, "ndim", 0) == 2 else (0, 0)
+    # A layer's ternary values are held to the matrix rule by TernaryWeights,
+    # which every layer's wq is.
+    wq = TernaryWeights(values=values, alpha=1.0)
+    rows, cols = wq.values.shape
     branch = LowRankBranch(A=np.zeros((rows, 0)), B=np.zeros((0, cols)))
     return QuantLinearLayer(wq=wq, branch=branch, codebook=_CB)
 

@@ -194,8 +194,9 @@ def test_ternarize_transient_memory_is_one_copy_plus_values_and_one_block():
         np.array([[2.0, -1.0]]),
         np.array([[-128, 1]], dtype=np.int8),  # |-128| wraps to -128 in int8
         np.array([[255, 0]], dtype=np.uint8),
+        [[1, 0], [1]],  # numpy cannot make an array of a ragged list
     ],
-    ids=["half", "nan", "two", "int8_min", "uint8_max"],
+    ids=["half", "nan", "two", "int8_min", "uint8_max", "ragged"],
 )
 def test_ternary_weights_reject_non_ternary(values):
     with pytest.raises(ValidationError):
