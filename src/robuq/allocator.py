@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .quant import _check_real, _check_widths
+from .quant import _check_int, _check_real, _check_widths
 from .tensorio import SensitivityTable
 
 DEFAULT_BIT_SET = (1, 2, 3, 4)
@@ -33,8 +33,8 @@ class AllocationProblem:
     """``target_avg_bits`` is a finite real, stored as a Python float, and
     ``bit_set`` a set of widths (``quant._check_widths``: each in 1..8 or
     32, none repeated), stored sorted. ``beta`` has no effect: the
-    allocator is exact and has no resolution. It is still accepted because
-    existing callers pass or read it."""
+    allocator is exact and has no resolution. It is still accepted, as an
+    integer >= 1, because existing callers pass or read it."""
 
     table: SensitivityTable
     target_avg_bits: float
@@ -43,6 +43,7 @@ class AllocationProblem:
 
     def __post_init__(self):
         self.target_avg_bits = _check_real(self.target_avg_bits, "target_avg_bits")
+        _check_int(self.beta, "beta")
         self.bit_set = _check_widths(self.bit_set, "bit_set")
         missing = [b for b in self.bit_set if b not in self.table.bits]
         if missing:

@@ -49,8 +49,10 @@ is then scaled and added into y a row block of about 2^15 entries at a
 time, through one reused float64 scratch block that stays in cache, so no
 T x out_dim float64 temporary is ever formed.
 
-The QAT profiler's quantized toy layers are these same layers, built by
-``init_layer`` and run through ``forward_with_cache``.
+The QAT profiler's quantized toy layers are these same layers: its
+``ToyLayer.enable_quant`` and ``init_layer`` share one split of a weight
+(``_split``: the branch and the residual W H^T - A B), both ternarize that
+residual, and the layer runs through ``forward_with_cache``.
 """
 
 from __future__ import annotations
@@ -280,6 +282,21 @@ def truncated_svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return u * signs, s, v * signs
 
 
+def _split(w: np.ndarray, r: int) -> tuple[LowRankBranch, np.ndarray]:
+    """The one split of a weight, shared by ``init_layer`` and QAT's
+    ``ToyLayer.enable_quant``: (branch, R) with A = U_r S_r and B = V_r^T
+    from ``truncated_svd(W H^T, r)``, and R = W H^T - A B, the tensor that
+    is ternarized. R overwrites the A B product, and W H^T is freed on
+    return, before the caller ternarizes R.
+    """
+    wh = fold_into_weights(w)
+    u, s, v = truncated_svd(wh, r)
+    branch = LowRankBranch(A=u * s, B=v.T)
+    residual = branch.matrix()
+    np.subtract(wh, residual, out=residual)
+    return branch, residual
+
+
 def init_layer(
     w: np.ndarray,
     r: int = DEFAULT_RANK,
@@ -295,21 +312,16 @@ def init_layer(
     2-D matrix with both dims >= 1) raises ``ValidationError`` too. A rank
     above min(dims) is rejected, not clamped. At rank 0 the branch is
     0 wide (A is out x 0, B is 0 x in) and its product is zero, so the
-    residual is W H^T bit for bit. The residual overwrites the A B product
-    and the transformed weight is released before ternarizing, so the
-    temporaries peak at about 2.0 float64 copies of W (W H^T and the A B
-    product; the SVD's float32 copy adds only half a copy to W H^T).
+    residual is W H^T bit for bit. The split is ``_split``, which QAT
+    shares: the residual overwrites the A B product and the transformed
+    weight is released before ternarizing, so the temporaries peak at
+    about 2.0 float64 copies of W (W H^T and the A B product; the SVD's
+    float32 copy adds only half a copy to W H^T).
     """
     if codebook is None:
         codebook = uniform_gauss_codebook(4)
-    wh = fold_into_weights(w)
-    u, s, v = truncated_svd(wh, r)
-    branch = LowRankBranch(A=u * s, B=v.T)
-    residual = branch.matrix()
-    np.subtract(wh, residual, out=residual)
-    del wh
-    wq = ternarize(residual)
-    return QuantLinearLayer(wq=wq, branch=branch, codebook=codebook, center=center)
+    branch, residual = _split(w, r)
+    return QuantLinearLayer(wq=ternarize(residual), branch=branch, codebook=codebook, center=center)
 
 
 # float32 holds every integer of magnitude at most 2^24 exactly

@@ -7,18 +7,18 @@ layer at a time at each candidate bit width, briefly trains only that
 layer's parameters with straight-through gradients, and records the
 validation loss gap on a fixed pool.
 
-A quantized toy layer is a ``lowrank.QuantLinearLayer`` built by
-``init_layer`` and run through ``lowrank.forward_with_cache``, so the layer
-that is profiled is the layer that is deployed. The profiler adds only what
-QAT needs: a float shadow of the tensor that is ternarized, which is the
-transformed residual W H^T - A0 B0 that ``init_layer`` ternarizes, and the
-straight-through backward. Every step ternarizes that shadow as it stands
-and trains it directly, so no step transforms the weight or its gradient.
-Both quantizers backpropagate as identity; the low-rank factors and
-everything outside a quantizer receive exact chain-rule gradients. The
-finite-difference checks pin this down on ``ToyModel.loss``, asserting at
-every evaluation that no quantizer decision (ternary value, token code,
-mean or scale) has moved.
+A quantized toy layer is a ``lowrank.QuantLinearLayer`` run through
+``lowrank.forward_with_cache`` and built from ``lowrank``'s one split of a
+weight, the one ``init_layer`` makes, so the layer that is profiled is the
+layer that is deployed. The profiler adds only what QAT needs: a float
+shadow of the tensor that is ternarized, the split's transformed residual
+W H^T - A0 B0, and the straight-through backward. Every step ternarizes
+that shadow as it stands and trains it directly, so no step transforms the
+weight or its gradient. Both quantizers backpropagate as identity; the
+low-rank factors and everything outside a quantizer receive exact
+chain-rule gradients. The finite-difference checks pin this down on
+``ToyModel.loss``, asserting at every evaluation that no quantizer
+decision (ternary value, token code, mean or scale) has moved.
 
 Each step does only the work it uses. ``ToyModel.loss`` runs the deployed
 forward alone and forms none of the straight-through arrays, and
@@ -37,16 +37,18 @@ trained parameters and losses are bitwise those of the per-array loop.
 from __future__ import annotations
 
 import copy as _copy
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .allocator import AllocationProblem, dp_allocate
 from .errors import ValidationError
-# transform_tokens is not called here; it stays importable from this module,
-# where perfbench's tracer test patches it.
+# transform_tokens and fold_into_weights are not called here; they stay
+# importable from this module, where perfbench's tracer test and the tests
+# that refuse a transform of the shadow weight patch them.
 from .hadamard import HadamardPlan, fold_into_weights, inverse_tokens, transform_tokens
-from .lowrank import QuantLinearLayer, forward_with_cache, init_layer
+from .lowrank import QuantLinearLayer, _split, forward_with_cache
 from .quant import (FP_BITS, _check_bits, _check_int, _check_matrix, _check_real, _check_widths,
                     dequantize_codes, ternarize, uniform_gauss_codebook)
 from .tensorio import LayerSpec, SensitivityTable
@@ -76,9 +78,10 @@ class ToyLayer:
     ``weight`` is a real matrix with both dims >= 1 (``quant._check_matrix``),
     copied to float64: the dense weight W, or on a quantized layer the
     shadow of the ternarized tensor, the transformed residual
-    R = W H^T - A0 B0 of the same shape. A quantized layer trains R and its
-    branch factors ``A`` and ``B`` at every rank; at rank 0 they are 0
-    wide, so only R holds values."""
+    R = W H^T - A0 B0 of the same shape, which ``enable_quant`` takes
+    from the split that ``init_layer`` makes too. A quantized layer trains
+    R and its branch factors ``A`` and ``B`` at every rank; at rank 0 they
+    are 0 wide, so only R holds values."""
 
     def __init__(self, weight: np.ndarray):
         self.weight = np.array(_check_matrix(weight, "weight"), dtype=np.float64)
@@ -107,25 +110,29 @@ class ToyLayer:
         dense path; anything else raises ``ValidationError``. ``rank`` is
         clamped to min(dims) here: a profile asks one rank of layers of
         several widths, and clamping is the profiler's policy, while
-        ``init_layer`` rejects a rank above min(dims). The low-rank
-        branch is initialized from the transformed weight's top singular
-        structure (0 wide at rank 0, the default), and ``weight`` becomes
-        the residual R = W H^T - A0 B0 that ``init_layer`` ternarized, bit
-        for bit, so R and the factors train freely and no later step
+        ``init_layer`` rejects a rank above min(dims). The layer comes from
+        ``lowrank``'s one split of a weight, the one ``init_layer`` makes:
+        W is transformed once, the low-rank branch is initialized from the
+        transformed weight's top singular structure (0 wide at rank 0, the
+        default), and ``weight`` becomes the residual R = W H^T - A0 B0, so
+        ``ternarize(weight)`` is ``init_layer``'s ternary weight bit for
+        bit. R and the factors then train freely and no later step
         transforms the weight. A layer that is already quantized holds R,
         not W, so quantizing it again raises ``ValidationError`` and
         changes nothing.
         ``seed`` has no effect: the SVD's random sketch is drawn from a
-        fixed internal seed, so it is deterministic. It is still accepted
-        because existing callers pass it.
+        fixed internal seed, so it is deterministic. It is still accepted,
+        as an integer >= 0 checked before anything else, because existing
+        callers pass it.
         """
+        _check_int(seed, "seed", least=0)
         if _check_bits(bits, full_precision=True, name="activation bits"):
             return
         if self.quantized:
             raise ValidationError("the layer is already quantized; its weight is the residual")
-        self.qlayer = init_layer(self.weight, r=min(rank, min(self.weight.shape)),
-                                 codebook=uniform_gauss_codebook(bits))
-        self.weight = fold_into_weights(self.weight, self.plan) - self.qlayer.branch.matrix()
+        branch, self.weight = _split(self.weight, min(rank, min(self.weight.shape)))
+        self.qlayer = QuantLinearLayer(wq=ternarize(self.weight), branch=branch,
+                                       codebook=uniform_gauss_codebook(bits))
 
     def params(self) -> dict[str, np.ndarray]:
         """The trainable arrays: ``weight`` (R on a quantized layer), and on
@@ -212,7 +219,9 @@ class ToyModel:
         return h
 
     def forward(self, x: np.ndarray):
-        h = x
+        """Returns (y, caches). ``x`` is a real matrix with at least one row
+        and the first layer's in_dim columns (``quant._check_matrix``)."""
+        h = _check_matrix(x, "x", width=self.layers[0].in_dim)
         caches = []
         for layer in self.layers:
             h, cache = layer.forward(h)
@@ -222,7 +231,9 @@ class ToyModel:
     def loss(self, x: np.ndarray) -> float:
         """Mean squared error against the teacher, bitwise equal to that of
         ``forward``'s output. Each layer runs only its deployed forward, so
-        no straight-through array is formed; nothing backpropagates here."""
+        no straight-through array is formed; nothing backpropagates here.
+        ``x`` is held to ``forward``'s rule before the teacher runs."""
+        x = _check_matrix(x, "x", width=self.layers[0].in_dim)
         return self._loss(x, self.target(x))
 
     def _loss(self, x: np.ndarray, target: np.ndarray) -> float:
@@ -282,8 +293,8 @@ def make_toy_model(widths: tuple[int, ...], seed: int = 0) -> ToyModel:
     width that is not a power of two mixes only within blocks of its
     largest power-of-two divisor.
     """
-    if len(widths) < 2:
-        raise ValidationError("need at least one layer (two widths)")
+    if not isinstance(widths, Sequence) or len(widths) < 2:
+        raise ValidationError(f"widths must be a sequence of at least two widths, got {widths!r}")
     for width in widths:
         _check_int(width, "widths entry")
     _check_int(seed, "seed", least=0)
@@ -441,8 +452,8 @@ def steps_sweep(
     target budget, quantize every layer accordingly, then train the whole
     model and record its initial and final validation loss.
     """
-    if not step_grid:
-        raise ValidationError("step grid must be nonempty")
+    if not isinstance(step_grid, Sequence) or not step_grid:
+        raise ValidationError(f"step_grid must be a nonempty sequence of steps, got {step_grid!r}")
     config = config or TrainConfig()
     rows = []
     for s in step_grid:

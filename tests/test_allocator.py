@@ -176,6 +176,14 @@ def test_non_finite_target_rejected(target):
         AllocationProblem(t, target)
 
 
+@pytest.mark.parametrize("beta", ["x", -5, 0, 2.5, None, True])
+def test_beta_must_be_an_integer_of_at_least_one(beta):
+    # beta has no effect, and every one of these built and allocated
+    t = _table([[1, 0.5, 0.2, 0.1]])
+    with pytest.raises(ValidationError, match="beta must be an integer >= 1"):
+        AllocationProblem(t, 2.0, beta=beta)
+
+
 @pytest.mark.parametrize("bit_set", [(2, 2), (2.0,), (True,), ()],
                          ids=["repeated", "float", "bool", "empty"])
 def test_bit_set_must_be_a_set_of_widths(bit_set):

@@ -203,13 +203,13 @@ def test_profiling_converts_each_layer_once(monkeypatch, rank):
     bits = (1, 2, 4, 8, 32)
     expected = _profile_cell_by_cell(model, data, bits, config, rank)
     converted = []
-    real = profiler.init_layer
+    real = profiler._split
 
     def spy(w, *args, **kwargs):
         converted.append(w.shape)
         return real(w, *args, **kwargs)
 
-    monkeypatch.setattr(profiler, "init_layer", spy)
+    monkeypatch.setattr(profiler, "_split", spy)
     table = profile_sensitivity(model, data, bits, config, rank=rank)
     assert converted == [(24, 32), (32, 24), (16, 32)]
     assert table.delta_loss.tobytes() == expected.tobytes()
@@ -330,6 +330,26 @@ def test_first_step_ternarizes_what_init_layer_ternarized(rank):
     want = init_layer(w, r=rank, codebook=uniform_gauss_codebook(3)).wq
     np.testing.assert_array_equal(layer.qlayer.wq.values, want.values, strict=True)
     assert layer.qlayer.wq.alpha.hex() == want.alpha.hex()
+
+
+@pytest.mark.parametrize("rank", [0, 4])
+def test_quantizing_transforms_the_weight_once(monkeypatch, rank):
+    # The split gives both the branch and the shadow residual R, so a
+    # conversion transforms W once, at every rank and width.
+    from robuq import hadamard
+
+    calls = []
+    real = hadamard._apply
+
+    def spy(x, block):
+        calls.append(x.shape)
+        return real(x, block)
+
+    monkeypatch.setattr(hadamard, "_apply", spy)
+    for bits in (1, 3):
+        calls.clear()
+        ToyLayer(np.random.default_rng(63).standard_normal((24, 32))).enable_quant(bits, rank=rank)
+        assert calls == [(24, 32)]
 
 
 def test_steps_transform_neither_the_shadow_nor_its_gradient(monkeypatch):
@@ -622,16 +642,43 @@ def test_toy_widths_must_be_integers_of_at_least_one(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_toy_model(5), lambda: make_toy_model(None), lambda: make_toy_model(16.0),
+     lambda: steps_sweep(make_toy_model((8, 8)), make_toy_data(8), 5)],
+    ids=["widths_int", "widths_none", "widths_float", "step_grid_int"],
+)
+def test_toy_widths_and_step_grids_must_be_sequences(build):
+    # Before the check these raised a TypeError from len() or iteration.
+    with pytest.raises(ValidationError, match=r"(widths|step_grid) must be a .*sequence"):
+        build()
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
 @pytest.mark.parametrize("build", [lambda s: make_toy_model((8, 8), seed=s),
                                    lambda s: make_toy_data(8, seed=s),
-                                   lambda s: TrainConfig(seed=s)],
-                         ids=["model", "data", "config"])
+                                   lambda s: TrainConfig(seed=s),
+                                   lambda s: ToyLayer(np.ones((8, 8))).enable_quant(2, seed=s),
+                                   lambda s: ToyLayer(np.ones((8, 8))).enable_quant(32, seed=s)],
+                         ids=["model", "data", "config", "enable_quant", "enable_quant_fp"])
 def test_profiler_seeds_must_be_integers_of_at_least_zero(build, seed):
     # Before the check the toy builders raised numpy's ValueError or a
     # TypeError, and TrainConfig built and failed only inside profiling.
+    # enable_quant took any seed and ignored it.
     with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
         build(seed)
+
+
+@pytest.mark.parametrize("x", [np.ones((3, 5)), np.ones(16)], ids=["wrong_width", "1d"])
+@pytest.mark.parametrize("call", [lambda m, x: m.loss(x), lambda m, x: m.forward(x),
+                                  lambda m, x: m.loss_and_grads(x, {0})],
+                         ids=["loss", "forward", "loss_and_grads"])
+def test_toy_model_rejects_a_batch_that_is_not_its_input(call, x):
+    # At a dense first layer the wrong width raised numpy's matmul
+    # ValueError and a 1-D batch gave a loss; a quantized one rejected both.
+    model = make_toy_model((16, 8), seed=1)
+    with pytest.raises(ValidationError, match="x must be a real 2-D matrix"):
+        call(model, x)
 
 
 @pytest.mark.parametrize("shape", [(50,), (50, 0), (2, 50, 32), ()],
