@@ -52,7 +52,17 @@ T x out_dim float64 temporary is ever formed.
 The QAT profiler's quantized toy layers are these same layers: its
 ``ToyLayer.enable_quant`` and ``init_layer`` share one split of a weight
 (``_split``: the branch and the residual W H^T - A B), both ternarize that
-residual, and the layer runs through ``forward_with_cache``.
+residual, and the layer trains through the straight-through half below.
+
+Straight-through training (STE; Bengio et al. 2013) states its rule once,
+in ``ste_forward``, ``ste_param_grads`` and ``ste_input_grad``. Both
+quantizers pass gradients as identity: the token coder's gradient reaches
+H x unchanged, and the ternarizer's reaches the float shadow R that it
+ternarizes. The factors A and B, and everything outside a quantizer,
+receive exact chain-rule gradients. R lives in the transformed domain, so
+its gradient gy^T dequant(Q(H x)) needs no inverse transform. The dense
+alpha V is formed only for the input gradient, (A B + alpha V) H mapped
+onto gy, never by the forward or the parameter gradients.
 """
 
 from __future__ import annotations
@@ -73,6 +83,7 @@ from .quant import (
     TernaryWeights,
     _check_matrix,
     _is_int,
+    dequantize_codes,
     ternarize,
     token_codes,
     uniform_gauss_codebook,
@@ -378,6 +389,38 @@ def forward_with_cache(layer: QuantLinearLayer, x: np.ndarray) -> tuple[np.ndarr
 def forward(layer: QuantLinearLayer, x: np.ndarray) -> np.ndarray:
     """Apply the layer to a T x in_dim activation batch (see ``forward_with_cache``)."""
     return forward_with_cache(layer, x)[0]
+
+
+def ste_forward(layer: QuantLinearLayer, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """``forward_with_cache`` for training: the cache also keeps the input
+    ``x`` and ``deq``, the dequantized transformed tokens, which
+    ``ste_param_grads`` reads. The forward's codes are float32 on the
+    layer's uniform grid."""
+    y, cache = forward_with_cache(layer, x)
+    codes = cache["codes"].astype(np.int64, copy=False)
+    cache.update(x=x, deq=dequantize_codes(codes, layer.codebook, cache["mu"], cache["sigma"],
+                                           layer.center))
+    return y, cache
+
+
+def ste_param_grads(layer: QuantLinearLayer, gy: np.ndarray, cache: dict):
+    """Straight-through gradients (R, A, B) of the output gradient ``gy``,
+    from ``ste_forward``'s cache: R, the shadow of the ternarized tensor,
+    inherits gy^T deq; A and B get their exact gradients (0 wide at rank 0,
+    like the factors)."""
+    branch = layer.branch
+    # one float64 copy of the float32 xh for both products, the cast each
+    # mixed-dtype matmul would make
+    xh = cache["xh"].astype(np.float64)
+    return gy.T @ cache["deq"], gy.T @ (xh @ branch.B.T), branch.A.T @ gy.T @ xh
+
+
+def ste_input_grad(layer: QuantLinearLayer, gy: np.ndarray) -> np.ndarray:
+    """Straight-through input gradient of the output gradient ``gy``:
+    gy (A B + alpha V) H, the chain of both branches through the identity
+    coder. It reads no cache, and forms the dense alpha V here only."""
+    branch = layer.branch
+    return inverse_tokens(gy @ layer.wq.dequantize() + gy @ branch.A @ branch.B)
 
 
 def reconstruct_weight(layer: QuantLinearLayer) -> np.ndarray:

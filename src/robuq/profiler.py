@@ -10,15 +10,14 @@ validation loss gap on a fixed pool.
 A quantized toy layer is a ``lowrank.QuantLinearLayer`` run through
 ``lowrank.forward_with_cache`` and built from ``lowrank``'s one split of a
 weight, the one ``init_layer`` makes, so the layer that is profiled is the
-layer that is deployed. The profiler adds only what QAT needs: a float
-shadow of the tensor that is ternarized, the split's transformed residual
-W H^T - A0 B0, and the straight-through backward. Every step ternarizes
-that shadow as it stands and trains it directly, so no step transforms the
-weight or its gradient. Both quantizers backpropagate as identity; the
-low-rank factors and everything outside a quantizer receive exact
-chain-rule gradients. The finite-difference checks pin this down on
-``ToyModel.loss``, asserting at every evaluation that no quantizer
-decision (ternary value, token code, mean or scale) has moved.
+layer that is deployed. It trains through ``lowrank``'s straight-through
+half, whose module docstring states the rule. The profiler adds only a
+float shadow of the tensor that is ternarized, the split's transformed
+residual W H^T - A0 B0. Every step ternarizes that shadow as it stands and
+trains it directly, so no step transforms the weight or its gradient. The
+finite-difference checks pin the rule down on ``ToyModel.loss``, asserting
+at every evaluation that no quantizer decision (ternary value, token code,
+mean or scale) has moved.
 
 Each step does only the work it uses. ``ToyModel.loss`` runs the deployed
 forward alone and forms none of the straight-through arrays, and
@@ -44,13 +43,13 @@ import numpy as np
 
 from .allocator import AllocationProblem, dp_allocate
 from .errors import ValidationError
-# transform_tokens and fold_into_weights are not called here; they stay
-# importable from this module, where perfbench's tracer test and the tests
-# that refuse a transform of the shadow weight patch them.
-from .hadamard import HadamardPlan, fold_into_weights, inverse_tokens, transform_tokens
-from .lowrank import QuantLinearLayer, _split, forward_with_cache
+# transform_tokens is not called here; it stays importable from this
+# module, where perfbench's tracer test patches it.
+from .hadamard import HadamardPlan, transform_tokens
+from .lowrank import (QuantLinearLayer, _split, forward_with_cache, ste_forward, ste_input_grad,
+                      ste_param_grads)
 from .quant import (FP_BITS, _check_bits, _check_int, _check_matrix, _check_real, _check_widths,
-                    dequantize_codes, ternarize, uniform_gauss_codebook)
+                    _is_int, ternarize, uniform_gauss_codebook)
 from .tensorio import LayerSpec, SensitivityTable
 
 _VAL_POOL = 1000  # validation tokens of every toy data set
@@ -123,9 +122,10 @@ class ToyLayer:
         ``seed`` has no effect: the SVD's random sketch is drawn from a
         fixed internal seed, so it is deterministic. It is still accepted,
         as an integer >= 0 checked before anything else, because existing
-        callers pass it.
+        callers pass it. ``rank`` is held to the same rule, also at 32 bits.
         """
         _check_int(seed, "seed", least=0)
+        _check_int(rank, "rank", least=0)
         if _check_bits(bits, full_precision=True, name="activation bits"):
             return
         if self.quantized:
@@ -162,44 +162,24 @@ class ToyLayer:
         return forward_with_cache(q, x)
 
     def forward(self, x: np.ndarray):
-        """Returns (y, cache): ``deployed_forward`` plus, on a quantized
-        layer, what the straight-through backward reads."""
-        y, cache = self.deployed_forward(x)
+        """Returns (y, cache): the dense product, or on a quantized layer
+        ``lowrank.ste_forward`` of the shadow ternarized as it stands."""
         if not self.quantized:
-            return y, cache
-        q = self.qlayer
-        # The straight-through backward needs the dequantized activations
-        # and the dense ternary weight, which the forward never forms; the
-        # forward's codes are float32 on a uniform grid.
-        codes = cache["codes"].astype(np.int64, copy=False)
-        deq = dequantize_codes(codes, q.codebook, cache["mu"], cache["sigma"], q.center)
-        cache.update(x=x, deq=deq, wq=q.wq.dequantize())
-        return y, cache
+            return self.deployed_forward(x)
+        self.qlayer.wq = ternarize(self.weight)
+        return ste_forward(self.qlayer, x)
 
     def _param_grads(self, gy: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
-        """Straight-through parameter gradients: both quantizers behave as
-        identity, so the shadow residual, which lives in the transformed
-        domain, inherits the dequantized-product gradient gy^T deq with no
-        inverse transform. The factors' gradients are exact; at rank 0
-        they are 0 wide like the factors."""
+        """Gradients of ``params()``: dense, or ``lowrank.ste_param_grads``."""
         if not self.quantized:
             return {"weight": gy.T @ cache["x"]}
-        branch = self.qlayer.branch
-        # one float64 copy of the float32 xh for both products, the cast
-        # each mixed-dtype matmul would make
-        xh = cache["xh"].astype(np.float64)
-        return {"weight": gy.T @ cache["deq"],
-                "A": gy.T @ (xh @ branch.B.T),
-                "B": branch.A.T @ gy.T @ xh}
+        return dict(zip(("weight", "A", "B"), ste_param_grads(self.qlayer, gy, cache)))
 
     def _input_grad(self, gy: np.ndarray, cache: dict) -> np.ndarray:
-        """Straight-through input gradient: the transformed activation
-        inherits the output-side chain of both branches (the low-rank one
-        adds zeros at rank 0)."""
+        """Input gradient: dense, or ``lowrank.ste_input_grad``."""
         if not self.quantized:
             return gy @ self.weight
-        branch = self.qlayer.branch
-        return inverse_tokens(gy @ cache["wq"] + gy @ branch.A @ branch.B)
+        return ste_input_grad(self.qlayer, gy)
 
 
 @dataclass
@@ -245,9 +225,14 @@ class ToyModel:
         return float(np.mean((h - target) ** 2))
 
     def loss_and_grads(self, x: np.ndarray, trainable: set[int]):
-        """Loss and the gradients of the ``trainable`` layers. The backward
-        forms parameter gradients only for those layers and input gradients
-        only above the lowest of them, since nothing else is updated."""
+        """Loss and the gradients of the ``trainable`` layers, each an
+        integer index in 0..len(layers)-1 (``ValidationError`` otherwise).
+        The backward forms parameter gradients only for those layers and
+        input gradients only above the lowest of them, since nothing else
+        is updated."""
+        if not all(_is_int(i) and 0 <= i < len(self.layers) for i in trainable):
+            raise ValidationError(
+                f"trainable must hold layer indices in 0..{len(self.layers) - 1}, got {trainable!r}")
         y, caches = self.forward(x)
         t = self.target(x)
         diff = y - t

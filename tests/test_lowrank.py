@@ -17,6 +17,9 @@ from robuq.lowrank import (
     load_layer,
     reconstruct_weight,
     save_layer,
+    ste_forward,
+    ste_input_grad,
+    ste_param_grads,
     truncated_svd,
 )
 from robuq.quant import (
@@ -1052,3 +1055,49 @@ def test_conversion_never_builds_the_gemm_operand(tmp_path):
     reconstruct_weight(layer)
     assert not set(vars(layer.wq)) & _OPERANDS
     assert not set(vars(back.wq)) & _OPERANDS
+
+
+# ---------------------------------------------------------------------------
+# Straight-through training
+# ---------------------------------------------------------------------------
+
+def test_factor_gradients_match_fd_on_a_bare_layer():
+    # L = sum(c * y): gy = c. The factors never move a quantizer decision,
+    # which the loss asserts at every evaluation. The gradients read the
+    # float32 H x, the forward reads x through float64 B H, so they differ
+    # by the float32 transform's rounding: 0.7e-7 to 1.5e-7 measured at this
+    # size over six seeds.
+    rng = np.random.default_rng(70)
+    layer = init_layer(rng.standard_normal((24, 32)), r=4, codebook=uniform_gauss_codebook(3))
+    x, c = rng.standard_normal((10, 32)), rng.standard_normal((10, 24))
+    _, cache = ste_forward(layer, x)
+    _, g_a, g_b = ste_param_grads(layer, c, cache)
+
+    def loss():
+        y, now = forward_with_cache(layer, x)
+        for key in ("codes", "mu", "sigma"):
+            np.testing.assert_array_equal(now[key], cache[key])
+        return float(np.sum(c * y))
+
+    h = 1e-3
+    for param, grad in ((layer.branch.A, g_a), (layer.branch.B, g_b)):
+        fd = np.empty_like(grad)
+        for idx in np.ndindex(param.shape):
+            p0 = param[idx]
+            param[idx] = p0 + h
+            lp = loss()
+            param[idx] = p0 - h
+            lm = loss()
+            param[idx] = p0
+            fd[idx] = (lp - lm) / (2 * h)
+        assert np.linalg.norm(fd - grad) / np.linalg.norm(grad) < 1e-6
+
+
+@pytest.mark.parametrize("rank", [0, 4])
+def test_input_gradient_is_the_reconstructed_weight(rank):
+    # gy (A B + alpha V) H, from the layer alone: no cache is read.
+    rng = np.random.default_rng(8)
+    layer = init_layer(rng.standard_normal((96, 128)), r=rank, codebook=uniform_gauss_codebook(2))
+    gy = rng.standard_normal((5, 96))
+    want = gy @ reconstruct_weight(layer)
+    assert np.abs(ste_input_grad(layer, gy) - want).max() <= 1e-12 * np.abs(want).max()

@@ -293,9 +293,8 @@ def test_quantized_toy_cache_holds_what_the_backward_reads():
 
     layer = _shared_forward_model().layers[0]
     _, cache = layer.forward(np.random.default_rng(28).standard_normal((10, 32)))
-    assert set(cache) == {"x", "xh", "deq", "wq", "codes", "mu", "sigma"}
+    assert set(cache) == {"x", "xh", "deq", "codes", "mu", "sigma"}
     np.testing.assert_array_equal(cache["deq"], quantize_tokens(cache["xh"], layer.qlayer.codebook)[0])
-    np.testing.assert_array_equal(cache["wq"], layer.qlayer.wq.dequantize())
 
 
 def test_rank_zero_layer_trains_only_the_shadow_weight():
@@ -354,27 +353,51 @@ def test_quantizing_transforms_the_weight_once(monkeypatch, rank):
 
 def test_steps_transform_neither_the_shadow_nor_its_gradient(monkeypatch):
     # The shadow is the transformed residual, so neither the loss nor the
-    # weight gradient goes through a fold or an inverse transform; the one
-    # inverse transform left is layer 1's input gradient.
+    # weight gradient transforms a weight: each layer's forward transforms
+    # its 8 tokens and maps its 4 x in B back, and the one more transform
+    # is layer 1's input gradient. A fold would add a (24, 32) or (16, 24).
+    from robuq import hadamard
+
     model = make_toy_model((32, 24, 16), seed=61)
     for layer in model.layers:
         layer.enable_quant(2, rank=4)
     x = np.random.default_rng(62).standard_normal((8, 32))
-    inverses = []
-    real = profiler.inverse_tokens
+    calls = []
+    real = hadamard._apply
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a step transformed the shadow weight")
+    def spy(x, block):
+        calls.append(x.shape)
+        return real(x, block)
 
-    def spy(*args, **kwargs):
-        inverses.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(profiler, "fold_into_weights", refuse)
-    monkeypatch.setattr(profiler, "inverse_tokens", spy)
+    monkeypatch.setattr(hadamard, "_apply", spy)
+    forward = [(8, 32), (4, 32), (8, 24), (4, 24)]
     model.loss(x)
+    assert calls == forward
+    calls.clear()
     _, grads = model.loss_and_grads(x, {0, 1})
-    assert set(grads) == {0, 1} and len(inverses) == 1
+    assert set(grads) == {0, 1} and calls == forward + [(8, 24)]
+
+
+@pytest.mark.parametrize("trainable,formed", [({1}, 0), ({0, 1, 2}, 2)], ids=["cell", "all"])
+def test_dense_ternary_weight_is_formed_only_for_an_input_gradient(monkeypatch, trainable, formed):
+    # A profiling cell trains its one quantized layer and needs no input
+    # gradient, so it forms no dense alpha V; with every layer quantized and
+    # trainable, each layer above the lowest forms one.
+    from robuq.quant import TernaryWeights
+
+    model = make_toy_model((32, 24, 16, 16), seed=64)
+    for i in trainable:
+        model.layers[i].enable_quant(2, rank=4)
+    calls = []
+    real = TernaryWeights.dequantize
+
+    def spy(self):
+        calls.append(self.values.shape)
+        return real(self)
+
+    monkeypatch.setattr(TernaryWeights, "dequantize", spy)
+    model.loss_and_grads(np.random.default_rng(65).standard_normal((8, 32)), trainable)
+    assert len(calls) == formed
 
 
 def test_quantizing_a_quantized_layer_is_rejected():
@@ -667,6 +690,35 @@ def test_profiler_seeds_must_be_integers_of_at_least_zero(build, seed):
     # enable_quant took any seed and ignored it.
     with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
         build(seed)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: ToyLayer(np.ones((8, 8))).enable_quant(2, rank="x"),
+     lambda: ToyLayer(np.ones((8, 8))).enable_quant(2, rank=None),
+     lambda: profile_sensitivity(make_toy_model((8, 8)), make_toy_data(8), (2,),
+                                 TrainConfig(steps=0), rank="x"),
+     lambda: steps_sweep(make_toy_model((8, 8)), make_toy_data(8), (0,), bits=(2, 32),
+                         config=TrainConfig(steps=0), full_steps=0, rank=None)],
+    ids=["enable_quant_str", "enable_quant_none", "profile_str", "sweep_none"],
+)
+def test_profiler_rank_must_be_an_integer_of_at_least_zero(build):
+    # Before the check these raised a TypeError from min(rank, min(dims)).
+    with pytest.raises(ValidationError, match="rank must be an integer >= 0"):
+        build()
+
+
+@pytest.mark.parametrize("trainable", [{-1}, {5}, {-2}, {0.0}, {"a"}, {0, 2}, {True}],
+                         ids=["minus_one", "past_end", "minus_two", "float", "str", "one_past",
+                              "bool"])
+def test_trainable_must_hold_layer_indices(trainable):
+    # Before the check {-1} returned a 16 x 8 array as the gradient of the
+    # 8 x 8 last layer, {5} and {0, 2} left out a gradient, {-2} raised
+    # numpy's matmul ValueError, a float or a string a TypeError, and
+    # {True} passed for {1}.
+    model = make_toy_model((16, 8, 8), seed=2)
+    with pytest.raises(ValidationError, match="trainable must hold layer indices in 0..1"):
+        model.loss_and_grads(np.ones((4, 16)), trainable)
 
 
 @pytest.mark.parametrize("x", [np.ones((3, 5)), np.ones(16)], ids=["wrong_width", "1d"])
